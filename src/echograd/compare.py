@@ -33,7 +33,6 @@ CSV_HEADER = [
     "nudging",
     "rel_err_vs_oracle",
     "rhel_pfvp_rel_diff",
-    "wall_time_seconds",
     "gradient",
 ]
 
@@ -83,7 +82,6 @@ class ComparisonTable:
                         c.nudging,
                         repr(float(c.rel_err_vs_oracle)),
                         "" if c.rhel_pfvp_rel_diff is None else repr(float(c.rhel_pfvp_rel_diff)),
-                        repr(float(c.wall_time)),
                         ";".join(repr(float(v)) for v in c.gradient),
                     ]
                 )

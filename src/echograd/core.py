@@ -11,6 +11,12 @@ Conventions used throughout the package:
   which keeps forward/reversed index arithmetic exact.
 - All container types are immutable after construction (arrays are copied and
   write-locked), so instances are safe to share across threads.
+- Models are evaluated point by point (``x`` is one input sample) or, inside
+  a solve, through a binding: ``model.bind(theta, xs)`` fixes the parameters
+  and the input samples of a grid (one row per point) and takes the grid
+  index ``k`` in place of ``x``.  The default binding calls the per-point
+  methods with ``xs[k]``; a model overrides ``bind`` to do parameter-only
+  work once per solve and to evaluate whole trajectories in one call.
 """
 
 from __future__ import annotations
@@ -32,8 +38,11 @@ __all__ = [
     "GradientEstimate",
     "LagrangianModel",
     "HamiltonianModel",
+    "BoundLagrangian",
+    "BoundHamiltonian",
     "CostModel",
     "trapezoid",
+    "trapezoid_contrast",
     "frozen_array",
 ]
 
@@ -59,6 +68,16 @@ def trapezoid(values: np.ndarray, dt: float) -> np.ndarray | float:
     values = np.asarray(values, dtype=float)
     total = values.sum(axis=0) - 0.5 * (values[0] + values[-1])
     return dt * total
+
+
+def trapezoid_contrast(rows: np.ndarray, reference: np.ndarray, dt: float) -> np.ndarray:
+    """``trapezoid(rows - reference, dt)``, subtracting in place in ``rows``.
+
+    Pass a fresh array as ``rows``: it is overwritten, and no third
+    trajectory-sized array is allocated.
+    """
+    rows -= reference
+    return trapezoid(rows, dt)
 
 
 @dataclass(frozen=True)
@@ -330,6 +349,11 @@ class LagrangianModel(ABC):
     used by momentum conversion.  ``x`` is the instantaneous external input
     (``None`` when ``input_dim == 0``).
 
+    Two methods have defaults a model may override: ``grad_velocity_params``
+    (a central difference of ``grad_velocity``) and ``bind``, which returns
+    a :class:`BoundLagrangian` that calls the per-point methods.  An override
+    of ``bind`` must agree with the per-point methods.
+
     Attributes:
         dim: state dimension.
         theta_dim: parameter dimension.
@@ -365,9 +389,35 @@ class LagrangianModel(ABC):
     def velocity_hessian(self, s, v, theta, x=None) -> np.ndarray:
         ...
 
+    def grad_velocity_params(self, s, v, theta, x=None, eps: float = 1e-5) -> np.ndarray:
+        """(dim, theta_dim) parameter Jacobian of dL/dv at one point.
+
+        The default is a central difference with step ``eps``; models whose
+        velocity gradient does not depend on the parameters return zeros.
+        """
+        th = as_params(theta)
+        jac = np.empty((self.dim, th.shape[0]))
+        for j in range(th.shape[0]):
+            th_p, th_m = th.copy(), th.copy()
+            th_p[j] += eps
+            th_m[j] -= eps
+            gp = np.asarray(self.grad_velocity(s, v, th_p, x), dtype=float)
+            gm = np.asarray(self.grad_velocity(s, v, th_m, x), dtype=float)
+            jac[:, j] = (gp - gm) / (2.0 * eps)
+        return jac
+
+    def bind(self, theta, xs=None) -> "BoundLagrangian":
+        """Fix ``theta`` and the input samples ``xs`` (one row per grid point,
+        ``None`` for autonomous models) for one solve."""
+        return BoundLagrangian(self, theta, xs)
+
 
 class HamiltonianModel(ABC):
     """Mechanics contract in phase space.
+
+    ``bind`` has a default, a :class:`BoundHamiltonian` that calls the
+    per-point methods; the integrators step through it.  An override must
+    agree with the per-point methods.
 
     Attributes:
         dim: position dimension (phase dimension is ``2 * dim``).
@@ -400,12 +450,87 @@ class HamiltonianModel(ABC):
     def grad_params(self, s, p, theta, x=None) -> np.ndarray:
         ...
 
+    def bind(self, theta, xs=None) -> "BoundHamiltonian":
+        """Fix ``theta`` and the input samples ``xs`` (one row per grid point,
+        ``None`` for autonomous models) for one solve."""
+        return BoundHamiltonian(self, theta, xs)
+
+
+class _Bound:
+    """Parameters and input samples fixed for one solve; ``k`` indexes ``xs``."""
+
+    def __init__(self, model, theta, xs=None):
+        self.model = model
+        self.theta = as_params(theta)
+        self.xs = xs
+
+    def x(self, k):
+        return None if self.xs is None else self.xs[k]
+
+
+class BoundLagrangian(_Bound):
+    """Binding of a :class:`LagrangianModel`.
+
+    This default evaluates the model's per-point methods with ``xs[k]``.
+    ``*_rows`` methods take one state per grid point, rows aligned with
+    ``xs``, and return a new array with one result row per point, which the
+    caller may overwrite.
+    """
+
+    def grad_position(self, s, v, k) -> np.ndarray:
+        return np.asarray(self.model.grad_position(s, v, self.theta, self.x(k)), dtype=float)
+
+    def grad_velocity(self, s, v, k) -> np.ndarray:
+        return np.asarray(self.model.grad_velocity(s, v, self.theta, self.x(k)), dtype=float)
+
+    def velocity(self, s, p, k) -> np.ndarray:
+        """The velocity whose momentum dL/dv is ``p``."""
+        from .legendre import velocity_from_momentum
+
+        return velocity_from_momentum(self.model, s, p, self.theta, self.x(k))
+
+    def velocity_rows(self, positions, momenta) -> np.ndarray:
+        out = np.empty_like(np.asarray(positions, dtype=float))
+        for k in range(out.shape[0]):
+            out[k] = self.velocity(positions[k], momenta[k], k)
+        return out
+
+    def grad_params_rows(self, positions, velocities) -> np.ndarray:
+        rows = np.empty((len(positions), self.model.theta_dim))
+        for k in range(rows.shape[0]):
+            rows[k] = self.model.grad_params(positions[k], velocities[k], self.theta, self.x(k))
+        return rows
+
+
+class BoundHamiltonian(_Bound):
+    """Binding of a :class:`HamiltonianModel`; the integrators step through it.
+
+    This default evaluates the model's per-point methods with ``xs[k]``.
+    ``*_rows`` methods take one state per grid point, rows aligned with
+    ``xs``, and return a new array with one result row per point, which the
+    caller may overwrite.
+    """
+
+    def grad_position(self, s, p, k) -> np.ndarray:
+        return np.asarray(self.model.grad_position(s, p, self.theta, self.x(k)), dtype=float)
+
+    def grad_momentum(self, s, p, k) -> np.ndarray:
+        return np.asarray(self.model.grad_momentum(s, p, self.theta, self.x(k)), dtype=float)
+
+    def grad_params_rows(self, positions, momenta) -> np.ndarray:
+        rows = np.empty((len(positions), self.model.theta_dim))
+        for k in range(rows.shape[0]):
+            rows[k] = self.model.grad_params(positions[k], momenta[k], self.theta, self.x(k))
+        return rows
+
 
 class CostModel(ABC):
     """Instantaneous prediction-error term.
 
     ``state`` is the position vector when ``position_only`` is set, otherwise
     the full phase vector ``(s, p)``; ``grad_state`` is shaped accordingly.
+    ``cost_rows`` evaluates a whole trajectory; its default calls ``cost``
+    once per row.
     """
 
     position_only: bool
@@ -417,6 +542,10 @@ class CostModel(ABC):
     @abstractmethod
     def grad_state(self, state, target) -> np.ndarray:
         ...
+
+    def cost_rows(self, states, targets) -> np.ndarray:
+        """Cost of every row of ``states`` against the same row of ``targets``."""
+        return np.array([self.cost(s, y) for s, y in zip(states, targets)], dtype=float)
 
 
 def as_params(theta) -> np.ndarray:

@@ -37,7 +37,7 @@ from .core import (
     as_params,
 )
 from .errors import ConvergenceError, DivergenceError
-from .legendre import forward_legendre, momentum_from_velocity, velocity_from_momentum
+from .legendre import forward_legendre, momentum_from_velocity
 
 __all__ = [
     "Nudge",
@@ -55,6 +55,9 @@ SCHEMES = ("leapfrog", "rk4")
 
 _FIXED_POINT_TOL = 1e-13
 _FIXED_POINT_MAX_ITER = 50
+# Rows the explicit steppers write between finiteness checks.  A diverged
+# run is cut at most this many steps after its first non-finite state.
+_CHECK_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -130,61 +133,73 @@ def integrate_hamiltonian(
     nudge = _validate_nudge(nudge, grid)
 
     d, n, dt = model.dim, grid.n_steps, grid.dt
-
-    def x_at(k):
-        return None if xs is None else xs[k]
-
+    bound = model.bind(th, xs)
     if scheme == "rk4":
-        positions, momenta = _rk4(model, th, phi0, n, dt, x_at, nudge, d)
+        positions, momenta = _rk4(bound, phi0, n, dt, nudge, d)
     elif model.separable and (nudge is None or nudge.cost.position_only):
-        positions, momenta = _leapfrog_separable(model, th, phi0, n, dt, x_at, nudge)
+        positions, momenta = _leapfrog_separable(bound, phi0, n, dt, nudge)
     else:
-        positions, momenta = _leapfrog_implicit(model, th, phi0, n, dt, x_at, nudge, d)
+        positions, momenta = _leapfrog_implicit(bound, phi0, n, dt, nudge, d)
     return Trajectory(grid, "hamiltonian", positions, momenta)
 
 
-def _check_state(s, p, k):
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(p))):
+def _check_rows(positions, momenta, lo, hi):
+    """Raise at the first non-finite state among rows ``lo:hi``; row k is step k."""
+    finite = np.isfinite(positions[lo:hi]).all(axis=1) & np.isfinite(momenta[lo:hi]).all(axis=1)
+    if not finite.all():
+        k = lo + int(np.argmin(finite))
         raise DivergenceError(f"integration diverged: non-finite state at step {k}", step=k)
 
 
-def _leapfrog_separable(model, th, phi0, n, dt, x_at, nudge):
+def _chunks(n):
+    """Step ranges after each of which the explicit steppers check finiteness."""
+    return (range(lo, min(lo + _CHECK_EVERY, n)) for lo in range(0, n, _CHECK_EVERY))
+
+
+def _leapfrog_separable(bound, phi0, n, dt, nudge):
     """Kick-drift-kick for H = T(p) + V(s, x), nudge folded into the kick."""
     s = phi0.position.copy()
     p = phi0.momentum.copy()
     positions = np.empty((n + 1, s.shape[0]))
     momenta = np.empty_like(positions)
     positions[0], momenta[0] = s, p
+    grad_position, grad_momentum = bound.grad_position, bound.grad_momentum
 
     if nudge is not None:
         beta, cost, ys = nudge.beta, nudge.cost, nudge.target.values
 
     def kick_force(state, mom, k):
-        f = -np.asarray(model.grad_position(state, mom, th, x_at(k)), dtype=float)
+        f = -grad_position(state, mom, k)
         if nudge is not None:
             f = f + beta * np.asarray(cost.grad_state(state, ys[k]), dtype=float)
         return f
 
     f = kick_force(s, p, 0)
-    for k in range(n):
-        p_half = p + 0.5 * dt * f
-        s = s + dt * np.asarray(model.grad_momentum(s, p_half, th, x_at(k)), dtype=float)
-        f = kick_force(s, p_half, k + 1)
-        p = p_half + 0.5 * dt * f
-        _check_state(s, p, k + 1)
-        positions[k + 1], momenta[k + 1] = s, p
+    for steps in _chunks(n):
+        for k in steps:
+            p_half = p + 0.5 * dt * f
+            s = s + dt * grad_momentum(s, p_half, k)
+            f = kick_force(s, p_half, k + 1)
+            p = p_half + 0.5 * dt * f
+            positions[k + 1], momenta[k + 1] = s, p
+        _check_rows(positions, momenta, steps.start + 1, steps.stop + 1)
     return positions, momenta
 
 
-def _leapfrog_implicit(model, th, phi0, n, dt, x_at, nudge, d):
-    """Generalised Stoermer-Verlet; implicit half-updates by fixed point."""
+def _leapfrog_implicit(bound, phi0, n, dt, nudge, d):
+    """Generalised Stoermer-Verlet; implicit half-updates by fixed point.
+
+    Finiteness is checked after every step: a non-finite state would make
+    the next fixed-point solve fail to converge instead of reporting the
+    divergence.
+    """
     if nudge is not None:
         beta, cost, ys = nudge.beta, nudge.cost, nudge.target.values
 
     def rates(s, p, k):
         """(ds/dt, dp/dt) of the nudged flow at sample k."""
-        ds = np.asarray(model.grad_momentum(s, p, th, x_at(k)), dtype=float)
-        dp = -np.asarray(model.grad_position(s, p, th, x_at(k)), dtype=float)
+        ds = bound.grad_momentum(s, p, k)
+        dp = -bound.grad_position(s, p, k)
         if nudge is not None:
             g = np.asarray(cost.grad_state(np.concatenate([s, p]), ys[k]), dtype=float)
             ds = ds - beta * g[d:]
@@ -216,12 +231,12 @@ def _leapfrog_implicit(model, th, phi0, n, dt, x_at, nudge, d):
             "position",
         )
         p = p_half + 0.5 * dt * rates(s, p_half, k + 1)[1]
-        _check_state(s, p, k + 1)
         positions[k + 1], momenta[k + 1] = s, p
+        _check_rows(positions, momenta, k + 1, k + 2)
     return positions, momenta
 
 
-def _rk4(model, th, phi0, n, dt, x_at, nudge, d):
+def _rk4(bound, phi0, n, dt, nudge, d):
     """Classical rk4 with zero-order-hold inputs over each step.
 
     Not time-symmetric; exists as the negative control for retrace tests.
@@ -231,8 +246,8 @@ def _rk4(model, th, phi0, n, dt, x_at, nudge, d):
 
     def field(z, k):
         s, p = z[:d], z[d:]
-        ds = np.asarray(model.grad_momentum(s, p, th, x_at(k)), dtype=float)
-        dp = -np.asarray(model.grad_position(s, p, th, x_at(k)), dtype=float)
+        ds = bound.grad_momentum(s, p, k)
+        dp = -bound.grad_position(s, p, k)
         if nudge is not None:
             if cost.position_only:
                 dp = dp + beta * np.asarray(cost.grad_state(s, ys[k]), dtype=float)
@@ -246,14 +261,15 @@ def _rk4(model, th, phi0, n, dt, x_at, nudge, d):
     positions = np.empty((n + 1, d))
     momenta = np.empty_like(positions)
     positions[0], momenta[0] = z[:d], z[d:]
-    for k in range(n):
-        k1 = field(z, k)
-        k2 = field(z + 0.5 * dt * k1, k)
-        k3 = field(z + 0.5 * dt * k2, k)
-        k4 = field(z + dt * k3, k)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_state(z[:d], z[d:], k + 1)
-        positions[k + 1], momenta[k + 1] = z[:d], z[d:]
+    for steps in _chunks(n):
+        for k in steps:
+            k1 = field(z, k)
+            k2 = field(z + 0.5 * dt * k1, k)
+            k3 = field(z + 0.5 * dt * k2, k)
+            k4 = field(z + dt * k3, k)
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            positions[k + 1], momenta[k + 1] = z[:d], z[d:]
+        _check_rows(positions, momenta, steps.start + 1, steps.stop + 1)
     return positions, momenta
 
 
@@ -280,10 +296,8 @@ def integrate_lagrangian_ivp(
     p0 = momentum_from_velocity(model, np.asarray(position, dtype=float),
                                 np.asarray(velocity, dtype=float), th, x0)
     traj = integrate_hamiltonian(partner, th, PhaseState(position, p0), grid, x, nudge, scheme)
-    velocities = np.empty_like(traj.positions)
-    for k in range(grid.n_points):
-        xk = x.value(k) if x is not None and model.input_dim > 0 else None
-        velocities[k] = velocity_from_momentum(model, traj.positions[k], traj.momenta[k], th, xk)
+    bound = model.bind(th, _input_values(model, x, grid))
+    velocities = bound.velocity_rows(traj.positions, traj.momenta)
     return Trajectory(grid, "lagrangian", traj.positions, velocities)
 
 
@@ -319,17 +333,15 @@ def euler_lagrange_residual(
 
     n = grid.n_steps
     pos, vel = traj.positions, traj.velocities
-
-    def x_at(k):
-        return None if xs is None else xs[k]
+    bound = model.bind(th, xs)
 
     grad_v = np.empty_like(pos)
     for k in range(n + 1):
-        grad_v[k] = model.grad_velocity(pos[k], vel[k], th, x_at(k))
+        grad_v[k] = bound.grad_velocity(pos[k], vel[k], k)
 
     residual = np.empty((n - 1, traj.dim))
     for k in range(1, n):
-        el = np.asarray(model.grad_position(pos[k], vel[k], th, x_at(k)), dtype=float)
+        el = bound.grad_position(pos[k], vel[k], k)
         if beta != 0.0:
             el = el + beta * np.asarray(cost.grad_state(pos[k], target.value(k)), dtype=float)
         residual[k - 1] = el - (grad_v[k + 1] - grad_v[k - 1]) / (2.0 * grid.dt)

@@ -45,7 +45,7 @@ from .core import (
     Trajectory,
     as_params,
     frozen_array,
-    trapezoid,
+    trapezoid_contrast,
 )
 from .dynamics import Nudge, integrate_lagrangian_ivp
 from .errors import ConvergenceError, DivergenceError
@@ -156,14 +156,6 @@ def _signed_betas(beta, nudging):
     return (beta, -beta) if nudging is NudgeMode.SYMMETRIC else (beta,)
 
 
-def _grad_params_rows(model, positions, velocities, th, xs):
-    rows = np.empty((positions.shape[0], model.theta_dim))
-    for k in range(positions.shape[0]):
-        xk = None if xs is None else xs[k]
-        rows[k] = model.grad_params(positions[k], velocities[k], th, xk)
-    return rows
-
-
 def grad_civp(
     model: LagrangianModel,
     cost: CostModel,
@@ -200,7 +192,8 @@ def grad_civp(
     free = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid, x)
     xs = x.values if x is not None else None
     x_end = None if xs is None else xs[-1]
-    free_params = _grad_params_rows(model, free.positions, free.velocities, th, xs)
+    bound = model.bind(th, xs)
+    free_params = bound.grad_params_rows(free.positions, free.velocities)
     gv_free_end = np.asarray(
         model.grad_velocity(free.positions[-1], free.velocities[-1], th, x_end), dtype=float
     )
@@ -226,8 +219,8 @@ def grad_civp(
         nudged = integrate_lagrangian_ivp(
             model, th, spec.position, spec.velocity, grid, x, nudge=Nudge(b, cost, y)
         )
-        nudged_params = _grad_params_rows(model, nudged.positions, nudged.velocities, th, xs)
-        value = trapezoid(nudged_params - free_params, grid.dt)
+        value = trapezoid_contrast(
+            bound.grad_params_rows(nudged.positions, nudged.velocities), free_params, grid.dt)
         if include_boundary:
             gv_nudged_end = np.asarray(
                 model.grad_velocity(nudged.positions[-1], nudged.velocities[-1], th, x_end),
@@ -379,7 +372,8 @@ def grad_cbvp(
     xs = x.values if x is not None else None
 
     free = solve_cbvp(model, th, spec, grid, x, config=config).trajectory
-    free_params = _grad_params_rows(model, free.positions, free.velocities, th, xs)
+    bound = model.bind(th, xs)
+    free_params = bound.grad_params_rows(free.positions, free.velocities)
 
     values = {}
     for b in _signed_betas(beta, nudging):
@@ -387,8 +381,8 @@ def grad_cbvp(
             model, th, spec, grid, x, cost=cost, target=y, beta=b, config=config,
             initial_guess=free.positions,
         ).trajectory
-        nudged_params = _grad_params_rows(model, nudged.positions, nudged.velocities, th, xs)
-        values[b] = trapezoid(nudged_params - free_params, grid.dt) / b
+        values[b] = trapezoid_contrast(
+            bound.grad_params_rows(nudged.positions, nudged.velocities), free_params, grid.dt) / b
     return _timed_estimate(values, beta, nudging, EstimatorMethod.CBVP, started)
 
 
@@ -411,8 +405,8 @@ def grad_pfvp(
     free endpoint with time-reversed inputs; reversibility makes the result
     the time-reversed nudged solution that terminates at the free endpoint.
     One boundary term survives, built from the parameter derivative of the
-    velocity gradient at the fixed initial data (a closed-form central
-    difference, no re-integration).
+    velocity gradient at the fixed initial data
+    (``model.grad_velocity_params``, no re-integration).
     """
     started = time.perf_counter()
     th = as_params(theta)
@@ -424,34 +418,26 @@ def grad_pfvp(
 
     free = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid, x)
     xs = x.values if x is not None else None
-    free_params = _grad_params_rows(model, free.positions, free.velocities, th, xs)
+    bound = model.bind(th, xs)
+    free_params = bound.grad_params_rows(free.positions, free.velocities)
 
     x_rev = x.time_reversed() if x is not None else None
     y_rev = y.time_reversed()
     end_position = free.positions[-1]
     end_velocity = free.velocities[-1]
 
-    # d/d theta of dL/dv at the pinned initial data; exactly zero whenever the
-    # velocity gradient carries no parameters.
+    # d/d theta of dL/dv at the pinned initial data.
     x0 = None if xs is None else xs[0]
-    boundary_jac = np.empty((model.dim, th.shape[0]))
-    for j in range(th.shape[0]):
-        th_p, th_m = th.copy(), th.copy()
-        th_p[j] += fd_eps
-        th_m[j] -= fd_eps
-        gp = np.asarray(model.grad_velocity(spec.position, spec.velocity, th_p, x0), dtype=float)
-        gm = np.asarray(model.grad_velocity(spec.position, spec.velocity, th_m, x0), dtype=float)
-        boundary_jac[:, j] = (gp - gm) / (2.0 * fd_eps)
+    boundary_jac = model.grad_velocity_params(spec.position, spec.velocity, th, x0, eps=fd_eps)
 
     values = {}
     for b in _signed_betas(beta, nudging):
         back = integrate_lagrangian_ivp(
             model, th, end_position, -end_velocity, grid, x_rev, nudge=Nudge(b, cost, y_rev)
         )
-        nudged_positions = back.positions[::-1]
-        nudged_velocities = -back.velocities[::-1]
-        nudged_params = _grad_params_rows(model, nudged_positions, nudged_velocities, th, xs)
-        value = trapezoid(nudged_params - free_params, grid.dt)
+        value = trapezoid_contrast(
+            bound.grad_params_rows(back.positions[::-1], -back.velocities[::-1]),
+            free_params, grid.dt)
         value = value + boundary_jac.T @ (back.positions[-1] - spec.position)
         values[b] = value / b
     return _timed_estimate(values, beta, nudging, EstimatorMethod.PFVP, started)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HamiltonianModel, LagrangianModel
+from .core import BoundHamiltonian, HamiltonianModel, LagrangianModel
 from .errors import ConvergenceError, SingularHessianError
 
 __all__ = [
@@ -120,6 +120,29 @@ class LegendreHamiltonian(HamiltonianModel):
     def grad_params(self, s, p, theta, x=None):
         v = self._velocity(s, p, theta, x)
         return -np.asarray(self._source.grad_params(s, v, theta, x), dtype=float)
+
+    def bind(self, theta, xs=None):
+        return _BoundLegendreHamiltonian(self, theta, xs)
+
+
+class _BoundLegendreHamiltonian(BoundHamiltonian):
+    """The methods above, evaluated through the source model's binding, so a
+    source with a closed-form velocity never reaches the momentum solve."""
+
+    def __init__(self, model, theta, xs=None):
+        super().__init__(model, theta, xs)
+        self._source = model._source.bind(self.theta, xs)
+
+    def grad_position(self, s, p, k):
+        v = self._source.velocity(s, p, k)
+        return -self._source.grad_position(s, v, k)
+
+    def grad_momentum(self, s, p, k):
+        return self._source.velocity(s, p, k)
+
+    def grad_params_rows(self, positions, momenta):
+        rows = self._source.grad_params_rows(positions, self._source.velocity_rows(positions, momenta))
+        return np.negative(rows, out=rows)
 
 
 class LegendreLagrangian(LagrangianModel):

@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostModel, HamiltonianModel, LagrangianModel, ParamVector
+from .core import (
+    BoundHamiltonian,
+    BoundLagrangian,
+    CostModel,
+    HamiltonianModel,
+    LagrangianModel,
+    ParamVector,
+)
 
 __all__ = [
     "make_oscillator_model",
@@ -91,6 +98,9 @@ class _OscillatorCore:
             self._n_stiffness = len(self._entries)
 
         self.theta_dim = self._n_stiffness + self.dim * self.input_dim
+        if self.coupling in ("direct", "mask"):
+            self._entry_rows, self._entry_cols = np.array(
+                self._entries, dtype=int).reshape(-1, 2).T
 
     def _split(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -182,6 +192,66 @@ class _OscillatorCore:
         return np.concatenate([g_k, g_w])
 
 
+class _BoundPotential:
+    """V(s, theta, x_k) with theta and the input samples fixed for one solve.
+
+    K, the factor A and the input force W x_k of every grid point are formed
+    once; the parameter gradient of a whole trajectory is one array product
+    per block.  The arithmetic of ``grad_s`` is that of ``potential_grad_s``.
+    """
+
+    def __init__(self, core: _OscillatorCore, theta, xs):
+        theta_k, w = core._split(theta)
+        self._core = core
+        self._stiffness = core.stiffness(theta)
+        self._factor = None if core.coupling in ("direct", "mask") else core._factor(theta_k)
+        self._xs = None
+        self._drive = None
+        if w is not None:
+            if xs is None:
+                raise ValueError("model has input coupling but no input samples were provided")
+            xs = np.asarray(xs, dtype=float)
+            if xs.ndim != 2 or xs.shape[1] != core.input_dim:
+                raise ValueError(
+                    f"input samples must have shape (n_points, {core.input_dim}), got {xs.shape}"
+                )
+            self._xs = xs
+            self._drive = xs @ w.T
+
+    def grad_s(self, s, k):
+        grad = self._stiffness @ s
+        if self._drive is not None:
+            grad = grad + self._drive[k]
+        if self._core.quartic:
+            grad = grad + self._core.quartic * s**3
+        return grad
+
+    def grad_theta_rows(self, positions):
+        """(rows, theta_dim) array of dV/dtheta, row k at ``positions[k]`` and x_k."""
+        core = self._core
+        s = np.asarray(positions, dtype=float)
+        n_rows, d = s.shape
+        rows = np.empty((n_rows, core.theta_dim))
+        g_k = rows[:, : core._n_stiffness]
+        if core.coupling in ("direct", "mask"):
+            i, j = core._entry_rows, core._entry_cols
+            np.multiply(s[:, i], s[:, j], out=g_k)
+            g_k[:, i == j] *= 0.5
+        else:
+            as_ = s @ self._factor.T
+            if core.coupling == "dense":
+                np.multiply(as_[:, :, None], s[:, None, :], out=g_k.reshape(n_rows, d, d))
+            else:
+                np.multiply(as_, s, out=g_k[:, :d])
+                np.multiply(as_[:, 1:], s[:, :-1], out=g_k[:, d:])
+        if self._xs is not None:
+            if self._xs.shape[0] != n_rows:
+                raise ValueError(f"expected {self._xs.shape[0]} states, got {n_rows}")
+            g_w = rows[:, core._n_stiffness :].reshape(n_rows, d, core.input_dim)
+            np.multiply(s[:, :, None], self._xs[:, None, :], out=g_w)
+        return rows
+
+
 class OscillatorLagrangian(LagrangianModel):
     """Unit-mass Lagrangian 1/2 |v|^2 - V(s, theta, x)."""
 
@@ -209,6 +279,12 @@ class OscillatorLagrangian(LagrangianModel):
 
     def velocity_hessian(self, s, v, theta, x=None):
         return np.eye(self.dim)
+
+    def grad_velocity_params(self, s, v, theta, x=None, eps=1e-5):
+        return np.zeros((self.dim, self.theta_dim))
+
+    def bind(self, theta, xs=None):
+        return _BoundOscillatorLagrangian(self, theta, xs)
 
     # Batched hooks used by the boundary-value relaxation sweeps.
     def grad_position_batch(self, positions, velocities, theta, inputs=None):
@@ -250,6 +326,50 @@ class OscillatorHamiltonian(HamiltonianModel):
     def grad_params(self, s, p, theta, x=None):
         return self._core.potential_grad_theta(s, theta, x)
 
+    def bind(self, theta, xs=None):
+        return _BoundOscillatorHamiltonian(self, theta, xs)
+
+
+# Unit mass: velocity and momentum coincide, so the Legendre map is the
+# identity and the bound methods below return the momentum as the velocity.
+
+
+class _BoundOscillatorLagrangian(BoundLagrangian):
+    def __init__(self, model, theta, xs=None):
+        super().__init__(model, theta, xs)
+        self._potential = _BoundPotential(model._core, self.theta, xs)
+
+    def grad_position(self, s, v, k):
+        return -self._potential.grad_s(s, k)
+
+    def grad_velocity(self, s, v, k):
+        return np.array(v, dtype=float)
+
+    def velocity(self, s, p, k):
+        return p
+
+    def velocity_rows(self, positions, momenta):
+        return np.array(momenta, dtype=float)
+
+    def grad_params_rows(self, positions, velocities):
+        rows = self._potential.grad_theta_rows(positions)
+        return np.negative(rows, out=rows)
+
+
+class _BoundOscillatorHamiltonian(BoundHamiltonian):
+    def __init__(self, model, theta, xs=None):
+        super().__init__(model, theta, xs)
+        self._potential = _BoundPotential(model._core, self.theta, xs)
+
+    def grad_position(self, s, p, k):
+        return self._potential.grad_s(s, k)
+
+    def grad_momentum(self, s, p, k):
+        return p
+
+    def grad_params_rows(self, positions, momenta):
+        return self._potential.grad_theta_rows(positions)
+
 
 def make_oscillator_model(dim, coupling="dense", input_dim=0):
     """Build a Legendre-partner (Lagrangian, Hamiltonian) oscillator pair.
@@ -290,6 +410,10 @@ class QuadraticTrackingCost(CostModel):
         err = np.asarray(state, dtype=float)[list(self.indices)] - np.asarray(target, dtype=float)
         grad[list(self.indices)] = err
         return grad
+
+    def cost_rows(self, states, targets):
+        err = np.asarray(states, dtype=float)[:, list(self.indices)] - np.asarray(targets, dtype=float)
+        return 0.5 * np.einsum("ij,ij->i", err, err)
 
     def grad_state_batch(self, states, targets):
         grad = np.zeros_like(np.asarray(states, dtype=float))

@@ -78,7 +78,4 @@ def trajectory_loss(
         traj = solve_cbvp(model, th, spec, grid, x, config=cbvp_config).trajectory
     else:
         raise TypeError(f"unsupported boundary spec {type(spec).__name__}")
-    samples = np.empty(grid.n_points)
-    for k in range(grid.n_points):
-        samples[k] = cost.cost(traj.positions[k], y.value(k))
-    return float(trapezoid(samples, grid.dt))
+    return float(trapezoid(cost.cost_rows(traj.positions, y.values), grid.dt))

@@ -42,7 +42,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_params,
-    trapezoid,
+    trapezoid_contrast,
 )
 from .dynamics import Nudge, integrate_hamiltonian, momentum_flip
 
@@ -129,6 +129,12 @@ class LagrangianInitialState(InitialStateMap):
         th = as_params(theta)
         momentum = self._source.grad_velocity(self._position, self._velocity, th, self._x0)
         return PhaseState(self._position, momentum)
+
+    def jacobian(self, theta, eps: float = 1e-5) -> np.ndarray:
+        """``[0; d(dL/dv)/d theta]``: the position block is fixed."""
+        momentum = self._source.grad_velocity_params(
+            self._position, self._velocity, as_params(theta), self._x0, eps=eps)
+        return np.vstack([np.zeros_like(momentum), momentum])
 
 
 class CallableInitialState(InitialStateMap):
@@ -224,15 +230,12 @@ def grad_rhel(
     forward = integrate_hamiltonian(model, th, init.state(th), grid, x)
     x_rev = x.time_reversed() if x is not None else None
     y_rev = y.time_reversed()
-    xs_rev = x_rev.values if x_rev is not None else None
     n = grid.n_steps
 
-    forward_params = np.empty((n + 1, model.theta_dim))
-    for k in range(n + 1):
-        xk = None if xs_rev is None else xs_rev[k]
-        forward_params[k] = model.grad_params(
-            forward.positions[n - k], forward.momenta[n - k], th, xk
-        )
+    # Row k is read at forward index n - k, in step with the echo.
+    forward_params = model.bind(th, None if x is None else x.values).grad_params_rows(
+        forward.positions, forward.momenta)[::-1]
+    echo_bound = model.bind(th, None if x_rev is None else x_rev.values)
 
     init_jac = None if init.theta_independent else init.jacobian(th, fd_eps)
     forward_start = forward.state(0).as_vector()
@@ -243,11 +246,8 @@ def grad_rhel(
         echo = integrate_hamiltonian(
             model, th, echo_start, grid, x_rev, nudge=Nudge(b, cost, y_rev)
         )
-        echo_params = np.empty_like(forward_params)
-        for k in range(n + 1):
-            xk = None if xs_rev is None else xs_rev[k]
-            echo_params[k] = model.grad_params(echo.positions[k], echo.momenta[k], th, xk)
-        integral = trapezoid(echo_params - forward_params, grid.dt)
+        integral = trapezoid_contrast(
+            echo_bound.grad_params_rows(echo.positions, echo.momenta), forward_params, grid.dt)
         if init_jac is None:
             boundary = 0.0
         else:

@@ -199,3 +199,16 @@ def test_runs_are_byte_reproducible(tmp_path, fast_config):
     hash_a = json.loads((out_a / "manifest.json").read_text())["payload_sha256"]
     hash_b = json.loads((out_b / "manifest.json").read_text())["payload_sha256"]
     assert hash_a == hash_b
+
+
+def test_compare_payload_is_byte_reproducible(tmp_path, fast_config):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        result = _run(["--config", str(fast_config), "--out", str(out), "compare"], tmp_path)
+        assert result.returncode == 0, result.stderr
+    for name in ("compare.csv", "compare.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+    assert manifests[0]["payload_sha256"] == manifests[1]["payload_sha256"]
+    # per-cell wall times stay available, outside the hashed payload
+    assert set(manifests[0]["timings"]["cells"]) == {"pfvp@0.001", "rhel@0.001"}

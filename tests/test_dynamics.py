@@ -89,7 +89,25 @@ def test_divergence_raises_with_step_index():
     grid = TimeGrid(dt=10.0, n_steps=50)
     with pytest.raises(DivergenceError) as err:
         integrate_hamiltonian(ham, np.array([1.0]), PhaseState([1.0], [0.0]), grid)
-    assert err.value.step is not None
+    assert err.value.step == 5
+    with pytest.raises(DivergenceError) as err:
+        integrate_lagrangian_ivp(lag, np.array([1.0]), [1.0], [0.0], grid)
+    assert err.value.step == 5
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("run,step", [
+    (lambda lag, ham, th, grid: integrate_hamiltonian(ham, th, PhaseState([1.0], [0.0]), grid), 739),
+    (lambda lag, ham, th, grid: integrate_lagrangian_ivp(lag, th, [1.0], [0.0], grid), 739),
+    (lambda lag, ham, th, grid: integrate_hamiltonian(
+        ham, th, PhaseState([1.0], [0.0]), grid, scheme="rk4"), 712),
+], ids=["hamiltonian", "lagrangian", "rk4"])
+def test_late_divergence_reports_first_non_finite_step(run, step):
+    # negative stiffness: exponential growth that overflows hundreds of steps in
+    lag, ham = make_oscillator_model(1, coupling="direct")
+    with pytest.raises(DivergenceError) as err:
+        run(lag, ham, np.array([-1.0]), TimeGrid(dt=1.0, n_steps=2000))
+    assert err.value.step == step
 
 
 def test_lagrangian_ivp_harmonic_closed_form():
@@ -119,15 +137,19 @@ def test_zero_beta_nudge_is_bitwise_identical():
 
 
 def test_hamiltonian_and_lagrangian_runs_share_arithmetic():
-    member = [m for m in model_zoo() if m.name == "osc2_dense_driven"][0]
     grid = TimeGrid(dt=0.005, n_steps=600)
-    x = Signal.from_function(grid, lambda t: [np.sin(1.3 * t)])
-    alpha, gamma = np.array([0.4, -0.2]), np.array([0.1, 0.6])
-    ham_run = integrate_hamiltonian(
-        member.hamiltonian, member.theta, PhaseState(alpha, gamma), grid, x
-    )
-    lag_run = integrate_lagrangian_ivp(member.lagrangian, member.theta, alpha, gamma, grid, x)
-    assert np.max(np.abs(ham_run.positions - lag_run.positions)) <= 1e-12
+    rng = np.random.default_rng(4)
+    for member in model_zoo():
+        x = None
+        if member.lagrangian.input_dim:
+            x = Signal.from_function(grid, lambda t: [np.sin(1.3 * t)])
+        alpha, gamma = rng.normal(size=(2, member.lagrangian.dim))
+        ham_run = integrate_hamiltonian(
+            member.hamiltonian, member.theta, PhaseState(alpha, gamma), grid, x
+        )
+        lag_run = integrate_lagrangian_ivp(member.lagrangian, member.theta, alpha, gamma, grid, x)
+        assert np.array_equal(ham_run.positions, lag_run.positions), member.name
+        assert np.array_equal(ham_run.momenta, lag_run.velocities), member.name
 
 
 def test_el_residual_richardson_slope():
