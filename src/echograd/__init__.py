@@ -18,7 +18,6 @@ from .core import (
     Trajectory,
 )
 from .dynamics import (
-    IntegratorConfig,
     Nudge,
     echo_retrace_check,
     euler_lagrange_residual,
@@ -30,7 +29,6 @@ from .glep import (
     CbvpRelaxConfig,
     CbvpSpec,
     CivpSpec,
-    PfvpSpec,
     grad_cbvp,
     grad_civp,
     grad_pfvp,

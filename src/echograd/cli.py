@@ -28,12 +28,12 @@ import numpy as np
 from .compare import compare_estimators
 from .config import build_bundle, cbvp_config_from, load_config
 from .core import EstimatorMethod, NudgeMode, ParamVector, PhaseState, Signal, TimeGrid
-from .dynamics import echo_retrace_check, integrate_lagrangian_ivp
+from .dynamics import echo_retrace_check
 from .errors import ConfigError, NumericalError
-from .glep import CbvpSpec, CivpSpec, PfvpSpec, grad_cbvp, grad_civp, grad_pfvp
+from .estimators import prepare
 from .models import QuadraticTrackingCost, model_zoo
-from .oracle import fd_gradient, trajectory_loss
-from .rhel import LagrangianInitialState, grad_rhel, run_echo
+from .oracle import fd_gradient
+from .rhel import LagrangianInitialState, run_echo
 from .serialize import echo_run_to_csv, file_sha256, signal_to_csv, write_manifest
 from .static_ep import HopfieldEnergy, relax, static_ep_gradient
 from .training import TrainConfig, train
@@ -62,7 +62,7 @@ def _parser():
     return parser
 
 
-def _prepare(args):
+def _load(args):
     config = load_config(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
@@ -75,63 +75,24 @@ def _prepare(args):
     return config, out
 
 
-def _estimate_on_bundle(config, bundle, method, beta, nudging, fd_eps):
-    task, lag, ham, theta = bundle.task, bundle.lagrangian, bundle.hamiltonian, bundle.theta
-    alpha, gamma = task.initial_position, task.initial_velocity
-    if method is EstimatorMethod.RHEL:
-        x0 = task.x.value(0) if task.x is not None else None
-        init = LagrangianInitialState(lag, alpha, gamma, x0=x0)
-        est = grad_rhel(ham, task.cost, theta, init, task.grid, task.x, task.y,
-                        beta, nudging=nudging, fd_eps=fd_eps)
-        spec = CivpSpec(alpha, gamma)
-        oracle = fd_gradient(
-            lambda p: trajectory_loss(lag, task.cost, p, spec, task.grid, task.x, task.y),
-            theta, eps=fd_eps)
-    elif method is EstimatorMethod.PFVP:
-        est = grad_pfvp(lag, task.cost, theta, PfvpSpec(alpha, gamma), task.grid,
-                        task.x, task.y, beta, nudging=nudging, fd_eps=fd_eps)
-        spec = CivpSpec(alpha, gamma)
-        oracle = fd_gradient(
-            lambda p: trajectory_loss(lag, task.cost, p, spec, task.grid, task.x, task.y),
-            theta, eps=fd_eps)
-    elif method is EstimatorMethod.CIVP:
-        spec = CivpSpec(alpha, gamma)
-        est = grad_civp(lag, task.cost, theta, spec, task.grid, task.x, task.y,
-                        beta, nudging=nudging, fd_eps=fd_eps)
-        oracle = fd_gradient(
-            lambda p: trajectory_loss(lag, task.cost, p, spec, task.grid, task.x, task.y),
-            theta, eps=fd_eps)
-    elif method is EstimatorMethod.CBVP:
-        relax_cfg = cbvp_config_from(config)
-        coarse = task.coarsened(int(config["compare"]["cbvp_coarsen"]))
-        free = integrate_lagrangian_ivp(lag, theta, alpha, gamma, coarse.grid, coarse.x)
-        spec = CbvpSpec(alpha, free.positions[-1])
-        est = grad_cbvp(lag, coarse.cost, theta, spec, coarse.grid, coarse.x, coarse.y,
-                        beta, nudging=nudging, config=relax_cfg)
-        oracle = fd_gradient(
-            lambda p: trajectory_loss(lag, coarse.cost, p, spec, coarse.grid, coarse.x,
-                                      coarse.y, cbvp_config=relax_cfg),
-            theta, eps=fd_eps)
-    elif method is EstimatorMethod.STATIC_EP:
-        rng = np.random.default_rng(int(config["seed"]))
-        energy = HopfieldEnergy(2)
-        theta_s = ParamVector(rng.normal(scale=0.3, size=energy.theta_dim))
-        x0 = rng.normal(size=2)
-        y0 = rng.normal(scale=0.5, size=2)
-        cost = QuadraticTrackingCost(2)
-        est = static_ep_gradient(energy, cost, theta_s, x0, y0, beta, nudging=nudging)
+def _static_ep_check(seed, beta, nudging, fd_eps):
+    """Static EP on a seeded two-unit Hopfield energy, with its own theta."""
+    rng = np.random.default_rng(seed)
+    energy = HopfieldEnergy(2)
+    theta = ParamVector(rng.normal(scale=0.3, size=energy.theta_dim))
+    x0 = rng.normal(size=2)
+    y0 = rng.normal(scale=0.5, size=2)
+    cost = QuadraticTrackingCost(2)
+    est = static_ep_gradient(energy, cost, theta, x0, y0, beta, nudging=nudging)
 
-        def relaxed_cost(p):
-            return cost.cost(relax(energy, p, x0).state, y0)
+    def relaxed_cost(p):
+        return cost.cost(relax(energy, p, x0).state, y0)
 
-        oracle = fd_gradient(relaxed_cost, theta_s, eps=fd_eps)
-    else:
-        raise ConfigError(f"estimator {method.value} has no gradcheck path")
-    return est, oracle
+    return est, fd_gradient(relaxed_cost, theta, eps=fd_eps)
 
 
 def cmd_gradcheck(args):
-    config, out = _prepare(args)
+    config, out = _load(args)
     method = EstimatorMethod(config["estimator"]["method"])
     beta = float(config["estimator"]["beta"])
     nudging = NudgeMode(config["estimator"]["nudging"])
@@ -139,7 +100,14 @@ def cmd_gradcheck(args):
     bundle = build_bundle(config)
 
     started = time.perf_counter()
-    est, oracle = _estimate_on_bundle(config, bundle, method, beta, nudging, fd_eps)
+    if method is EstimatorMethod.STATIC_EP:
+        est, oracle = _static_ep_check(int(config["seed"]), beta, nudging, fd_eps)
+    else:
+        problem = prepare(method, bundle.lagrangian, bundle.hamiltonian, bundle.task,
+                          bundle.theta, nudging, fd_eps, cbvp_config_from(config),
+                          int(config["compare"]["cbvp_coarsen"]))
+        est = problem.estimate(bundle.theta, beta)
+        oracle = fd_gradient(problem.loss, bundle.theta, eps=fd_eps)
     rel_err = float(np.linalg.norm(est.value - oracle.value) / np.linalg.norm(oracle.value))
     elapsed = time.perf_counter() - started
 
@@ -170,7 +138,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_compare(args):
-    config, out = _prepare(args)
+    config, out = _load(args)
     bundle = build_bundle(config)
     section = config["compare"]
     started = time.perf_counter()
@@ -206,7 +174,7 @@ def cmd_compare(args):
 
 
 def cmd_train(args):
-    config, out = _prepare(args)
+    config, out = _load(args)
     bundle = build_bundle(config)
     cfg = TrainConfig(
         estimator=config["estimator"]["method"],
@@ -256,7 +224,7 @@ def cmd_train(args):
 
 
 def cmd_retrace(args):
-    config, out = _prepare(args)
+    config, out = _load(args)
     dt = float(config["retrace"]["dt"])
     t_end = float(config["retrace"]["t_end"])
     grid = TimeGrid(dt=dt, n_steps=int(round(t_end / dt)))
@@ -289,7 +257,7 @@ def cmd_retrace(args):
 
 
 def cmd_export(args):
-    config, out = _prepare(args)
+    config, out = _load(args)
     bundle = build_bundle(config)
     task = bundle.task
     beta = float(config["estimator"]["beta"])

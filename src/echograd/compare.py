@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EstimatorMethod, HamiltonianModel, LagrangianModel, NudgeMode, ParamVector
-from .dynamics import integrate_lagrangian_ivp
-from .glep import CbvpRelaxConfig, CbvpSpec, CivpSpec, PfvpSpec, grad_cbvp, grad_civp, grad_pfvp
-from .oracle import fd_gradient, trajectory_loss
-from .rhel import LagrangianInitialState, grad_rhel
+from .estimators import prepare
+from .glep import CbvpRelaxConfig
+from .oracle import fd_gradient
 from .tasks import Task
 
 __all__ = ["CompareCell", "ComparisonTable", "compare_estimators"]
@@ -111,91 +110,46 @@ def compare_estimators(
     """Run the (estimator, beta) matrix on one task.
 
     Emits one cell per combination, in the given order: estimators vary
-    fastest so each beta block stays together.
+    fastest so each beta block stays together.  One oracle per loss regime;
+    both lists are checked before any oracle or estimate runs.
     """
-    methods = [EstimatorMethod(e) for e in estimators]
     nudging = NudgeMode(nudging)
-    alpha, gamma = task.initial_position, task.initial_velocity
-    civp_spec = CivpSpec(alpha, gamma)
-    pfvp_spec = PfvpSpec(alpha, gamma)
+    if np.ndim(betas) != 1 or len(betas) == 0 or not np.all(np.isfinite(betas)) or 0.0 in betas:
+        raise ValueError(f"betas must be a non-empty list of finite nonzero values, got {betas!r}")
+    problems = [prepare(m, lagrangian, hamiltonian, task, theta, nudging, fd_eps, cbvp_config,
+                        cbvp_coarsen) for m in estimators]
+    if not problems:
+        raise ValueError("estimators must list at least one trajectory method")
 
-    ivp_oracle = None
-    if any(m in (EstimatorMethod.CIVP, EstimatorMethod.PFVP, EstimatorMethod.RHEL) for m in methods):
-        ivp_oracle = fd_gradient(
-            lambda p: trajectory_loss(lagrangian, task.cost, p, civp_spec, task.grid, task.x, task.y),
-            theta,
-            eps=fd_eps,
-        ).value
-
-    cbvp_oracle = None
-    coarse = None
-    cbvp_spec = None
-    if EstimatorMethod.CBVP in methods:
-        coarse = task.coarsened(cbvp_coarsen)
-        free = integrate_lagrangian_ivp(lagrangian, theta, alpha, gamma, coarse.grid, coarse.x)
-        cbvp_spec = CbvpSpec(alpha, free.positions[-1])
-        cbvp_oracle = fd_gradient(
-            lambda p: trajectory_loss(
-                lagrangian, coarse.cost, p, cbvp_spec, coarse.grid, coarse.x, coarse.y,
-                cbvp_config=cbvp_config,
-            ),
-            theta,
-            eps=fd_eps,
-        ).value
-
-    x0 = task.x.value(0) if task.x is not None else None
-    init = LagrangianInitialState(lagrangian, alpha, gamma, x0=x0)
+    oracles = {}
+    for problem in problems:
+        if problem.regime not in oracles:
+            oracles[problem.regime] = fd_gradient(problem.loss, theta, eps=fd_eps).value
 
     cells = []
     for beta in betas:
         estimates = {}
-        for method in methods:
+        for problem in problems:
             started = time.perf_counter()
-            if method is EstimatorMethod.CIVP:
-                est = grad_civp(
-                    lagrangian, task.cost, theta, civp_spec, task.grid, task.x, task.y,
-                    beta, nudging=nudging, fd_eps=fd_eps,
-                )
-                oracle = ivp_oracle
-            elif method is EstimatorMethod.PFVP:
-                est = grad_pfvp(
-                    lagrangian, task.cost, theta, pfvp_spec, task.grid, task.x, task.y,
-                    beta, nudging=nudging, fd_eps=fd_eps,
-                )
-                oracle = ivp_oracle
-            elif method is EstimatorMethod.RHEL:
-                est = grad_rhel(
-                    hamiltonian, task.cost, theta, init, task.grid, task.x, task.y,
-                    beta, nudging=nudging, fd_eps=fd_eps,
-                )
-                oracle = ivp_oracle
-            elif method is EstimatorMethod.CBVP:
-                est = grad_cbvp(
-                    lagrangian, coarse.cost, theta, cbvp_spec, coarse.grid, coarse.x, coarse.y,
-                    beta, nudging=nudging, config=cbvp_config,
-                )
-                oracle = cbvp_oracle
-            else:
-                raise ValueError(f"estimator {method.value} is not comparable on trajectory tasks")
-            estimates[method] = (est, time.perf_counter() - started, oracle)
+            estimates[problem.method] = (problem.estimate(theta, beta),
+                                         time.perf_counter() - started)
 
         diff = None
         if EstimatorMethod.RHEL in estimates and EstimatorMethod.PFVP in estimates:
-            rhel_val = estimates[EstimatorMethod.RHEL][0].value
-            pfvp_val = estimates[EstimatorMethod.PFVP][0].value
-            diff = _rel_err(rhel_val, pfvp_val)
+            diff = _rel_err(estimates[EstimatorMethod.RHEL][0].value,
+                            estimates[EstimatorMethod.PFVP][0].value)
 
-        for method in methods:
-            est, elapsed, oracle = estimates[method]
+        for problem in problems:
+            est, elapsed = estimates[problem.method]
             cells.append(
                 CompareCell(
                     task=task.name,
-                    estimator=method.value,
+                    estimator=problem.method.value,
                     beta=float(beta),
                     nudging=nudging.value,
                     gradient=est.value,
-                    rel_err_vs_oracle=_rel_err(est.value, oracle),
-                    rhel_pfvp_rel_diff=diff if method is EstimatorMethod.RHEL else None,
+                    rel_err_vs_oracle=_rel_err(est.value, oracles[problem.regime]),
+                    rhel_pfvp_rel_diff=diff if problem.method is EstimatorMethod.RHEL else None,
                     wall_time=elapsed,
                 )
             )

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
@@ -36,6 +37,8 @@ __all__ = [
     "EstimatorMethod",
     "NudgeMode",
     "GradientEstimate",
+    "signed_betas",
+    "finish_estimate",
     "LagrangianModel",
     "HamiltonianModel",
     "BoundLagrangian",
@@ -339,6 +342,23 @@ class GradientEstimate:
         if self.wall_time is not None:
             out["wall_time_seconds"] = self.wall_time
         return out
+
+
+def signed_betas(beta: float, nudging: NudgeMode) -> tuple:
+    """The nudging strengths one estimate runs: ``(beta, -beta)`` or ``(beta,)``."""
+    if beta == 0.0:
+        raise ValueError("nudging strength beta must be nonzero")
+    return (beta, -beta) if nudging is NudgeMode.SYMMETRIC else (beta,)
+
+
+def finish_estimate(values, beta, nudging, method, started) -> GradientEstimate:
+    """The estimate from per-sign ``values``, timed since ``started`` (perf_counter)."""
+    if nudging is NudgeMode.SYMMETRIC:
+        value = 0.5 * (values[beta] + values[-beta])
+    else:
+        value = values[beta]
+    return GradientEstimate(value=value, method=method, beta=beta, nudging=nudging,
+                            wall_time=time.perf_counter() - started)
 
 
 class LagrangianModel(ABC):

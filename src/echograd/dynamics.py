@@ -41,7 +41,6 @@ from .legendre import forward_legendre, momentum_from_velocity
 
 __all__ = [
     "Nudge",
-    "IntegratorConfig",
     "SCHEMES",
     "momentum_flip",
     "integrate_hamiltonian",
@@ -71,17 +70,6 @@ class Nudge:
     def __post_init__(self):
         if not np.isfinite(self.beta):
             raise ValueError("nudging strength must be finite")
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Scheme selector; leapfrog is the default and the only echo-safe choice."""
-
-    scheme: str = "leapfrog"
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
 
 def momentum_flip(state: PhaseState) -> PhaseState:

@@ -44,7 +44,9 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_params,
+    finish_estimate,
     frozen_array,
+    signed_betas,
     trapezoid_contrast,
 )
 from .dynamics import Nudge, integrate_lagrangian_ivp
@@ -68,7 +70,7 @@ CIVP_THETA_LIMIT = 32
 
 @dataclass(frozen=True)
 class CivpSpec:
-    """Fixed initial position and velocity."""
+    """Fixed initial position and velocity (also PFVP's free-run initial data)."""
 
     position: np.ndarray
     velocity: np.ndarray
@@ -78,6 +80,9 @@ class CivpSpec:
         object.__setattr__(self, "velocity", frozen_array(self.velocity, "velocity", ndim=1))
         if self.position.shape != self.velocity.shape:
             raise ValueError("position and velocity must share a dimension")
+
+
+PfvpSpec = CivpSpec
 
 
 @dataclass(frozen=True)
@@ -96,20 +101,6 @@ class CbvpSpec:
         )
         if self.start_position.shape != self.end_position.shape:
             raise ValueError("endpoint positions must share a dimension")
-
-
-@dataclass(frozen=True)
-class PfvpSpec:
-    """Initial data of the free run whose endpoint pins the nudged problem."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", frozen_array(self.position, "position", ndim=1))
-        object.__setattr__(self, "velocity", frozen_array(self.velocity, "velocity", ndim=1))
-        if self.position.shape != self.velocity.shape:
-            raise ValueError("position and velocity must share a dimension")
 
 
 @dataclass(frozen=True)
@@ -134,26 +125,6 @@ class CbvpResult:
     trajectory: Trajectory
     sweeps: int
     max_residual: float
-
-
-def _timed_estimate(values_by_sign, beta, nudging, method, started) -> GradientEstimate:
-    if nudging is NudgeMode.SYMMETRIC:
-        value = 0.5 * (values_by_sign[beta] + values_by_sign[-beta])
-    else:
-        value = values_by_sign[beta]
-    return GradientEstimate(
-        value=value,
-        method=method,
-        beta=beta,
-        nudging=nudging,
-        wall_time=time.perf_counter() - started,
-    )
-
-
-def _signed_betas(beta, nudging):
-    if beta == 0.0:
-        raise ValueError("nudging strength beta must be nonzero")
-    return (beta, -beta) if nudging is NudgeMode.SYMMETRIC else (beta,)
 
 
 def grad_civp(
@@ -215,7 +186,7 @@ def grad_civp(
             d_gradv[:, j] = (np.asarray(g_plus) - np.asarray(g_minus)) / (2.0 * fd_eps)
 
     values = {}
-    for b in _signed_betas(beta, nudging):
+    for b in signed_betas(beta, nudging):
         nudged = integrate_lagrangian_ivp(
             model, th, spec.position, spec.velocity, grid, x, nudge=Nudge(b, cost, y)
         )
@@ -229,7 +200,7 @@ def grad_civp(
             value = value + d_state.T @ (gv_nudged_end - gv_free_end)
             value = value - d_gradv.T @ (nudged.positions[-1] - free.positions[-1])
         values[b] = value / b
-    return _timed_estimate(values, beta, nudging, EstimatorMethod.CIVP, started)
+    return finish_estimate(values, beta, nudging, EstimatorMethod.CIVP, started)
 
 
 def _batch_grad_position(model, positions, velocities, th, inputs):
@@ -376,21 +347,21 @@ def grad_cbvp(
     free_params = bound.grad_params_rows(free.positions, free.velocities)
 
     values = {}
-    for b in _signed_betas(beta, nudging):
+    for b in signed_betas(beta, nudging):
         nudged = solve_cbvp(
             model, th, spec, grid, x, cost=cost, target=y, beta=b, config=config,
             initial_guess=free.positions,
         ).trajectory
         values[b] = trapezoid_contrast(
             bound.grad_params_rows(nudged.positions, nudged.velocities), free_params, grid.dt) / b
-    return _timed_estimate(values, beta, nudging, EstimatorMethod.CBVP, started)
+    return finish_estimate(values, beta, nudging, EstimatorMethod.CBVP, started)
 
 
 def grad_pfvp(
     model: LagrangianModel,
     cost: CostModel,
     theta: ParamVector,
-    spec: PfvpSpec,
+    spec: CivpSpec,
     grid: TimeGrid,
     x: Signal | None,
     y: Signal,
@@ -431,7 +402,7 @@ def grad_pfvp(
     boundary_jac = model.grad_velocity_params(spec.position, spec.velocity, th, x0, eps=fd_eps)
 
     values = {}
-    for b in _signed_betas(beta, nudging):
+    for b in signed_betas(beta, nudging):
         back = integrate_lagrangian_ivp(
             model, th, end_position, -end_velocity, grid, x_rev, nudge=Nudge(b, cost, y_rev)
         )
@@ -440,4 +411,4 @@ def grad_pfvp(
             free_params, grid.dt)
         value = value + boundary_jac.T @ (back.positions[-1] - spec.position)
         values[b] = value / b
-    return _timed_estimate(values, beta, nudging, EstimatorMethod.PFVP, started)
+    return finish_estimate(values, beta, nudging, EstimatorMethod.PFVP, started)

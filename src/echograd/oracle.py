@@ -24,7 +24,7 @@ from .core import (
 )
 from .dynamics import integrate_lagrangian_ivp
 from .errors import NumericalError
-from .glep import CbvpRelaxConfig, CbvpSpec, CivpSpec, PfvpSpec, solve_cbvp
+from .glep import CbvpRelaxConfig, CbvpSpec, CivpSpec, solve_cbvp
 
 __all__ = ["fd_gradient", "trajectory_loss"]
 
@@ -72,7 +72,7 @@ def trajectory_loss(
     th = as_params(theta)
     if not cost.position_only:
         raise ValueError("trajectory losses are defined on position-only costs")
-    if isinstance(spec, (CivpSpec, PfvpSpec)):
+    if isinstance(spec, CivpSpec):
         traj = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid, x)
     elif isinstance(spec, CbvpSpec):
         traj = solve_cbvp(model, th, spec, grid, x, config=cbvp_config).trajectory

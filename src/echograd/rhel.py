@@ -42,6 +42,8 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_params,
+    finish_estimate,
+    signed_betas,
     trapezoid_contrast,
 )
 from .dynamics import Nudge, integrate_hamiltonian, momentum_flip
@@ -220,10 +222,9 @@ def grad_rhel(
     vanishes identically for declared parameter-independent initial states.
     """
     started = time.perf_counter()
-    if beta == 0.0:
-        raise ValueError("nudging strength beta must be nonzero")
     th = as_params(theta)
     nudging = NudgeMode(nudging)
+    signs = signed_betas(beta, nudging)
     if not model.time_reversible:
         raise ValueError("echo runs require a momentum-flip invariant Hamiltonian")
 
@@ -242,7 +243,7 @@ def grad_rhel(
     echo_start = momentum_flip(forward.state(n))
 
     values = {}
-    for b in (beta, -beta) if nudging is NudgeMode.SYMMETRIC else (beta,):
+    for b in signs:
         echo = integrate_hamiltonian(
             model, th, echo_start, grid, x_rev, nudge=Nudge(b, cost, y_rev)
         )
@@ -254,18 +255,4 @@ def grad_rhel(
             deviation = echo.state(n).as_vector() - forward_start
             boundary = init_jac.T @ block_swap(deviation)
         values[b] = -(integral - boundary) / b
-    return _finish(values, beta, nudging, started)
-
-
-def _finish(values, beta, nudging, started):
-    if nudging is NudgeMode.SYMMETRIC:
-        value = 0.5 * (values[beta] + values[-beta])
-    else:
-        value = values[beta]
-    return GradientEstimate(
-        value=value,
-        method=EstimatorMethod.RHEL,
-        beta=beta,
-        nudging=nudging,
-        wall_time=time.perf_counter() - started,
-    )
+    return finish_estimate(values, beta, nudging, EstimatorMethod.RHEL, started)

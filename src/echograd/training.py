@@ -15,20 +15,11 @@ from .core import (
     ParamVector,
     frozen_array,
 )
-from .dynamics import integrate_lagrangian_ivp
-from .glep import CbvpRelaxConfig, CbvpSpec, CivpSpec, PfvpSpec, grad_cbvp, grad_civp, grad_pfvp
-from .oracle import trajectory_loss
-from .rhel import LagrangianInitialState, grad_rhel
+from .estimators import ivp_loss, prepare
+from .glep import CbvpRelaxConfig
 from .tasks import Task
 
-__all__ = ["TrainConfig", "RunRecord", "train", "make_gradient_fn"]
-
-_TRAJECTORY_METHODS = (
-    EstimatorMethod.CIVP,
-    EstimatorMethod.CBVP,
-    EstimatorMethod.PFVP,
-    EstimatorMethod.RHEL,
-)
+__all__ = ["TrainConfig", "RunRecord", "train"]
 
 
 @dataclass(frozen=True)
@@ -71,85 +62,6 @@ class RunRecord:
         object.__setattr__(self, "grad_norms", frozen_array(self.grad_norms, "grad_norms", 1))
 
 
-def make_gradient_fn(
-    method: EstimatorMethod,
-    lagrangian: LagrangianModel,
-    hamiltonian: HamiltonianModel,
-    task: Task,
-    theta_for_setup,
-    beta: float,
-    nudging: NudgeMode = NudgeMode.SYMMETRIC,
-    fd_eps: float = 1e-5,
-    cbvp_config: CbvpRelaxConfig | None = None,
-    cbvp_coarsen: int = 16,
-):
-    """Build a ``theta -> GradientEstimate`` closure for one estimator.
-
-    The boundary-value variant runs on a coarsened copy of the task with its
-    endpoint pinned to the free trajectory endpoint at ``theta_for_setup``;
-    the pinning is frozen once, so every subsequent call answers the same
-    boundary-value question.
-    """
-    method = EstimatorMethod(method)
-    if method not in _TRAJECTORY_METHODS:
-        raise ValueError(f"estimator {method.value} is not a trajectory estimator")
-    alpha, gamma = task.initial_position, task.initial_velocity
-
-    if method is EstimatorMethod.RHEL:
-        if not hamiltonian.time_reversible:
-            raise ValueError("echo learning requires a momentum-flip invariant Hamiltonian")
-        x0 = task.x.value(0) if task.x is not None else None
-        init = LagrangianInitialState(lagrangian, alpha, gamma, x0=x0)
-
-        def fn(theta):
-            return grad_rhel(
-                hamiltonian, task.cost, theta, init, task.grid, task.x, task.y,
-                beta, nudging=nudging, fd_eps=fd_eps,
-            )
-
-        return fn
-
-    if method is EstimatorMethod.PFVP:
-        if not lagrangian.reversible:
-            raise ValueError("the final-value estimator requires a velocity-even model")
-        if not task.cost.position_only:
-            raise ValueError("the final-value estimator requires a position-only cost")
-        spec = PfvpSpec(alpha, gamma)
-
-        def fn(theta):
-            return grad_pfvp(
-                lagrangian, task.cost, theta, spec, task.grid, task.x, task.y,
-                beta, nudging=nudging, fd_eps=fd_eps,
-            )
-
-        return fn
-
-    if method is EstimatorMethod.CIVP:
-        spec = CivpSpec(alpha, gamma)
-
-        def fn(theta):
-            return grad_civp(
-                lagrangian, task.cost, theta, spec, task.grid, task.x, task.y,
-                beta, nudging=nudging, fd_eps=fd_eps,
-            )
-
-        return fn
-
-    coarse = task.coarsened(cbvp_coarsen)
-    free = integrate_lagrangian_ivp(
-        lagrangian, theta_for_setup, alpha, gamma, coarse.grid, coarse.x
-    )
-    spec = CbvpSpec(alpha, free.positions[-1])
-
-    def fn(theta):
-        return grad_cbvp(
-            lagrangian, coarse.cost, theta, spec, coarse.grid, coarse.x, coarse.y,
-            beta, nudging=nudging, config=cbvp_config,
-        )
-
-    return fn
-
-
 def train(
     lagrangian: LagrangianModel,
     hamiltonian: HamiltonianModel,
@@ -169,21 +81,19 @@ def train(
         theta0 = ParamVector(rng.normal(scale=config.theta_scale, size=lagrangian.theta_dim))
     theta = theta0.values.copy()
 
-    gradient = make_gradient_fn(
+    problem = prepare(
         config.estimator, lagrangian, hamiltonian, task, theta0,
-        beta=config.beta, nudging=config.nudging, fd_eps=config.fd_eps,
+        nudging=config.nudging, fd_eps=config.fd_eps,
         cbvp_config=config.cbvp, cbvp_coarsen=config.cbvp_coarsen,
     )
-    loss_spec = CivpSpec(task.initial_position, task.initial_velocity)
-
-    def loss(th):
-        return trajectory_loss(lagrangian, task.cost, th, loss_spec, task.grid, task.x, task.y)
+    # every estimator is scored on the free-trajectory loss, CBVP included
+    loss = ivp_loss(lagrangian, task)
 
     losses = np.empty(config.epochs)
     grad_norms = np.empty(config.epochs)
     for epoch in range(config.epochs):
         losses[epoch] = loss(theta)
-        estimate = gradient(ParamVector(theta))
+        estimate = problem.estimate(ParamVector(theta), config.beta)
         grad_norms[epoch] = float(np.linalg.norm(estimate.value))
         theta = theta - config.learning_rate * estimate.value
 

@@ -147,6 +147,27 @@ def test_compare_outputs(tmp_path, fast_config):
     assert "compare.csv" in manifest["payload"]["outputs"]
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (("betas: [0.001]", "betas: []"), "betas"),
+        (("betas: [0.001]", "betas: [0.001, 0.0]"), "betas"),
+        (("betas: [0.001]", "betas: 0.001"), "betas"),
+        (("estimators: [pfvp, rhel]", "estimators: []"), "estimators"),
+        (("estimators: [pfvp, rhel]", "estimators: [pfvp, static_ep]"), "static_ep"),
+    ],
+)
+def test_compare_rejects_bad_lists_and_writes_nothing(tmp_path, edit, field):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(FAST_CONFIG.replace(*edit))
+    out = tmp_path / "cmp"
+    result = _run(["--config", str(cfg), "--out", str(out), "compare"], tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "configuration error" in result.stderr and field in result.stderr, result.stderr
+    assert not (out / "manifest.json").exists()
+    assert not (out / "compare.csv").exists()
+
+
 def test_train_and_flag_overrides(tmp_path, fast_config):
     out = tmp_path / "train"
     result = _run(

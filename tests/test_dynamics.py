@@ -5,7 +5,6 @@ import pytest
 
 from echograd.core import ParamVector, PhaseState, Signal, TimeGrid, Trajectory
 from echograd.dynamics import (
-    IntegratorConfig,
     Nudge,
     echo_retrace_check,
     euler_lagrange_residual,
@@ -44,9 +43,9 @@ def test_momentum_flip_examples():
 
 
 def test_integrator_config_validation():
-    assert IntegratorConfig().scheme == "leapfrog"
-    with pytest.raises(ValueError):
-        IntegratorConfig(scheme="euler")
+    grid = TimeGrid(dt=0.1, n_steps=4)
+    with pytest.raises(ValueError, match="scheme"):
+        integrate_hamiltonian(HAM1, THETA1, PhaseState([1.0], [0.0]), grid, scheme="euler")
 
 
 def test_harmonic_oscillator_full_period():

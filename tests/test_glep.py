@@ -9,7 +9,6 @@ from echograd.glep import (
     CbvpRelaxConfig,
     CbvpSpec,
     CivpSpec,
-    PfvpSpec,
     grad_cbvp,
     grad_civp,
     grad_pfvp,
@@ -219,7 +218,7 @@ def test_pfvp_nudged_solution_pins_free_endpoint():
 
 def test_pfvp_matches_oracle_three_parameters():
     grid = _grid()
-    spec = PfvpSpec([0.8, -0.3], [0.2, 0.5])
+    spec = CivpSpec([0.8, -0.3], [0.2, 0.5])
     y = Signal.from_function(grid, lambda t: [0.6 * np.sin(2.1 * t)])
     oracle = fd_gradient(
         lambda p: trajectory_loss(LAG2, COST2, p, CivpSpec(spec.position, spec.velocity),
@@ -232,7 +231,7 @@ def test_pfvp_matches_oracle_three_parameters():
 
 def test_pfvp_zero_cost_gives_zero_vector():
     grid = _grid(n=400)
-    spec = PfvpSpec([0.8, -0.3], [0.2, 0.5])
+    spec = CivpSpec([0.8, -0.3], [0.2, 0.5])
     y = Signal.zeros(grid, 1)
     estimate = grad_pfvp(LAG2, ZeroCost(2), TH2, spec, grid, None, y, beta=1e-3)
     assert np.max(np.abs(estimate.value)) <= 1e-10
@@ -253,7 +252,7 @@ def test_pfvp_boundary_term_vanishes_for_parameter_free_kinetic():
 
 def test_pfvp_requires_reversible_model_and_position_cost():
     grid = _grid(n=100)
-    spec = PfvpSpec([0.0], [0.0])
+    spec = CivpSpec([0.0], [0.0])
     y = Signal.zeros(grid, 1)
 
     irreversible = make_oscillator_model(1, coupling="direct")[0]
@@ -270,7 +269,7 @@ def test_pfvp_requires_reversible_model_and_position_cost():
 def test_estimator_errors_shrink_with_beta():
     grid = _grid()
     spec_c = CivpSpec([0.8, -0.3], [0.2, 0.5])
-    spec_p = PfvpSpec([0.8, -0.3], [0.2, 0.5])
+    spec_p = CivpSpec([0.8, -0.3], [0.2, 0.5])
     y = Signal.from_function(grid, lambda t: [0.6 * np.sin(2.1 * t)])
     oracle = fd_gradient(
         lambda p: trajectory_loss(LAG2, COST2, p, spec_c, grid, None, y), TH2

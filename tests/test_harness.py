@@ -8,7 +8,8 @@ from echograd.core import EstimatorMethod, HamiltonianModel, ParamVector, TimeGr
 from echograd.glep import CbvpRelaxConfig
 from echograd.models import make_oscillator_model
 from echograd.tasks import make_task, sine_tracking_task, step_response_task, two_sines_task
-from echograd.training import TrainConfig, make_gradient_fn, train
+from echograd.estimators import prepare
+from echograd.training import TrainConfig, train
 
 
 def _grid(t_end=2.0, n=400):
@@ -92,7 +93,7 @@ def test_training_reduces_loss(small_bundle):
 def test_estimator_model_compatibility_checks(small_bundle):
     lag, ham, theta, task = small_bundle
     with pytest.raises(ValueError):
-        make_gradient_fn(EstimatorMethod.STATIC_EP, lag, ham, task, theta, beta=1e-3)
+        prepare(EstimatorMethod.STATIC_EP, lag, ham, task, theta)
 
     class NotReversible(HamiltonianModel):
         dim = 2
@@ -114,12 +115,12 @@ def test_estimator_model_compatibility_checks(small_bundle):
             return np.zeros(3)
 
     with pytest.raises(ValueError):
-        make_gradient_fn(EstimatorMethod.RHEL, lag, NotReversible(), task, theta, beta=1e-3)
+        prepare(EstimatorMethod.RHEL, lag, NotReversible(), task, theta)
 
     lag_bad = make_oscillator_model(2, coupling="chain")[0]
     lag_bad.reversible = False
     with pytest.raises(ValueError):
-        make_gradient_fn(EstimatorMethod.PFVP, lag_bad, ham, task, theta, beta=1e-3)
+        prepare(EstimatorMethod.PFVP, lag_bad, ham, task, theta)
 
 
 def test_compare_table_shape_and_equality_column(small_bundle):
