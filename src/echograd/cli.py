@@ -85,8 +85,8 @@ def _static_ep_check(seed, beta, nudging, fd_eps):
     cost = QuadraticTrackingCost(2)
     est = static_ep_gradient(energy, cost, theta, x0, y0, beta, nudging=nudging)
 
-    def relaxed_cost(p):
-        return cost.cost(relax(energy, p, x0).state, y0)
+    def relaxed_cost(thetas):
+        return [cost.cost(relax(energy, p, x0).state, y0) for p in thetas]
 
     return est, fd_gradient(relaxed_cost, theta, eps=fd_eps)
 

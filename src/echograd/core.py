@@ -17,6 +17,11 @@ Conventions used throughout the package:
   index ``k`` in place of ``x``.  The default binding calls the per-point
   methods with ``xs[k]``; a model overrides ``bind`` to do parameter-only
   work once per solve and to evaluate whole trajectories in one call.
+- Runs that share a grid and an input signal integrate in lockstep along a
+  leading batch axis: a state stack is ``(B, dim)``, a parameter stack
+  ``(B, theta_dim)`` and a trajectory stack ``(B, n_steps + 1, dim)``.  Row
+  ``b`` of every stack belongs to run ``b``; an unstacked argument is shared
+  by every row.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -203,14 +209,20 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Position/momentum pair; the concatenation is the full phase vector."""
+    """Position/momentum pair; the concatenation is the full phase vector.
+
+    Both are ``(dim,)`` vectors, or ``(B, dim)`` stacks holding one state per
+    batch row.
+    """
 
     position: np.ndarray
     momentum: np.ndarray
 
     def __post_init__(self):
-        pos = frozen_array(self.position, "position", ndim=1)
-        mom = frozen_array(self.momentum, "momentum", ndim=1)
+        pos = frozen_array(self.position, "position")
+        mom = frozen_array(self.momentum, "momentum")
+        if pos.ndim not in (1, 2):
+            raise ValueError(f"position must be a vector or a stack of vectors, got {pos.shape}")
         if pos.shape != mom.shape:
             raise ValueError(
                 f"position and momentum must share a dimension, got {pos.shape} vs {mom.shape}"
@@ -220,10 +232,10 @@ class PhaseState:
 
     @property
     def dim(self) -> int:
-        return self.position.shape[0]
+        return self.position.shape[-1]
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.position, self.momentum])
+        return np.concatenate([self.position, self.momentum], axis=-1)
 
     @classmethod
     def from_vector(cls, phi: np.ndarray) -> "PhaseState":
@@ -243,7 +255,8 @@ class Trajectory:
 
     ``conjugate`` holds momenta for the ``"hamiltonian"`` kind and velocities
     for the ``"lagrangian"`` kind; use the :attr:`momenta` / :attr:`velocities`
-    accessors, which enforce the kind.
+    accessors, which enforce the kind.  Arrays are ``(n_points, dim)``, or
+    ``(B, n_points, dim)`` for the runs of one lockstep integration.
     """
 
     grid: TimeGrid
@@ -254,24 +267,26 @@ class Trajectory:
     def __post_init__(self):
         if self.kind not in _TRAJECTORY_KINDS:
             raise ValueError(f"kind must be one of {_TRAJECTORY_KINDS}, got {self.kind!r}")
-        pos = frozen_array(self.positions, "positions", ndim=2)
-        con = frozen_array(self.conjugate, "conjugate", ndim=2)
+        pos = frozen_array(self.positions, "positions")
+        con = frozen_array(self.conjugate, "conjugate")
+        if pos.ndim not in (2, 3):
+            raise ValueError(f"positions must be 2- or 3-dimensional, got shape {pos.shape}")
         if pos.shape != con.shape:
             raise ValueError("positions and conjugate arrays must have equal shapes")
-        if pos.shape[0] != self.grid.n_points:
+        if pos.shape[-2] != self.grid.n_points:
             raise ValueError(
-                f"trajectory needs {self.grid.n_points} states, got {pos.shape[0]}"
+                f"trajectory needs {self.grid.n_points} states, got {pos.shape[-2]}"
             )
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "conjugate", con)
 
     @property
     def dim(self) -> int:
-        return self.positions.shape[1]
+        return self.positions.shape[-1]
 
     @property
     def n_points(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     @property
     def momenta(self) -> np.ndarray:
@@ -288,7 +303,7 @@ class Trajectory:
     def state(self, k: int) -> PhaseState:
         if self.kind != "hamiltonian":
             raise ValueError("phase states are only defined for hamiltonian trajectories")
-        return PhaseState(self.positions[k], self.conjugate[k])
+        return PhaseState(self.positions[..., k, :], self.conjugate[..., k, :])
 
 
 class EstimatorMethod(str, Enum):
@@ -427,8 +442,9 @@ class LagrangianModel(ABC):
         return jac
 
     def bind(self, theta, xs=None) -> "BoundLagrangian":
-        """Fix ``theta`` and the input samples ``xs`` (one row per grid point,
-        ``None`` for autonomous models) for one solve."""
+        """Fix ``theta`` (one vector, or a ``(B, theta_dim)`` stack with one
+        row per batch row) and the input samples ``xs`` (one row per grid
+        point, ``None`` for autonomous models) for one solve."""
         return BoundLagrangian(self, theta, xs)
 
 
@@ -471,13 +487,18 @@ class HamiltonianModel(ABC):
         ...
 
     def bind(self, theta, xs=None) -> "BoundHamiltonian":
-        """Fix ``theta`` and the input samples ``xs`` (one row per grid point,
-        ``None`` for autonomous models) for one solve."""
+        """Fix ``theta`` (one vector, or a ``(B, theta_dim)`` stack with one
+        row per batch row) and the input samples ``xs`` (one row per grid
+        point, ``None`` for autonomous models) for one solve."""
         return BoundHamiltonian(self, theta, xs)
 
 
 class _Bound:
-    """Parameters and input samples fixed for one solve; ``k`` indexes ``xs``."""
+    """Parameters and input samples fixed for one solve; ``k`` indexes ``xs``.
+
+    ``theta`` is one parameter vector, shared by every row of a state stack,
+    or a ``(B, theta_dim)`` stack with one row per state row.
+    """
 
     def __init__(self, model, theta, xs=None):
         self.model = model
@@ -487,33 +508,62 @@ class _Bound:
     def x(self, k):
         return None if self.xs is None else self.xs[k]
 
+    def theta_row(self, b):
+        """The parameters of batch row ``b``."""
+        return self.theta if self.theta.ndim == 1 else self.theta[b]
+
+    def _each_row(self, method, s, c, k):
+        """``method(s[b], c[b], theta_b, x_k)`` for every row of the stacks ``s``, ``c``."""
+        x = self.x(k)
+        out = np.empty(np.shape(s))
+        for b in range(out.shape[0]):
+            out[b] = method(s[b], c[b], self.theta_row(b), x)
+        return out
+
 
 class BoundLagrangian(_Bound):
     """Binding of a :class:`LagrangianModel`.
 
-    This default evaluates the model's per-point methods with ``xs[k]``.
+    This default evaluates the model's per-point methods with ``xs[k]``, one
+    batch row at a time.  The per-step methods take ``(B, dim)`` stacks of
+    states at grid point ``k`` and return one result row per state.
     ``*_rows`` methods take one state per grid point, rows aligned with
     ``xs``, and return a new array with one result row per point, which the
-    caller may overwrite.
+    caller may overwrite; ``grad_params_rows`` needs a single ``theta``.
     """
 
     def grad_position(self, s, v, k) -> np.ndarray:
-        return np.asarray(self.model.grad_position(s, v, self.theta, self.x(k)), dtype=float)
+        return self._each_row(self.model.grad_position, s, v, k)
 
     def grad_velocity(self, s, v, k) -> np.ndarray:
-        return np.asarray(self.model.grad_velocity(s, v, self.theta, self.x(k)), dtype=float)
+        return self._each_row(self.model.grad_velocity, s, v, k)
 
     def velocity(self, s, p, k) -> np.ndarray:
-        """The velocity whose momentum dL/dv is ``p``."""
+        """The velocities whose momenta dL/dv are ``p``."""
         from .legendre import velocity_from_momentum
 
-        return velocity_from_momentum(self.model, s, p, self.theta, self.x(k))
+        return self._each_row(partial(velocity_from_momentum, self.model), s, p, k)
+
+    def partner_grad_position(self, s, p, k) -> np.ndarray:
+        """dH/ds of the Legendre-partner Hamiltonian at momenta ``p``, which
+        is -dL/ds at their velocities."""
+        return -self.grad_position(s, self.velocity(s, p, k), k)
 
     def velocity_rows(self, positions, momenta) -> np.ndarray:
-        out = np.empty_like(np.asarray(positions, dtype=float))
-        for k in range(out.shape[0]):
-            out[k] = self.velocity(positions[k], momenta[k], k)
-        return out
+        """Velocities along one trajectory, or along a ``(B, n_points, dim)``
+        stack of them with row ``b`` at ``theta_row(b)``."""
+        from .legendre import velocity_from_momentum
+
+        pos = np.asarray(positions, dtype=float)
+        stack = pos.reshape((-1,) + pos.shape[-2:])
+        mom = np.reshape(momenta, stack.shape)
+        out = np.empty_like(stack)
+        for b in range(stack.shape[0]):
+            theta = self.theta_row(b)
+            for k in range(stack.shape[1]):
+                out[b, k] = velocity_from_momentum(self.model, stack[b, k], mom[b, k], theta,
+                                                   self.x(k))
+        return out.reshape(pos.shape)
 
     def grad_params_rows(self, positions, velocities) -> np.ndarray:
         rows = np.empty((len(positions), self.model.theta_dim))
@@ -525,17 +575,19 @@ class BoundLagrangian(_Bound):
 class BoundHamiltonian(_Bound):
     """Binding of a :class:`HamiltonianModel`; the integrators step through it.
 
-    This default evaluates the model's per-point methods with ``xs[k]``.
-    ``*_rows`` methods take one state per grid point, rows aligned with
-    ``xs``, and return a new array with one result row per point, which the
-    caller may overwrite.
+    This default evaluates the model's per-point methods with ``xs[k]``, one
+    batch row at a time.  ``grad_position`` and ``grad_momentum`` take
+    ``(B, dim)`` stacks of states at grid point ``k`` and return one result
+    row per state.  ``grad_params_rows`` takes one state per grid point,
+    rows aligned with ``xs``, needs a single ``theta`` and returns a new
+    array with one result row per point, which the caller may overwrite.
     """
 
     def grad_position(self, s, p, k) -> np.ndarray:
-        return np.asarray(self.model.grad_position(s, p, self.theta, self.x(k)), dtype=float)
+        return self._each_row(self.model.grad_position, s, p, k)
 
     def grad_momentum(self, s, p, k) -> np.ndarray:
-        return np.asarray(self.model.grad_momentum(s, p, self.theta, self.x(k)), dtype=float)
+        return self._each_row(self.model.grad_momentum, s, p, k)
 
     def grad_params_rows(self, positions, momenta) -> np.ndarray:
         rows = np.empty((len(positions), self.model.theta_dim))
@@ -549,8 +601,9 @@ class CostModel(ABC):
 
     ``state`` is the position vector when ``position_only`` is set, otherwise
     the full phase vector ``(s, p)``; ``grad_state`` is shaped accordingly.
-    ``cost_rows`` evaluates a whole trajectory; its default calls ``cost``
-    once per row.
+    ``cost_rows`` and ``grad_state_rows`` evaluate a stack of states, one
+    row each (a trajectory, or the states of a batch at one grid point);
+    their defaults call ``cost`` / ``grad_state`` once per row.
     """
 
     position_only: bool
@@ -566,6 +619,13 @@ class CostModel(ABC):
     def cost_rows(self, states, targets) -> np.ndarray:
         """Cost of every row of ``states`` against the same row of ``targets``."""
         return np.array([self.cost(s, y) for s, y in zip(states, targets)], dtype=float)
+
+    def grad_state_rows(self, states, targets) -> np.ndarray:
+        """``grad_state`` of every row of ``states`` against the same row of ``targets``."""
+        out = np.empty(np.shape(states))
+        for i in range(out.shape[0]):
+            out[i] = self.grad_state(states[i], targets[i])
+        return out
 
 
 def as_params(theta) -> np.ndarray:

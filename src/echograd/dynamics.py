@@ -18,6 +18,13 @@ Lagrangian initial value problems are integrated by converting to the
 Legendre-partner Hamiltonian flow and mapping momenta back to velocities, so
 Lagrangian and Hamiltonian runs of partner models follow the identical
 arithmetic path.
+
+Runs on one grid and input signal integrate in lockstep: the steppers
+advance a ``(B, dim)`` stack of states, one row per run, each row with its
+own parameters, initial state and nudging strength.  A single run is the
+one-row case of the same loop.  The rows share every Python step while
+their arithmetic stays row by row that of a run on its own, so each row
+reproduces its unbatched run bitwise.
 """
 
 from __future__ import annotations
@@ -61,14 +68,20 @@ _CHECK_EVERY = 64
 
 @dataclass(frozen=True)
 class Nudge:
-    """Cost admixture for the integrators: strength, cost model, target signal."""
+    """Cost admixture for the integrators: strength, cost model, target signal.
 
-    beta: float
+    ``beta`` is one strength, or a 1-d array with one strength per batch row
+    of a lockstep run.
+    """
+
+    beta: float | np.ndarray
     cost: CostModel
     target: Signal
 
     def __post_init__(self):
-        if not np.isfinite(self.beta):
+        if np.ndim(self.beta) > 1:
+            raise ValueError("nudging strength must be a scalar or one value per batch row")
+        if not np.all(np.isfinite(self.beta)):
             raise ValueError("nudging strength must be finite")
 
 
@@ -96,10 +109,19 @@ def _input_values(model, x, grid):
 
 
 def _validate_nudge(nudge, grid):
-    if nudge is None or nudge.beta == 0.0:
+    if nudge is None or not np.any(nudge.beta):
         return None
     _check_signal(nudge.target, grid, "target")
     return nudge
+
+
+def _batch_size(*stacks):
+    """Rows of a lockstep run: the common length of the stacked arguments
+    among ``(value, stacked_ndim)`` pairs, ``None`` when none is stacked."""
+    sizes = {len(value) for value, ndim in stacks if np.ndim(value) == ndim}
+    if len(sizes) > 1:
+        raise ValueError(f"stacked arguments disagree on the number of batch rows: {sorted(sizes)}")
+    return sizes.pop() if sizes else None
 
 
 def integrate_hamiltonian(
@@ -111,32 +133,60 @@ def integrate_hamiltonian(
     nudge: Nudge | None = None,
     scheme: str = "leapfrog",
 ) -> Trajectory:
-    """Integrate d/dt (s, p) = J dH - beta J dc from ``phi0`` over ``grid``."""
+    """Integrate d/dt (s, p) = J dH - beta J dc from ``phi0`` over ``grid``.
+
+    A ``(B, theta_dim)`` parameter stack, a stacked ``phi0`` or one nudging
+    strength per row runs B integrations in lockstep, row b from its own
+    parameters, initial state and strength (unstacked arguments are shared),
+    and returns a trajectory stack ``(B, n_steps + 1, dim)``.  Every row is
+    bitwise the run it would be on its own; the rows share the input and
+    target signals.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     th = as_params(theta)
     if phi0.dim != model.dim:
         raise ValueError(f"initial state dim {phi0.dim} does not match model dim {model.dim}")
     xs = _input_values(model, x, grid)
+    rows = _batch_size((th, 2), (phi0.position, 2), (None if nudge is None else nudge.beta, 1))
     nudge = _validate_nudge(nudge, grid)
 
-    d, n, dt = model.dim, grid.n_steps, grid.dt
+    d, n, dt, batch = model.dim, grid.n_steps, grid.dt, rows or 1
+    s0 = np.array(np.broadcast_to(phi0.position, (batch, d)))
+    p0 = np.array(np.broadcast_to(phi0.momentum, (batch, d)))
+    terms = None
+    if nudge is not None:
+        betas = np.broadcast_to(np.asarray(nudge.beta, dtype=float), (batch,))[:, None]
+        ys = nudge.target.values
+        terms = (betas, nudge.cost, np.broadcast_to(ys[:, None, :], (n + 1, batch, ys.shape[1])))
     bound = model.bind(th, xs)
     if scheme == "rk4":
-        positions, momenta = _rk4(bound, phi0, n, dt, nudge, d)
+        positions, momenta = _rk4(bound, s0, p0, n, dt, terms)
     elif model.separable and (nudge is None or nudge.cost.position_only):
-        positions, momenta = _leapfrog_separable(bound, phi0, n, dt, nudge)
+        positions, momenta = _leapfrog_separable(bound, s0, p0, n, dt, terms)
     else:
-        positions, momenta = _leapfrog_implicit(bound, phi0, n, dt, nudge, d)
+        positions, momenta = _leapfrog_implicit(bound, s0, p0, n, dt, terms)
+    if rows is None:
+        positions, momenta = positions[:, 0], momenta[:, 0]
+    else:
+        positions, momenta = positions.transpose(1, 0, 2), momenta.transpose(1, 0, 2)
     return Trajectory(grid, "hamiltonian", positions, momenta)
 
 
+# The steppers advance a (B, dim) stack of states and store step k of row b
+# at [k, b] of an (n + 1, B, dim) array.  ``nudge`` is None or the triple
+# (strengths as a (B, 1) column, cost model, (n + 1, B, target_dim) targets).
+
+
 def _check_rows(positions, momenta, lo, hi):
-    """Raise at the first non-finite state among rows ``lo:hi``; row k is step k."""
-    finite = np.isfinite(positions[lo:hi]).all(axis=1) & np.isfinite(momenta[lo:hi]).all(axis=1)
+    """Raise at the first non-finite state among steps ``lo:hi``, naming the
+    first batch row that holds one at that step."""
+    finite = np.isfinite(positions[lo:hi]).all(axis=2) & np.isfinite(momenta[lo:hi]).all(axis=2)
     if not finite.all():
-        k = lo + int(np.argmin(finite))
-        raise DivergenceError(f"integration diverged: non-finite state at step {k}", step=k)
+        k, b = np.unravel_index(np.argmin(finite), finite.shape)
+        k, b = lo + int(k), int(b)
+        raise DivergenceError(
+            f"integration diverged: non-finite state at step {k} in batch row {b}", step=k, row=b)
 
 
 def _chunks(n):
@@ -144,22 +194,25 @@ def _chunks(n):
     return (range(lo, min(lo + _CHECK_EVERY, n)) for lo in range(0, n, _CHECK_EVERY))
 
 
-def _leapfrog_separable(bound, phi0, n, dt, nudge):
-    """Kick-drift-kick for H = T(p) + V(s, x), nudge folded into the kick."""
-    s = phi0.position.copy()
-    p = phi0.momentum.copy()
-    positions = np.empty((n + 1, s.shape[0]))
+def _storage(s, p, n):
+    positions = np.empty((n + 1,) + s.shape)
     momenta = np.empty_like(positions)
     positions[0], momenta[0] = s, p
+    return positions, momenta
+
+
+def _leapfrog_separable(bound, s, p, n, dt, nudge):
+    """Kick-drift-kick for H = T(p) + V(s, x), nudge folded into the kick."""
+    positions, momenta = _storage(s, p, n)
     grad_position, grad_momentum = bound.grad_position, bound.grad_momentum
 
     if nudge is not None:
-        beta, cost, ys = nudge.beta, nudge.cost, nudge.target.values
+        betas, cost, targets = nudge
 
     def kick_force(state, mom, k):
         f = -grad_position(state, mom, k)
         if nudge is not None:
-            f = f + beta * np.asarray(cost.grad_state(state, ys[k]), dtype=float)
+            f = f + betas * cost.grad_state_rows(state, targets[k])
         return f
 
     f = kick_force(s, p, 0)
@@ -174,41 +227,43 @@ def _leapfrog_separable(bound, phi0, n, dt, nudge):
     return positions, momenta
 
 
-def _leapfrog_implicit(bound, phi0, n, dt, nudge, d):
+def _leapfrog_implicit(bound, s, p, n, dt, nudge):
     """Generalised Stoermer-Verlet; implicit half-updates by fixed point.
 
-    Finiteness is checked after every step: a non-finite state would make
-    the next fixed-point solve fail to converge instead of reporting the
-    divergence.
+    The rows iterate together, but each row stops at its own fixed-point
+    tolerance, so it takes the iterates of its own run.  Finiteness is
+    checked after every step: a non-finite state would make the next
+    fixed-point solve fail to converge instead of reporting the divergence.
     """
+    d = s.shape[1]
     if nudge is not None:
-        beta, cost, ys = nudge.beta, nudge.cost, nudge.target.values
+        betas, cost, targets = nudge
 
     def rates(s, p, k):
         """(ds/dt, dp/dt) of the nudged flow at sample k."""
         ds = bound.grad_momentum(s, p, k)
         dp = -bound.grad_position(s, p, k)
         if nudge is not None:
-            g = np.asarray(cost.grad_state(np.concatenate([s, p]), ys[k]), dtype=float)
-            ds = ds - beta * g[d:]
-            dp = dp + beta * g[:d]
+            g = cost.grad_state_rows(np.concatenate([s, p], axis=1), targets[k])
+            ds = ds - betas * g[:, d:]
+            dp = dp + betas * g[:, :d]
         return ds, dp
 
     def fixed_point(update, start, what):
         value = start
+        done = np.zeros(value.shape[0], dtype=bool)
         for _ in range(_FIXED_POINT_MAX_ITER):
             new = update(value)
-            if np.max(np.abs(new - value)) <= _FIXED_POINT_TOL * (1.0 + np.max(np.abs(new))):
-                return new
-            value = new
-        raise ConvergenceError(f"implicit leapfrog {what} update did not converge")
+            close = (np.max(np.abs(new - value), axis=1)
+                     <= _FIXED_POINT_TOL * (1.0 + np.max(np.abs(new), axis=1)))
+            value = np.where(done[:, None], value, new)
+            done |= close
+            if done.all():
+                return value
+        raise ConvergenceError(f"implicit leapfrog {what} update did not converge "
+                               f"in batch row {int(np.argmin(done))}")
 
-    s = phi0.position.copy()
-    p = phi0.momentum.copy()
-    positions = np.empty((n + 1, d))
-    momenta = np.empty_like(positions)
-    positions[0], momenta[0] = s, p
-
+    positions, momenta = _storage(s, p, n)
     for k in range(n):
         s_k = s
         p_half = fixed_point(lambda q: p + 0.5 * dt * rates(s_k, q, k)[1], p, "momentum")
@@ -224,39 +279,37 @@ def _leapfrog_implicit(bound, phi0, n, dt, nudge, d):
     return positions, momenta
 
 
-def _rk4(bound, phi0, n, dt, nudge, d):
+def _rk4(bound, s, p, n, dt, nudge):
     """Classical rk4 with zero-order-hold inputs over each step.
 
     Not time-symmetric; exists as the negative control for retrace tests.
     """
+    d = s.shape[1]
     if nudge is not None:
-        beta, cost, ys = nudge.beta, nudge.cost, nudge.target.values
+        betas, cost, targets = nudge
 
-    def field(z, k):
-        s, p = z[:d], z[d:]
+    def field(s, p, k):
         ds = bound.grad_momentum(s, p, k)
         dp = -bound.grad_position(s, p, k)
         if nudge is not None:
             if cost.position_only:
-                dp = dp + beta * np.asarray(cost.grad_state(s, ys[k]), dtype=float)
+                dp = dp + betas * cost.grad_state_rows(s, targets[k])
             else:
-                g = np.asarray(cost.grad_state(z, ys[k]), dtype=float)
-                ds = ds - beta * g[d:]
-                dp = dp + beta * g[:d]
-        return np.concatenate([ds, dp])
+                g = cost.grad_state_rows(np.concatenate([s, p], axis=1), targets[k])
+                ds = ds - betas * g[:, d:]
+                dp = dp + betas * g[:, :d]
+        return ds, dp
 
-    z = phi0.as_vector().copy()
-    positions = np.empty((n + 1, d))
-    momenta = np.empty_like(positions)
-    positions[0], momenta[0] = z[:d], z[d:]
+    positions, momenta = _storage(s, p, n)
     for steps in _chunks(n):
         for k in steps:
-            k1 = field(z, k)
-            k2 = field(z + 0.5 * dt * k1, k)
-            k3 = field(z + 0.5 * dt * k2, k)
-            k4 = field(z + dt * k3, k)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            positions[k + 1], momenta[k + 1] = z[:d], z[d:]
+            k1s, k1p = field(s, p, k)
+            k2s, k2p = field(s + 0.5 * dt * k1s, p + 0.5 * dt * k1p, k)
+            k3s, k3p = field(s + 0.5 * dt * k2s, p + 0.5 * dt * k2p, k)
+            k4s, k4p = field(s + dt * k3s, p + dt * k3p, k)
+            s = s + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            positions[k + 1], momenta[k + 1] = s, p
         _check_rows(positions, momenta, steps.start + 1, steps.stop + 1)
     return positions, momenta
 
@@ -275,14 +328,24 @@ def integrate_lagrangian_ivp(
 
     Runs the Legendre-partner Hamiltonian flow and maps momenta back, so the
     position sequence is arithmetic-identical to a partner Hamiltonian run.
+    A parameter stack, ``(B, dim)`` initial data or one nudging strength per
+    row runs B integrations in lockstep, as for :func:`integrate_hamiltonian`.
     """
-    if nudge is not None and nudge.beta != 0.0 and not nudge.cost.position_only:
+    if nudge is not None and np.any(nudge.beta) and not nudge.cost.position_only:
         raise ValueError("Lagrangian nudging requires a position-only cost")
     th = as_params(theta)
+    position = np.asarray(position, dtype=float)
+    velocity = np.asarray(velocity, dtype=float)
     partner = forward_legendre(model)
     x0 = x.value(0) if x is not None and model.input_dim > 0 else None
-    p0 = momentum_from_velocity(model, np.asarray(position, dtype=float),
-                                np.asarray(velocity, dtype=float), th, x0)
+    rows = _batch_size((th, 2), (position, 2), (velocity, 2))
+    if rows is None:
+        p0 = momentum_from_velocity(model, position, velocity, th, x0)
+    else:
+        position = np.broadcast_to(position, (rows, model.dim))
+        p0 = [momentum_from_velocity(model, s, v, t, x0) for s, v, t in zip(
+            position, np.broadcast_to(velocity, (rows, model.dim)),
+            np.broadcast_to(th, (rows, th.shape[-1])))]
     traj = integrate_hamiltonian(partner, th, PhaseState(position, p0), grid, x, nudge, scheme)
     bound = model.bind(th, _input_values(model, x, grid))
     velocities = bound.velocity_rows(traj.positions, traj.momenta)
@@ -325,11 +388,11 @@ def euler_lagrange_residual(
 
     grad_v = np.empty_like(pos)
     for k in range(n + 1):
-        grad_v[k] = bound.grad_velocity(pos[k], vel[k], k)
+        grad_v[k] = bound.grad_velocity(pos[k:k + 1], vel[k:k + 1], k)[0]
 
     residual = np.empty((n - 1, traj.dim))
     for k in range(1, n):
-        el = bound.grad_position(pos[k], vel[k], k)
+        el = bound.grad_position(pos[k:k + 1], vel[k:k + 1], k)[0]
         if beta != 0.0:
             el = el + beta * np.asarray(cost.grad_state(pos[k], target.value(k)), dtype=float)
         residual[k - 1] = el - (grad_v[k + 1] - grad_v[k - 1]) / (2.0 * grid.dt)

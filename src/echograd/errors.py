@@ -14,11 +14,16 @@ class NumericalError(EchogradError):
 
 
 class DivergenceError(NumericalError):
-    """A state became non-finite during integration or relaxation."""
+    """A state became non-finite during integration or relaxation.
 
-    def __init__(self, message: str, step: int | None = None):
+    ``step`` is the first step with a non-finite state and ``row`` the first
+    batch row holding one at that step (``None`` where not applicable).
+    """
+
+    def __init__(self, message: str, step: int | None = None, row: int | None = None):
         super().__init__(message)
         self.step = step
+        self.row = row
 
 
 class ConvergenceError(NumericalError):

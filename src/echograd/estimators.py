@@ -26,7 +26,9 @@ __all__ = ["Problem", "prepare", "ivp_loss"]
 @dataclass(frozen=True)
 class Problem:
     """``estimate(theta, beta) -> GradientEstimate`` and the ``loss(theta)`` it
-    approximates the gradient of; problems of one ``regime`` share that loss."""
+    approximates the gradient of; problems of one ``regime`` share that loss.
+    ``loss`` takes one parameter vector, or a ``(B, P)`` stack and returns
+    its ``B`` losses, as :func:`trajectory_loss` does."""
 
     method: EstimatorMethod
     regime: str
@@ -35,7 +37,8 @@ class Problem:
 
 
 def ivp_loss(lagrangian: LagrangianModel, task: Task) -> Callable:
-    """``theta -> float``: cost of the free run from the task's initial data."""
+    """``theta -> float`` (or a stack to an array): cost of the free run from
+    the task's initial data."""
     spec = CivpSpec(task.initial_position, task.initial_velocity)
 
     def loss(theta):

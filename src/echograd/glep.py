@@ -9,9 +9,10 @@ terms survive:
 - Fixed initial position and velocity ("CIVP"): two residual terms remain at
   the final time.  They involve parameter derivatives of the final state and
   of the velocity gradient there, computed here by central finite-difference
-  probes over the parameters, one re-integration per parameter per side.
-  This is deliberately impractical beyond a handful of parameters and is
-  guarded accordingly; the estimator exists to validate the formula.
+  probes over the parameters, one re-integration per parameter per side,
+  all run in lockstep with the free run.  This is deliberately impractical
+  beyond a handful of parameters and is guarded accordingly; the estimator
+  exists to validate the formula.
 - Fixed endpoint positions ("CBVP"): no residual terms at all, but the
   trajectories come from a two-point boundary value problem, solved here by
   relaxation (explicit pseudo-time descent on the pointwise Euler-Lagrange
@@ -146,6 +147,8 @@ def grad_civp(
     The residual terms need parameter Jacobians of the final state, obtained
     by central differencing over theta with one free re-integration per
     parameter per side, so the parameter count is capped by ``theta_limit``.
+    The free run and the probes are one lockstep integration, and so are the
+    nudged runs of both signs.
     ``include_boundary=False`` drops the residual terms; that variant is
     biased and exists only so tests can demonstrate the residuals matter.
     """
@@ -159,46 +162,52 @@ def grad_civp(
     if not cost.position_only:
         raise ValueError("trajectory estimators require a position-only cost")
     nudging = NudgeMode(nudging)
+    signs = signed_betas(beta, nudging)
 
-    free = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid, x)
     xs = x.values if x is not None else None
     x_end = None if xs is None else xs[-1]
+    dim, n_theta = model.dim, th.shape[0]
+    # Row 0 is the free run; with the boundary terms, rows 2j + 1 and 2j + 2
+    # are the free runs at theta +- fd_eps e_j, all in one lockstep run.
+    thetas = th[None, :]
+    if include_boundary:
+        thetas = np.repeat(th[None, :], 2 * n_theta + 1, axis=0)
+        j = np.arange(n_theta)
+        thetas[2 * j + 1, j] += fd_eps
+        thetas[2 * j + 2, j] -= fd_eps
+    runs = integrate_lagrangian_ivp(model, thetas, spec.position, spec.velocity, grid, x)
+    free_positions, free_velocities = runs.positions[0], runs.velocities[0]
     bound = model.bind(th, xs)
-    free_params = bound.grad_params_rows(free.positions, free.velocities)
+    free_params = bound.grad_params_rows(free_positions, free_velocities)
     gv_free_end = np.asarray(
-        model.grad_velocity(free.positions[-1], free.velocities[-1], th, x_end), dtype=float
+        model.grad_velocity(free_positions[-1], free_velocities[-1], th, x_end), dtype=float
     )
 
     if include_boundary:
-        dim, n_theta = model.dim, th.shape[0]
         d_state = np.empty((dim, n_theta))     # d s_T / d theta
         d_gradv = np.empty((dim, n_theta))     # d/d theta of dL/dv at the free endpoint
         for j in range(n_theta):
             probes = []
-            for sign in (+1.0, -1.0):
-                th_j = th.copy()
-                th_j[j] += sign * fd_eps
-                traj = integrate_lagrangian_ivp(model, th_j, spec.position, spec.velocity, grid, x)
-                s_end, v_end = traj.positions[-1], traj.velocities[-1]
-                probes.append((s_end, model.grad_velocity(s_end, v_end, th_j, x_end)))
+            for row in (2 * j + 1, 2 * j + 2):
+                s_end, v_end = runs.positions[row, -1], runs.velocities[row, -1]
+                probes.append((s_end, model.grad_velocity(s_end, v_end, thetas[row], x_end)))
             (s_plus, g_plus), (s_minus, g_minus) = probes
             d_state[:, j] = (s_plus - s_minus) / (2.0 * fd_eps)
             d_gradv[:, j] = (np.asarray(g_plus) - np.asarray(g_minus)) / (2.0 * fd_eps)
 
+    nudged = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid, x,
+                                      nudge=Nudge(np.array(signs), cost, y))
     values = {}
-    for b in signed_betas(beta, nudging):
-        nudged = integrate_lagrangian_ivp(
-            model, th, spec.position, spec.velocity, grid, x, nudge=Nudge(b, cost, y)
-        )
+    for i, b in enumerate(signs):
+        positions, velocities = nudged.positions[i], nudged.velocities[i]
         value = trapezoid_contrast(
-            bound.grad_params_rows(nudged.positions, nudged.velocities), free_params, grid.dt)
+            bound.grad_params_rows(positions, velocities), free_params, grid.dt)
         if include_boundary:
             gv_nudged_end = np.asarray(
-                model.grad_velocity(nudged.positions[-1], nudged.velocities[-1], th, x_end),
-                dtype=float,
+                model.grad_velocity(positions[-1], velocities[-1], th, x_end), dtype=float
             )
             value = value + d_state.T @ (gv_nudged_end - gv_free_end)
-            value = value - d_gradv.T @ (nudged.positions[-1] - free.positions[-1])
+            value = value - d_gradv.T @ (positions[-1] - free_positions[-1])
         values[b] = value / b
     return finish_estimate(values, beta, nudging, EstimatorMethod.CIVP, started)
 
@@ -222,16 +231,6 @@ def _batch_grad_velocity(model, positions, velocities, th, inputs):
     for i in range(positions.shape[0]):
         xi = None if inputs is None else inputs[i]
         out[i] = model.grad_velocity(positions[i], velocities[i], th, xi)
-    return out
-
-
-def _batch_cost_grad(cost, positions, targets):
-    fn = getattr(cost, "grad_state_batch", None)
-    if fn is not None:
-        return np.asarray(fn(positions, targets), dtype=float)
-    out = np.empty_like(positions)
-    for i in range(positions.shape[0]):
-        out[i] = cost.grad_state(positions[i], targets[i])
     return out
 
 
@@ -297,7 +296,7 @@ def solve_cbvp(
         centered_v = (s[2:] - s[:-2]) / (2.0 * dt)
         el = _batch_grad_position(model, s[1:-1], centered_v, th, xs_interior)
         if beta != 0.0:
-            el = el + beta * _batch_cost_grad(cost, s[1:-1], ys_interior)
+            el = el + beta * cost.grad_state_rows(s[1:-1], ys_interior)
         return el - (flux[1:] - flux[:-1]) / dt
 
     sweeps = 0
@@ -375,6 +374,7 @@ def grad_pfvp(
     integrate the cost-augmented flow forward from the velocity-reversed
     free endpoint with time-reversed inputs; reversibility makes the result
     the time-reversed nudged solution that terminates at the free endpoint.
+    The nudged runs of both signs are one lockstep integration.
     One boundary term survives, built from the parameter derivative of the
     velocity gradient at the fixed initial data
     (``model.grad_velocity_params``, no re-integration).
@@ -382,6 +382,7 @@ def grad_pfvp(
     started = time.perf_counter()
     th = as_params(theta)
     nudging = NudgeMode(nudging)
+    signs = signed_betas(beta, nudging)
     if not model.reversible:
         raise ValueError("the final-value construction requires a velocity-even model")
     if not cost.position_only:
@@ -401,14 +402,13 @@ def grad_pfvp(
     x0 = None if xs is None else xs[0]
     boundary_jac = model.grad_velocity_params(spec.position, spec.velocity, th, x0, eps=fd_eps)
 
+    back = integrate_lagrangian_ivp(model, th, end_position, -end_velocity, grid, x_rev,
+                                    nudge=Nudge(np.array(signs), cost, y_rev))
     values = {}
-    for b in signed_betas(beta, nudging):
-        back = integrate_lagrangian_ivp(
-            model, th, end_position, -end_velocity, grid, x_rev, nudge=Nudge(b, cost, y_rev)
-        )
+    for i, b in enumerate(signs):
+        positions, velocities = back.positions[i], back.velocities[i]
         value = trapezoid_contrast(
-            bound.grad_params_rows(back.positions[::-1], -back.velocities[::-1]),
-            free_params, grid.dt)
-        value = value + boundary_jac.T @ (back.positions[-1] - spec.position)
+            bound.grad_params_rows(positions[::-1], -velocities[::-1]), free_params, grid.dt)
+        value = value + boundary_jac.T @ (positions[-1] - spec.position)
         values[b] = value / b
     return finish_estimate(values, beta, nudging, EstimatorMethod.PFVP, started)

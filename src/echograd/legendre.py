@@ -127,18 +127,17 @@ class LegendreHamiltonian(HamiltonianModel):
 
 class _BoundLegendreHamiltonian(BoundHamiltonian):
     """The methods above, evaluated through the source model's binding, so a
-    source with a closed-form velocity never reaches the momentum solve."""
+    source with a closed-form velocity never reaches the momentum solve.
+
+    The per-step methods are the source binding's own bound methods, set on
+    the instance: each force or velocity is one call into the source.
+    """
 
     def __init__(self, model, theta, xs=None):
         super().__init__(model, theta, xs)
         self._source = model._source.bind(self.theta, xs)
-
-    def grad_position(self, s, p, k):
-        v = self._source.velocity(s, p, k)
-        return -self._source.grad_position(s, v, k)
-
-    def grad_momentum(self, s, p, k):
-        return self._source.velocity(s, p, k)
+        self.grad_position = self._source.partner_grad_position
+        self.grad_momentum = self._source.velocity
 
     def grad_params_rows(self, positions, momenta):
         rows = self._source.grad_params_rows(positions, self._source.velocity_rows(positions, momenta))

@@ -195,19 +195,28 @@ class _OscillatorCore:
 class _BoundPotential:
     """V(s, theta, x_k) with theta and the input samples fixed for one solve.
 
-    K, the factor A and the input force W x_k of every grid point are formed
-    once; the parameter gradient of a whole trajectory is one array product
-    per block.  The arithmetic of ``grad_s`` is that of ``potential_grad_s``.
+    ``theta`` is one vector or a ``(B, theta_dim)`` stack.  K and the input
+    force W x_k of every grid point are formed once per theta row; the force
+    on a ``(B, dim)`` state stack is one stacked matrix product per step.
+    The parameter gradient of a whole trajectory (single theta) is one array
+    product per block.  Row by row, the arithmetic of ``grad_s`` is that of
+    ``potential_grad_s``.
     """
 
     def __init__(self, core: _OscillatorCore, theta, xs):
-        theta_k, w = core._split(theta)
+        thetas = np.atleast_2d(theta)
+        splits = [core._split(row) for row in thetas]
         self._core = core
-        self._stiffness = core.stiffness(theta)
-        self._factor = None if core.coupling in ("direct", "mask") else core._factor(theta_k)
+        # (rows, d, d): np.matmul against (B, d, 1) states reproduces K @ s
+        # bitwise per row, which S @ K.T does not.
+        self._stiffness = np.stack([core.stiffness(row) for row in thetas])
+        self._single = theta.ndim == 1
+        self._factor = None
+        if self._single and core.coupling not in ("direct", "mask"):
+            self._factor = core._factor(splits[0][0])
         self._xs = None
         self._drive = None
-        if w is not None:
+        if core.input_dim > 0:
             if xs is None:
                 raise ValueError("model has input coupling but no input samples were provided")
             xs = np.asarray(xs, dtype=float)
@@ -216,10 +225,12 @@ class _BoundPotential:
                     f"input samples must have shape (n_points, {core.input_dim}), got {xs.shape}"
                 )
             self._xs = xs
-            self._drive = xs @ w.T
+            # (n_points, rows, d), so the drive of step k is one contiguous block.
+            self._drive = np.stack([xs @ w.T for _, w in splits], axis=1)
 
     def grad_s(self, s, k):
-        grad = self._stiffness @ s
+        """dV/ds of the ``(B, dim)`` state stack ``s`` at grid point ``k``."""
+        grad = np.matmul(self._stiffness, s[:, :, None])[:, :, 0]
         if self._drive is not None:
             grad = grad + self._drive[k]
         if self._core.quartic:
@@ -227,8 +238,13 @@ class _BoundPotential:
         return grad
 
     def grad_theta_rows(self, positions):
-        """(rows, theta_dim) array of dV/dtheta, row k at ``positions[k]`` and x_k."""
+        """(rows, theta_dim) array of dV/dtheta, row k at ``positions[k]`` and x_k.
+
+        Needs a single theta.
+        """
         core = self._core
+        if not self._single:
+            raise ValueError("parameter gradient rows need a single parameter vector")
         s = np.asarray(positions, dtype=float)
         n_rows, d = s.shape
         rows = np.empty((n_rows, core.theta_dim))
@@ -348,6 +364,9 @@ class _BoundOscillatorLagrangian(BoundLagrangian):
     def velocity(self, s, p, k):
         return p
 
+    def partner_grad_position(self, s, p, k):
+        return self._potential.grad_s(s, k)
+
     def velocity_rows(self, positions, momenta):
         return np.array(momenta, dtype=float)
 
@@ -387,6 +406,16 @@ def make_quartic_model(dim, coupling="chain", input_dim=0, strength=1.0):
     return OscillatorLagrangian(core), OscillatorHamiltonian(core)
 
 
+def _selector(dim, indices):
+    """The coordinates a tracking cost reads, as a tuple and as an index array."""
+    if indices is None:
+        indices = range(dim)
+    indices = tuple(int(i) for i in indices)
+    if any(i < 0 or i >= dim for i in indices):
+        raise ValueError(f"selector indices must lie in [0, {dim}), got {indices}")
+    return indices, np.array(indices, dtype=int)
+
+
 class QuadraticTrackingCost(CostModel):
     """l2 tracking error on a selected subset of position coordinates."""
 
@@ -394,31 +423,27 @@ class QuadraticTrackingCost(CostModel):
 
     def __init__(self, dim, indices=None):
         self.dim = int(dim)
-        if indices is None:
-            indices = range(self.dim)
-        self.indices = tuple(int(i) for i in indices)
-        if any(i < 0 or i >= self.dim for i in self.indices):
-            raise ValueError(f"selector indices must lie in [0, {self.dim}), got {self.indices}")
+        self.indices, self._index = _selector(self.dim, indices)
         self.target_dim = len(self.indices)
 
     def cost(self, state, target):
-        err = np.asarray(state, dtype=float)[list(self.indices)] - np.asarray(target, dtype=float)
+        err = np.asarray(state, dtype=float)[self._index] - np.asarray(target, dtype=float)
         return 0.5 * float(err @ err)
 
     def grad_state(self, state, target):
         grad = np.zeros(self.dim)
-        err = np.asarray(state, dtype=float)[list(self.indices)] - np.asarray(target, dtype=float)
-        grad[list(self.indices)] = err
+        err = np.asarray(state, dtype=float)[self._index] - np.asarray(target, dtype=float)
+        grad[self._index] = err
         return grad
 
     def cost_rows(self, states, targets):
-        err = np.asarray(states, dtype=float)[:, list(self.indices)] - np.asarray(targets, dtype=float)
+        err = np.asarray(states, dtype=float)[:, self._index] - np.asarray(targets, dtype=float)
         return 0.5 * np.einsum("ij,ij->i", err, err)
 
-    def grad_state_batch(self, states, targets):
-        grad = np.zeros_like(np.asarray(states, dtype=float))
-        idx = list(self.indices)
-        grad[:, idx] = np.asarray(states, dtype=float)[:, idx] - np.asarray(targets, dtype=float)
+    def grad_state_rows(self, states, targets):
+        states = np.asarray(states, dtype=float)
+        grad = np.zeros_like(states)
+        grad[:, self._index] = states[:, self._index] - np.asarray(targets, dtype=float)
         return grad
 
 
@@ -433,28 +458,24 @@ class PhaseTrackingCost(CostModel):
 
     def __init__(self, dim, indices=None, momentum_weight=0.1):
         self.dim = int(dim)
-        if indices is None:
-            indices = range(self.dim)
-        self.indices = tuple(int(i) for i in indices)
-        if any(i < 0 or i >= self.dim for i in self.indices):
-            raise ValueError(f"selector indices must lie in [0, {self.dim}), got {self.indices}")
+        self.indices, self._index = _selector(self.dim, indices)
         self.momentum_weight = float(momentum_weight)
         self.target_dim = len(self.indices)
 
     def cost(self, state, target):
         state = np.asarray(state, dtype=float)
         s, p = state[: self.dim], state[self.dim :]
-        idx = list(self.indices)
+        idx = self._index
         err = s[idx] - np.asarray(target, dtype=float)
         return 0.5 * float(err @ err) + 0.5 * self.momentum_weight * float(p[idx] @ p[idx])
 
     def grad_state(self, state, target):
         state = np.asarray(state, dtype=float)
         s, p = state[: self.dim], state[self.dim :]
-        idx = list(self.indices)
+        idx = self._index
         grad = np.zeros(2 * self.dim)
         grad[idx] = s[idx] - np.asarray(target, dtype=float)
-        grad[[self.dim + i for i in idx]] = self.momentum_weight * p[idx]
+        grad[self.dim + idx] = self.momentum_weight * p[idx]
         return grad
 
 
@@ -472,7 +493,7 @@ class ZeroCost(CostModel):
     def grad_state(self, state, target):
         return np.zeros(self.dim)
 
-    def grad_state_batch(self, states, targets):
+    def grad_state_rows(self, states, targets):
         return np.zeros_like(np.asarray(states, dtype=float))
 
 

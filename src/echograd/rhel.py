@@ -218,8 +218,9 @@ def grad_rhel(
 ) -> GradientEstimate:
     """Echo-learning estimator with the parametrized-initial-state correction.
 
-    Both nudging signs reuse one forward pass.  The boundary correction
-    vanishes identically for declared parameter-independent initial states.
+    Both nudging signs reuse one forward pass, and their echoes are one
+    lockstep integration.  The boundary correction vanishes identically for
+    declared parameter-independent initial states.
     """
     started = time.perf_counter()
     th = as_params(theta)
@@ -242,17 +243,17 @@ def grad_rhel(
     forward_start = forward.state(0).as_vector()
     echo_start = momentum_flip(forward.state(n))
 
+    echoes = integrate_hamiltonian(model, th, echo_start, grid, x_rev,
+                                   nudge=Nudge(np.array(signs), cost, y_rev))
     values = {}
-    for b in signs:
-        echo = integrate_hamiltonian(
-            model, th, echo_start, grid, x_rev, nudge=Nudge(b, cost, y_rev)
-        )
+    for i, b in enumerate(signs):
+        positions, momenta = echoes.positions[i], echoes.momenta[i]
         integral = trapezoid_contrast(
-            echo_bound.grad_params_rows(echo.positions, echo.momenta), forward_params, grid.dt)
+            echo_bound.grad_params_rows(positions, momenta), forward_params, grid.dt)
         if init_jac is None:
             boundary = 0.0
         else:
-            deviation = echo.state(n).as_vector() - forward_start
+            deviation = np.concatenate([positions[n], momenta[n]]) - forward_start
             boundary = init_jac.T @ block_swap(deviation)
         values[b] = -(integral - boundary) / b
     return finish_estimate(values, beta, nudging, EstimatorMethod.RHEL, started)

@@ -146,7 +146,8 @@ def test_criterion_02_estimators_match_oracle(bundles, sweep_tables):
     xh, yh = np.array([0.8, -0.5]), np.array([0.4, 0.1])
     cost2 = QuadraticTrackingCost(2)
     oracle = fd_gradient(
-        lambda p: cost2.cost(relax(hop, p, xh, config=tight).state, yh), thh
+        lambda thetas: [cost2.cost(relax(hop, p, xh, config=tight).state, yh) for p in thetas],
+        thh,
     ).value
     hop_errs = []
     for beta in BETAS:

@@ -49,21 +49,38 @@ def _assert_close(bound, reference):
     assert np.max(np.abs(bound - reference)) <= 1e-14 * max(np.max(np.abs(reference)), 1e-300)
 
 
+def _stack_at(pos, con, k, rows):
+    """A state stack at grid point ``k``: batch row b holds sample ``k + b``."""
+    index = [(k + b) % N_POINTS for b in range(rows)]
+    return pos[index], con[index]
+
+
 @pytest.mark.parametrize("name,lag,ham", PAIRS, ids=[p[0] for p in PAIRS])
 def test_oscillator_bindings_match_per_point_methods(name, lag, ham):
     theta, pos, con, xs = _samples(lag, seed=len(name))
-    hb, lb = ham.bind(theta, xs), lag.bind(theta, xs)
     wrapped = forward_legendre(lag)
-    wb = wrapped.bind(theta, xs)
-    for k in range(N_POINTS):
-        s, c, x = pos[k], con[k], _x(xs, k)
-        _assert_close(hb.grad_position(s, c, k), ham.grad_position(s, c, theta, x))
-        _assert_close(hb.grad_momentum(s, c, k), ham.grad_momentum(s, c, theta, x))
-        _assert_close(lb.grad_position(s, c, k), lag.grad_position(s, c, theta, x))
-        _assert_close(lb.grad_velocity(s, c, k), lag.grad_velocity(s, c, theta, x))
-        _assert_close(lb.velocity(s, c, k), velocity_from_momentum(lag, s, c, theta, x))
-        _assert_close(wb.grad_position(s, c, k), wrapped.grad_position(s, c, theta, x))
-        _assert_close(wb.grad_momentum(s, c, k), wrapped.grad_momentum(s, c, theta, x))
+    # one theta row per state row, and one theta shared by every state row
+    thetas = np.stack([theta, 0.5 * theta, -theta])
+    for bound_theta, row_theta in ((thetas, thetas), (theta, [theta] * 3)):
+        hb, lb = ham.bind(bound_theta, xs), lag.bind(bound_theta, xs)
+        wb = wrapped.bind(bound_theta, xs)
+        for k in range(N_POINTS):
+            s, c = _stack_at(pos, con, k, 3)
+            x = _x(xs, k)
+
+            def per_row(fn):
+                return np.array([fn(s[b], c[b], row_theta[b], x) for b in range(3)])
+
+            _assert_close(hb.grad_position(s, c, k), per_row(ham.grad_position))
+            _assert_close(hb.grad_momentum(s, c, k), per_row(ham.grad_momentum))
+            _assert_close(lb.grad_position(s, c, k), per_row(lag.grad_position))
+            _assert_close(lb.grad_velocity(s, c, k), per_row(lag.grad_velocity))
+            _assert_close(lb.velocity(s, c, k),
+                          per_row(lambda *a: velocity_from_momentum(lag, *a)))
+            _assert_close(wb.grad_position(s, c, k), per_row(wrapped.grad_position))
+            _assert_close(wb.grad_momentum(s, c, k), per_row(wrapped.grad_momentum))
+
+    hb, lb, wb = ham.bind(theta, xs), lag.bind(theta, xs), wrapped.bind(theta, xs)
 
     def rows(fn):
         return np.array([fn(pos[k], con[k], theta, _x(xs, k)) for k in range(N_POINTS)])
@@ -81,17 +98,30 @@ def test_oscillator_bindings_match_per_point_methods(name, lag, ham):
 def test_default_binding_reproduces_per_point_calls_exactly():
     lag = MassLagrangian(dim=2, mass=2.0)
     theta, pos, con, _ = _samples(lag, seed=7)
-    lb = lag.bind(theta)
+    thetas = np.stack([theta, 2.0 * theta])
+    lb = lag.bind(thetas)
     assert type(lb) is BoundLagrangian
     wrapped = forward_legendre(lag)
-    wb = wrapped.bind(theta)
+    wb = wrapped.bind(thetas)
     for k in range(N_POINTS):
-        s, c = pos[k], con[k]
-        assert np.array_equal(lb.grad_position(s, c, k), lag.grad_position(s, c, theta))
-        assert np.array_equal(lb.grad_velocity(s, c, k), lag.grad_velocity(s, c, theta))
-        assert np.array_equal(lb.velocity(s, c, k), velocity_from_momentum(lag, s, c, theta))
-        assert np.array_equal(wb.grad_position(s, c, k), wrapped.grad_position(s, c, theta))
-        assert np.array_equal(wb.grad_momentum(s, c, k), wrapped.grad_momentum(s, c, theta))
+        s, c = _stack_at(pos, con, k, 2)
+
+        def per_row(fn):
+            return np.array([fn(s[b], c[b], thetas[b]) for b in range(2)])
+
+        assert np.array_equal(lb.grad_position(s, c, k), per_row(lag.grad_position))
+        assert np.array_equal(lb.grad_velocity(s, c, k), per_row(lag.grad_velocity))
+        assert np.array_equal(lb.velocity(s, c, k),
+                              per_row(lambda *a: velocity_from_momentum(lag, *a)))
+        assert np.array_equal(wb.grad_position(s, c, k), per_row(wrapped.grad_position))
+        assert np.array_equal(wb.grad_momentum(s, c, k), per_row(wrapped.grad_momentum))
+    # a stack of trajectories, row b at theta row b
+    stacked = np.stack([pos, pos[::-1]]), np.stack([con, con[::-1]])
+    assert np.array_equal(lb.velocity_rows(*stacked), np.array(
+        [[velocity_from_momentum(lag, s, c, th) for s, c in zip(p, q)]
+         for p, q, th in zip(*stacked, thetas)]))
+
+    lb, wb = lag.bind(theta), wrapped.bind(theta)
     params = np.array([lag.grad_params(s, c, theta) for s, c in zip(pos, con)])
     assert np.array_equal(lb.grad_params_rows(pos, con), params)
     velocities = np.array([velocity_from_momentum(lag, s, c, theta) for s, c in zip(pos, con)])

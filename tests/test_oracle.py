@@ -15,32 +15,32 @@ TH1 = ParamVector([1.0])
 
 def test_fd_exact_on_quadratics():
     # binary-exact probe arithmetic: with eps = 0.5 the quotient is exactly 6
-    estimate = fd_gradient(lambda p: p.values[0] ** 2, ParamVector([3.0]), eps=0.5)
+    estimate = fd_gradient(lambda ths: ths[:, 0] ** 2, ParamVector([3.0]), eps=0.5)
     assert estimate.value[0] == 6.0
     assert estimate.method is EstimatorMethod.FD_ORACLE
     assert estimate.beta == 0.0
 
 
 def test_fd_constant_loss_is_exactly_zero():
-    estimate = fd_gradient(lambda p: 4.25, ParamVector([1.0, -2.0, 3.0]))
+    estimate = fd_gradient(lambda ths: np.full(len(ths), 4.25), ParamVector([1.0, -2.0, 3.0]))
     assert np.array_equal(estimate.value, np.zeros(3))
 
 
 def test_fd_sine_derivative():
-    estimate = fd_gradient(lambda p: np.sin(p.values[0]), ParamVector([0.0]), eps=1e-5)
+    estimate = fd_gradient(lambda ths: np.sin(ths[:, 0]), ParamVector([0.0]), eps=1e-5)
     assert abs(estimate.value[0] - 1.0) <= 1e-9
 
 
 def test_fd_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        fd_gradient(lambda p: 0.0, ParamVector([1.0]), eps=0.0)
+        fd_gradient(lambda ths: np.zeros(len(ths)), ParamVector([1.0]), eps=0.0)
     with pytest.raises(NumericalError):
-        fd_gradient(lambda p: np.nan, ParamVector([1.0]))
+        fd_gradient(lambda ths: np.full(len(ths), np.nan), ParamVector([1.0]))
 
 
 def test_fd_richardson_self_consistency():
-    def loss(p):
-        return float(np.sin(p.values[0]) * np.exp(0.3 * p.values[1]))
+    def loss(ths):
+        return np.sin(ths[:, 0]) * np.exp(0.3 * ths[:, 1])
 
     theta = ParamVector([0.4, -0.7])
     gaps = []

@@ -147,7 +147,7 @@ def test_grad_rhel_matches_oracle_three_parameters():
         )
         return trapezoid(samples, grid.dt)
 
-    oracle = fd_gradient(loss, TH2).value
+    oracle = fd_gradient(lambda thetas: [loss(p) for p in thetas], TH2).value
     estimate = grad_rhel(HAM2, COST2, TH2, init, grid, None, y, beta=1e-4)
     assert np.linalg.norm(estimate.value - oracle) / np.linalg.norm(oracle) <= 1e-3
 
@@ -168,7 +168,7 @@ def test_grad_rhel_momentum_dependent_cost():
         )
         return trapezoid(samples, grid.dt)
 
-    oracle = fd_gradient(loss, TH2).value
+    oracle = fd_gradient(lambda thetas: [loss(p) for p in thetas], TH2).value
     estimate = grad_rhel(HAM2, cost, TH2, init, grid, None, y, beta=1e-4)
     assert np.linalg.norm(estimate.value - oracle) / np.linalg.norm(oracle) <= 1e-4
 
@@ -187,13 +187,13 @@ def test_grad_rhel_parameter_dependent_initial_state():
     init = CallableInitialState(lam)
 
     def loss(p):
-        traj = integrate_hamiltonian(HAM2, p, lam(p.values), grid)
+        traj = integrate_hamiltonian(HAM2, p, lam(p), grid)
         samples = np.array(
             [COST2.cost(traj.positions[k], y.value(k)) for k in range(grid.n_points)]
         )
         return trapezoid(samples, grid.dt)
 
-    oracle = fd_gradient(loss, TH2).value
+    oracle = fd_gradient(lambda thetas: [loss(p) for p in thetas], TH2).value
     estimate = grad_rhel(HAM2, COST2, TH2, init, grid, None, y, beta=1e-4)
     assert np.linalg.norm(estimate.value - oracle) / np.linalg.norm(oracle) <= 1e-3
 

@@ -118,8 +118,8 @@ def test_hopfield_estimator_matches_oracle():
     y0 = np.array([0.4, 0.1])
     cost = QuadraticTrackingCost(2)
 
-    def relaxed_cost(p):
-        return cost.cost(relax(hop, p, x0, config=TIGHT).state, y0)
+    def relaxed_cost(thetas):
+        return [cost.cost(relax(hop, p, x0, config=TIGHT).state, y0) for p in thetas]
 
     oracle = fd_gradient(relaxed_cost, th).value
     estimate = static_ep_gradient(hop, cost, th, x0, y0, beta=1e-4, config=TIGHT)
