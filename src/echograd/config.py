@@ -46,9 +46,7 @@ DEFAULT_CONFIG = {
         "cbvp_coarsen": 16,
     },
     "cbvp": {
-        "tau_step": None,
         "tol": 1e-10,
-        "max_sweeps": 2_000_000,
     },
     "train": {
         "learning_rate": 0.5,
@@ -61,8 +59,7 @@ DEFAULT_CONFIG = {
 }
 
 _FLOAT_KEYS = {
-    "beta", "fd_eps", "t_end", "theta_scale", "learning_rate", "dt",
-    "tau_step", "tol", "quartic",
+    "beta", "fd_eps", "t_end", "theta_scale", "learning_rate", "dt", "tol", "quartic",
 }
 
 
@@ -145,9 +142,4 @@ def build_bundle(config: dict) -> Bundle:
 
 
 def cbvp_config_from(config: dict) -> CbvpRelaxConfig:
-    section = config["cbvp"]
-    return CbvpRelaxConfig(
-        tau_step=section["tau_step"],
-        tol=section["tol"],
-        max_sweeps=int(section["max_sweeps"]),
-    )
+    return CbvpRelaxConfig(tol=config["cbvp"]["tol"])

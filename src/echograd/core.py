@@ -520,6 +520,15 @@ class _Bound:
             out[b] = method(s[b], c[b], self.theta_row(b), x)
         return out
 
+    def _each_point(self, method, s, c, ks, width):
+        """``(len(s), width)`` array of ``method(s[i], c[i], theta, xs[ks][i])``;
+        ``ks`` holds the grid indices of the rows (a slice or an index array)."""
+        xs = None if self.xs is None else self.xs[ks]
+        out = np.empty((len(s), width))
+        for i in range(out.shape[0]):
+            out[i] = method(s[i], c[i], self.theta, None if xs is None else xs[i])
+        return out
+
 
 class BoundLagrangian(_Bound):
     """Binding of a :class:`LagrangianModel`.
@@ -527,9 +536,12 @@ class BoundLagrangian(_Bound):
     This default evaluates the model's per-point methods with ``xs[k]``, one
     batch row at a time.  The per-step methods take ``(B, dim)`` stacks of
     states at grid point ``k`` and return one result row per state.
-    ``*_rows`` methods take one state per grid point, rows aligned with
-    ``xs``, and return a new array with one result row per point, which the
-    caller may overwrite; ``grad_params_rows`` needs a single ``theta``.
+    ``*_rows`` methods take one state per row and return a new array with
+    one result row per state, which the caller may overwrite; they need a
+    single ``theta``.  ``grad_params_rows`` takes one state per grid point,
+    rows aligned with ``xs``; ``grad_position_rows`` and
+    ``grad_velocity_rows`` also take ``ks``, the grid indices the rows sit
+    at (a slice such as ``slice(1, n_steps)``, or an index array).
     """
 
     def grad_position(self, s, v, k) -> np.ndarray:
@@ -537,6 +549,14 @@ class BoundLagrangian(_Bound):
 
     def grad_velocity(self, s, v, k) -> np.ndarray:
         return self._each_row(self.model.grad_velocity, s, v, k)
+
+    def grad_position_rows(self, positions, velocities, ks) -> np.ndarray:
+        return self._each_point(self.model.grad_position, positions, velocities, ks,
+                                self.model.dim)
+
+    def grad_velocity_rows(self, positions, velocities, ks) -> np.ndarray:
+        return self._each_point(self.model.grad_velocity, positions, velocities, ks,
+                                self.model.dim)
 
     def velocity(self, s, p, k) -> np.ndarray:
         """The velocities whose momenta dL/dv are ``p``."""
@@ -566,10 +586,8 @@ class BoundLagrangian(_Bound):
         return out.reshape(pos.shape)
 
     def grad_params_rows(self, positions, velocities) -> np.ndarray:
-        rows = np.empty((len(positions), self.model.theta_dim))
-        for k in range(rows.shape[0]):
-            rows[k] = self.model.grad_params(positions[k], velocities[k], self.theta, self.x(k))
-        return rows
+        return self._each_point(self.model.grad_params, positions, velocities, slice(None),
+                                self.model.theta_dim)
 
 
 class BoundHamiltonian(_Bound):
@@ -590,10 +608,8 @@ class BoundHamiltonian(_Bound):
         return self._each_row(self.model.grad_momentum, s, p, k)
 
     def grad_params_rows(self, positions, momenta) -> np.ndarray:
-        rows = np.empty((len(positions), self.model.theta_dim))
-        for k in range(rows.shape[0]):
-            rows[k] = self.model.grad_params(positions[k], momenta[k], self.theta, self.x(k))
-        return rows
+        return self._each_point(self.model.grad_params, positions, momenta, slice(None),
+                                self.model.theta_dim)
 
 
 class CostModel(ABC):

@@ -160,12 +160,14 @@ def integrate_hamiltonian(
         ys = nudge.target.values
         terms = (betas, nudge.cost, np.broadcast_to(ys[:, None, :], (n + 1, batch, ys.shape[1])))
     bound = model.bind(th, xs)
-    if scheme == "rk4":
-        positions, momenta = _rk4(bound, s0, p0, n, dt, terms)
-    elif model.separable and (nudge is None or nudge.cost.position_only):
-        positions, momenta = _leapfrog_separable(bound, s0, p0, n, dt, terms)
-    else:
-        positions, momenta = _leapfrog_implicit(bound, s0, p0, n, dt, terms)
+    # A diverging run overflows before its check; _check_rows reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scheme == "rk4":
+            positions, momenta = _rk4(bound, s0, p0, n, dt, terms)
+        elif model.separable and (nudge is None or nudge.cost.position_only):
+            positions, momenta = _leapfrog_separable(bound, s0, p0, n, dt, terms)
+        else:
+            positions, momenta = _leapfrog_implicit(bound, s0, p0, n, dt, terms)
     if rows is None:
         positions, momenta = positions[:, 0], momenta[:, 0]
     else:
@@ -386,16 +388,11 @@ def euler_lagrange_residual(
     pos, vel = traj.positions, traj.velocities
     bound = model.bind(th, xs)
 
-    grad_v = np.empty_like(pos)
-    for k in range(n + 1):
-        grad_v[k] = bound.grad_velocity(pos[k:k + 1], vel[k:k + 1], k)[0]
-
-    residual = np.empty((n - 1, traj.dim))
-    for k in range(1, n):
-        el = bound.grad_position(pos[k:k + 1], vel[k:k + 1], k)[0]
-        if beta != 0.0:
-            el = el + beta * np.asarray(cost.grad_state(pos[k], target.value(k)), dtype=float)
-        residual[k - 1] = el - (grad_v[k + 1] - grad_v[k - 1]) / (2.0 * grid.dt)
+    grad_v = bound.grad_velocity_rows(pos, vel, slice(None))
+    el = bound.grad_position_rows(pos[1:-1], vel[1:-1], slice(1, n))
+    if beta != 0.0:
+        el = el + beta * cost.grad_state_rows(pos[1:-1], target.values[1:-1])
+    residual = el - (grad_v[2:] - grad_v[:-2]) / (2.0 * grid.dt)
 
     interior = TimeGrid(dt=grid.dt, n_steps=n - 2, t_start=grid.t_start + grid.dt)
     return Signal(interior, residual)

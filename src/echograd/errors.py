@@ -14,7 +14,8 @@ class NumericalError(EchogradError):
 
 
 class DivergenceError(NumericalError):
-    """A state became non-finite during integration or relaxation.
+    """A state became non-finite during integration, relaxation or a
+    boundary value solve.
 
     ``step`` is the first step with a non-finite state and ``row`` the first
     batch row holding one at that step (``None`` where not applicable).
@@ -31,4 +32,5 @@ class ConvergenceError(NumericalError):
 
 
 class SingularHessianError(NumericalError):
-    """A velocity or momentum Hessian could not be inverted."""
+    """A velocity or momentum Hessian, or a boundary value defect Jacobian,
+    could not be inverted."""

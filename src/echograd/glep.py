@@ -14,9 +14,10 @@ terms survive:
   beyond a handful of parameters and is guarded accordingly; the estimator
   exists to validate the formula.
 - Fixed endpoint positions ("CBVP"): no residual terms at all, but the
-  trajectories come from a two-point boundary value problem, solved here by
-  relaxation (explicit pseudo-time descent on the pointwise Euler-Lagrange
-  defect with pinned endpoints).
+  trajectories come from a two-point boundary value problem.  Its interior
+  positions solve the discrete Euler-Lagrange equations of a midpoint
+  action with pinned endpoints, by damped Newton iteration on their
+  block-tridiagonal system.
 - Final state pinned to the free trajectory's endpoint ("PFVP"): requires a
   velocity-even Lagrangian and a position-only cost.  The nudged solution is
   produced by forward integration from the velocity-reversed free endpoint
@@ -51,7 +52,7 @@ from .core import (
     trapezoid_contrast,
 )
 from .dynamics import Nudge, integrate_lagrangian_ivp
-from .errors import ConvergenceError, DivergenceError
+from .errors import ConvergenceError, DivergenceError, SingularHessianError
 
 __all__ = [
     "CivpSpec",
@@ -60,6 +61,7 @@ __all__ = [
     "CbvpRelaxConfig",
     "CbvpResult",
     "CIVP_THETA_LIMIT",
+    "NEWTON_MAX_ITER",
     "grad_civp",
     "solve_cbvp",
     "grad_cbvp",
@@ -67,6 +69,13 @@ __all__ = [
 ]
 
 CIVP_THETA_LIMIT = 32
+
+# The boundary value Newton solve takes at most NEWTON_MAX_ITER steps and
+# halves each step at most _MAX_HALVINGS times until the worst defect falls.
+NEWTON_MAX_ITER = 50
+_MAX_HALVINGS = 30
+# Central-difference step of the defect Jacobian, relative to 1 + max|s|.
+_JACOBIAN_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -106,25 +115,19 @@ class CbvpSpec:
 
 @dataclass(frozen=True)
 class CbvpRelaxConfig:
-    """Relaxation controls; tau_step defaults to the stability-limited 0.2*dt^2."""
+    """Boundary value solve control: the tolerance on the worst interior defect."""
 
-    tau_step: float | None = None
     tol: float = 1e-10
-    max_sweeps: int = 2_000_000
 
     def __post_init__(self):
-        if self.tau_step is not None and self.tau_step <= 0:
-            raise ValueError("tau_step must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be a positive integer")
 
 
 @dataclass(frozen=True)
 class CbvpResult:
     trajectory: Trajectory
-    sweeps: int
+    iterations: int
     max_residual: float
 
 
@@ -212,26 +215,48 @@ def grad_civp(
     return finish_estimate(values, beta, nudging, EstimatorMethod.CIVP, started)
 
 
-def _batch_grad_position(model, positions, velocities, th, inputs):
-    fn = getattr(model, "grad_position_batch", None)
-    if fn is not None:
-        return np.asarray(fn(positions, velocities, th, inputs), dtype=float)
-    out = np.empty_like(positions)
-    for i in range(positions.shape[0]):
-        xi = None if inputs is None else inputs[i]
-        out[i] = model.grad_position(positions[i], velocities[i], th, xi)
-    return out
+def _defect_jacobian(defect, s, h):
+    """Diagonal, upper and lower ``(m, d, d)`` blocks of the Jacobian of
+    ``defect`` (``m`` rows) in the ``m`` interior rows of ``s``.
+
+    Defect row ``r`` depends on the unknowns ``r - 1``, ``r`` and ``r + 1``
+    only, so unknowns three rows apart share no defect row: one central
+    difference per colour (row mod 3) and coordinate gives a column of
+    every block, 6 d defect evaluations in all.
+    """
+    m, d = s.shape[0] - 2, s.shape[1]
+    rows = np.arange(m)
+    blocks = np.zeros((3, m, d, d))
+    for color in range(3):
+        # defect row r meets the perturbed unknown at r + 0, r + 1 or r - 1
+        which = (color - rows) % 3
+        for j in range(d):
+            probe = np.zeros_like(s)
+            probe[1 + color:-1:3, j] = h
+            blocks[which, rows, :, j] = (defect(s + probe) - defect(s - probe)) / (2.0 * h)
+    return blocks
 
 
-def _batch_grad_velocity(model, positions, velocities, th, inputs):
-    fn = getattr(model, "grad_velocity_batch", None)
-    if fn is not None:
-        return np.asarray(fn(positions, velocities, th, inputs), dtype=float)
-    out = np.empty_like(positions)
-    for i in range(positions.shape[0]):
-        xi = None if inputs is None else inputs[i]
-        out[i] = model.grad_velocity(positions[i], velocities[i], th, xi)
-    return out
+def _block_thomas(diag, upper, lower, rhs):
+    """Solve the block-tridiagonal system with ``(m, d, d)`` blocks for the
+    ``(m, d)`` right-hand side (``lower[0]`` and ``upper[-1]`` are unused)."""
+    m = rhs.shape[0]
+    coupling = np.empty_like(upper)
+    solution = np.empty_like(rhs)
+    for i in range(m):
+        pivot, r = diag[i], rhs[i]
+        if i:
+            pivot = pivot - lower[i] @ coupling[i - 1]
+            r = r - lower[i] @ solution[i - 1]
+        try:
+            solved = np.linalg.solve(pivot, np.column_stack([upper[i], r]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularHessianError(
+                f"singular defect Jacobian pivot at interior point {i + 1}") from exc
+        coupling[i], solution[i] = solved[:, :-1], solved[:, -1]
+    for i in range(m - 2, -1, -1):
+        solution[i] -= coupling[i] @ solution[i + 1]
+    return solution
 
 
 def solve_cbvp(
@@ -246,14 +271,23 @@ def solve_cbvp(
     config: CbvpRelaxConfig | None = None,
     initial_guess: np.ndarray | None = None,
 ) -> CbvpResult:
-    """Relax a two-point boundary value problem to its Euler-Lagrange solution.
+    """Solve the discrete Euler-Lagrange equations with both endpoint positions pinned.
 
-    Interior positions follow explicit pseudo-time descent on the discrete
-    Euler-Lagrange defect (compact second-difference stencil, Jacobi-style
-    full sweeps) while the endpoint positions stay pinned.  Converges when
-    the worst interior defect drops below ``config.tol``; the descent is
-    stable only below the first conjugate point of the horizon, which is an
-    intrinsic limit of gradient flow on an action.
+    The interior positions zero the discrete Euler-Lagrange defect of the
+    midpoint action (compact second-difference stencil) while the endpoint
+    positions stay pinned.  Damped Newton iteration solves it from the
+    straight line between the endpoints, or from ``initial_guess``: the
+    block-tridiagonal defect Jacobian comes from coloured central
+    differences and a block-Thomas solve, and each step is halved until the
+    worst defect falls.  Converges when the worst interior defect drops to
+    ``config.tol``.  Newton does not need the horizon to lie below a
+    conjugate point; past a fold of the solution branch it stalls.
+
+    Raises ``DivergenceError`` for a non-finite defect at the start,
+    ``SingularHessianError`` for a singular pivot block of the Jacobian and
+    ``ConvergenceError`` when no halving of a step lowers the worst defect
+    (a non-finite step included) or after ``NEWTON_MAX_ITER`` steps.  No
+    floating point warning escapes.
     """
     th = as_params(theta)
     config = config or CbvpRelaxConfig()
@@ -270,7 +304,6 @@ def solve_cbvp(
     n, dt, d = grid.n_steps, grid.dt, model.dim
     if n < 2:
         raise ValueError("boundary value problems need at least one interior point")
-    tau = config.tau_step if config.tau_step is not None else 0.2 * dt * dt
 
     if initial_guess is None:
         weights = np.linspace(0.0, 1.0, n + 1)[:, None]
@@ -283,44 +316,56 @@ def solve_cbvp(
             raise ValueError("initial guess must satisfy the endpoint constraints")
         states[0], states[-1] = spec.start_position, spec.end_position
 
-    xs = x.values if x is not None else None
-    xs_left = None if xs is None else xs[:-1]
-    xs_interior = None if xs is None else xs[1:-1]
+    bound = model.bind(th, x.values if x is not None else None)
     ys_interior = None if target is None else target.values[1:-1]
 
     def defect(s):
         """Pointwise Euler-Lagrange defect at the interior grid points."""
         half_v = (s[1:] - s[:-1]) / dt
         half_mid = 0.5 * (s[1:] + s[:-1])
-        flux = _batch_grad_velocity(model, half_mid, half_v, th, xs_left)
+        flux = bound.grad_velocity_rows(half_mid, half_v, slice(0, n))
         centered_v = (s[2:] - s[:-2]) / (2.0 * dt)
-        el = _batch_grad_position(model, s[1:-1], centered_v, th, xs_interior)
+        el = bound.grad_position_rows(s[1:-1], centered_v, slice(1, n))
         if beta != 0.0:
             el = el + beta * cost.grad_state_rows(s[1:-1], ys_interior)
         return el - (flux[1:] - flux[:-1]) / dt
 
-    sweeps = 0
-    while True:
+    with np.errstate(over="ignore", invalid="ignore"):
         el = defect(states)
         if not np.all(np.isfinite(el)):
-            raise DivergenceError("boundary value relaxation diverged", step=sweeps)
+            raise DivergenceError("boundary value defect is non-finite at the initial guess",
+                                  step=0)
         residual = float(np.max(np.abs(el)))
-        if residual <= config.tol:
-            break
-        if sweeps >= config.max_sweeps:
-            raise ConvergenceError(
-                f"boundary value relaxation did not reach tol={config.tol} within "
-                f"{config.max_sweeps} sweeps (residual {residual:.3e})"
-            )
-        states[1:-1] -= tau * el
-        sweeps += 1
+        iterations = 0
+        while residual > config.tol:
+            if iterations >= NEWTON_MAX_ITER:
+                raise ConvergenceError(
+                    f"boundary value Newton solve did not reach tol={config.tol} within "
+                    f"{NEWTON_MAX_ITER} iterations (residual {residual:.3e})"
+                )
+            h = _JACOBIAN_STEP * (1.0 + float(np.max(np.abs(states))))
+            step = _block_thomas(*_defect_jacobian(defect, states, h), el)
+            for halving in range(_MAX_HALVINGS + 1):
+                trial = states.copy()
+                trial[1:-1] -= 0.5**halving * step
+                trial_el = defect(trial)
+                trial_residual = float(np.max(np.abs(trial_el)))
+                if trial_residual < residual:
+                    break
+            else:
+                raise ConvergenceError(
+                    f"boundary value Newton solve stalled at residual {residual:.1e} "
+                    f"(tol={config.tol}) after {iterations} iterations"
+                )
+            states, el, residual = trial, trial_el, trial_residual
+            iterations += 1
 
     velocities = np.empty_like(states)
     velocities[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
     velocities[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * dt)
     velocities[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
     trajectory = Trajectory(grid, "lagrangian", states, velocities)
-    return CbvpResult(trajectory=trajectory, sweeps=sweeps, max_residual=residual)
+    return CbvpResult(trajectory=trajectory, iterations=iterations, max_residual=residual)
 
 
 def grad_cbvp(

@@ -237,6 +237,20 @@ class _BoundPotential:
             grad = grad + self._core.quartic * s**3
         return grad
 
+    def grad_s_rows(self, positions, ks):
+        """dV/ds at one state per row, row ``i`` at the grid index ``ks[i]``.
+
+        Needs a single theta; row by row, the arithmetic is that of ``grad_s``.
+        """
+        if not self._single:
+            raise ValueError("position gradient rows need a single parameter vector")
+        grad = np.matmul(self._stiffness, positions[:, :, None])[:, :, 0]
+        if self._drive is not None:
+            grad = grad + self._drive[ks, 0]
+        if self._core.quartic:
+            grad = grad + self._core.quartic * positions**3
+        return grad
+
     def grad_theta_rows(self, positions):
         """(rows, theta_dim) array of dV/dtheta, row k at ``positions[k]`` and x_k.
 
@@ -302,20 +316,6 @@ class OscillatorLagrangian(LagrangianModel):
     def bind(self, theta, xs=None):
         return _BoundOscillatorLagrangian(self, theta, xs)
 
-    # Batched hooks used by the boundary-value relaxation sweeps.
-    def grad_position_batch(self, positions, velocities, theta, inputs=None):
-        theta_k, w = self._core._split(theta)
-        k = self._core.stiffness(theta)
-        grad = positions @ k
-        if w is not None:
-            grad = grad + inputs @ w.T
-        if self._core.quartic:
-            grad = grad + self._core.quartic * positions**3
-        return -grad
-
-    def grad_velocity_batch(self, positions, velocities, theta, inputs=None):
-        return np.array(velocities, dtype=float)
-
 
 class OscillatorHamiltonian(HamiltonianModel):
     """Separable Hamiltonian 1/2 |p|^2 + V(s, theta, x)."""
@@ -360,6 +360,12 @@ class _BoundOscillatorLagrangian(BoundLagrangian):
 
     def grad_velocity(self, s, v, k):
         return np.array(v, dtype=float)
+
+    def grad_position_rows(self, positions, velocities, ks):
+        return -self._potential.grad_s_rows(positions, ks)
+
+    def grad_velocity_rows(self, positions, velocities, ks):
+        return np.array(velocities, dtype=float)
 
     def velocity(self, s, p, k):
         return p

@@ -71,8 +71,9 @@ class Task:
     def coarsened(self, factor: int) -> "Task":
         """Subsample every signal by an integer factor (same horizon).
 
-        Exact by construction: samples are picked, never interpolated.  Used
-        to give the boundary-value relaxation an affordable grid.
+        Exact by construction: samples are picked, never interpolated.  The
+        CBVP numbers of ``compare`` and ``train`` are defined on such a
+        coarsened task.
         """
         if factor < 1 or self.grid.n_steps % factor != 0:
             raise ValueError(f"coarsening factor must divide n_steps={self.grid.n_steps}")

@@ -89,6 +89,18 @@ def test_oscillator_bindings_match_per_point_methods(name, lag, ham):
     _assert_close(lb.grad_params_rows(pos, con), rows(lag.grad_params))
     _assert_close(lb.velocity_rows(pos, con), con)
     _assert_close(wb.grad_params_rows(pos, con), rows(wrapped.grad_params))
+    # rows at the grid indices they sit at, as the boundary value solver
+    # passes them; row for row bitwise the per-step evaluation
+    for ks in (slice(None), slice(1, N_POINTS - 1), np.array([4, 0, 7])):
+        index = np.arange(N_POINTS)[ks]
+        s, c = pos[ks], con[ks]
+        by_position = lb.grad_position_rows(s, c, ks)
+        by_velocity = lb.grad_velocity_rows(s, c, ks)
+        _assert_close(by_position, rows(lag.grad_position)[ks])
+        _assert_close(by_velocity, rows(lag.grad_velocity)[ks])
+        for i, k in enumerate(index):
+            assert np.array_equal(by_position[i], lb.grad_position(s[i:i + 1], c[i:i + 1], k)[0])
+            assert np.array_equal(by_velocity[i], lb.grad_velocity(s[i:i + 1], c[i:i + 1], k)[0])
     # the echo and final-value estimators pass trajectories read back to front
     xs_rev = None if xs is None else xs[::-1]
     _assert_close(ham.bind(theta, xs_rev).grad_params_rows(pos[::-1], con[::-1]),
@@ -124,6 +136,11 @@ def test_default_binding_reproduces_per_point_calls_exactly():
     lb, wb = lag.bind(theta), wrapped.bind(theta)
     params = np.array([lag.grad_params(s, c, theta) for s, c in zip(pos, con)])
     assert np.array_equal(lb.grad_params_rows(pos, con), params)
+    interior = slice(1, N_POINTS - 1)
+    assert np.array_equal(lb.grad_position_rows(pos[interior], con[interior], interior),
+                          [lag.grad_position(s, c, theta) for s, c in zip(pos, con)][interior])
+    assert np.array_equal(lb.grad_velocity_rows(pos[interior], con[interior], interior),
+                          [lag.grad_velocity(s, c, theta) for s, c in zip(pos, con)][interior])
     velocities = np.array([velocity_from_momentum(lag, s, c, theta) for s, c in zip(pos, con)])
     assert np.array_equal(lb.velocity_rows(pos, con), velocities)
     assert np.array_equal(wb.grad_params_rows(pos, con), -lb.grad_params_rows(pos, velocities))

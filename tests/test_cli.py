@@ -133,6 +133,19 @@ def test_numerical_failure_exits_three(tmp_path):
     result = _run(["--config", str(cfg), "--out", str(tmp_path / "r"), "gradcheck"], tmp_path)
     assert result.returncode == 3
     assert "numerical failure" in result.stderr
+    assert "Warning" not in result.stderr, result.stderr
+
+
+def test_default_config_cbvp_train_completes(tmp_path):
+    # The recorded loss is the free-trajectory cost, while CBVP descends its
+    # own pinned, coarse loss, so only completion and finiteness are checked.
+    out = tmp_path / "cbvp"
+    result = _run(["--out", str(out), "--estimator", "cbvp", "train"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = (out / "losses.csv").read_text().splitlines()
+    assert len(lines) == 201  # header + the default 200 epochs
+    values = [float(v) for line in lines[1:] for v in line.split(",")]
+    assert all(math.isfinite(v) for v in values)
 
 
 def test_compare_outputs(tmp_path, fast_config):
