@@ -12,12 +12,18 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimatorMethod, HamiltonianModel, LagrangianModel, NudgeMode, ParamVector
+from .core import (
+    EstimatorMethod,
+    HamiltonianModel,
+    LagrangianModel,
+    NudgeMode,
+    ParamVector,
+    check_betas,
+)
 from .estimators import prepare
 from .glep import CbvpRelaxConfig
 from .oracle import fd_gradient
@@ -110,12 +116,17 @@ def compare_estimators(
     """Run the (estimator, beta) matrix on one task.
 
     Emits one cell per combination, in the given order: estimators vary
-    fastest so each beta block stays together.  One oracle per loss regime;
-    both lists are checked before any oracle or estimate runs.
+    fastest so each beta block stays together.  One oracle per loss regime,
+    and one ``estimate(theta, betas)`` call per estimator, which integrates
+    its free run once and every signed beta as one nudged run.  A cell's
+    ``wall_time`` is the time of that call, so the cells of one estimator
+    share one number.  Both lists are checked before any oracle or estimate
+    runs.
     """
     nudging = NudgeMode(nudging)
-    if np.ndim(betas) != 1 or len(betas) == 0 or not np.all(np.isfinite(betas)) or 0.0 in betas:
-        raise ValueError(f"betas must be a non-empty list of finite nonzero values, got {betas!r}")
+    if np.ndim(betas) != 1:
+        raise ValueError(f"betas must be a non-empty 1-d list, got {betas!r}")
+    check_betas(betas)
     problems = [prepare(m, lagrangian, hamiltonian, task, theta, nudging, fd_eps, cbvp_config,
                         cbvp_coarsen) for m in estimators]
     if not problems:
@@ -126,21 +137,16 @@ def compare_estimators(
         if problem.regime not in oracles:
             oracles[problem.regime] = fd_gradient(problem.loss, theta, eps=fd_eps).value
 
+    estimates = {problem.method: problem.estimate(theta, betas) for problem in problems}
     cells = []
-    for beta in betas:
-        estimates = {}
-        for problem in problems:
-            started = time.perf_counter()
-            estimates[problem.method] = (problem.estimate(theta, beta),
-                                         time.perf_counter() - started)
-
+    for i, beta in enumerate(betas):
         diff = None
         if EstimatorMethod.RHEL in estimates and EstimatorMethod.PFVP in estimates:
-            diff = _rel_err(estimates[EstimatorMethod.RHEL][0].value,
-                            estimates[EstimatorMethod.PFVP][0].value)
+            diff = _rel_err(estimates[EstimatorMethod.RHEL][i].value,
+                            estimates[EstimatorMethod.PFVP][i].value)
 
         for problem in problems:
-            est, elapsed = estimates[problem.method]
+            est = estimates[problem.method][i]
             cells.append(
                 CompareCell(
                     task=task.name,
@@ -150,7 +156,7 @@ def compare_estimators(
                     gradient=est.value,
                     rel_err_vs_oracle=_rel_err(est.value, oracles[problem.regime]),
                     rhel_pfvp_rel_diff=diff if problem.method is EstimatorMethod.RHEL else None,
-                    wall_time=elapsed,
+                    wall_time=est.wall_time,
                 )
             )
     return ComparisonTable(cells=tuple(cells))

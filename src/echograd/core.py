@@ -43,8 +43,9 @@ __all__ = [
     "EstimatorMethod",
     "NudgeMode",
     "GradientEstimate",
+    "check_betas",
     "signed_betas",
-    "finish_estimate",
+    "finish_estimates",
     "LagrangianModel",
     "HamiltonianModel",
     "BoundLagrangian",
@@ -52,6 +53,7 @@ __all__ = [
     "CostModel",
     "trapezoid",
     "trapezoid_contrast",
+    "path_cost",
     "frozen_array",
 ]
 
@@ -87,6 +89,12 @@ def trapezoid_contrast(rows: np.ndarray, reference: np.ndarray, dt: float) -> np
     """
     rows -= reference
     return trapezoid(rows, dt)
+
+
+def path_cost(cost: "CostModel", states: np.ndarray, target: "Signal", dt: float) -> float:
+    """Trapezoid-rule cost of one trajectory's ``states`` (one row per grid
+    point) against the samples of ``target``."""
+    return float(trapezoid(cost.cost_rows(states, target.values), dt))
 
 
 @dataclass(frozen=True)
@@ -325,7 +333,10 @@ class GradientEstimate:
     """A parameter-shaped gradient plus estimator metadata.
 
     ``beta`` must be nonzero for every contrastive method; the finite
-    difference oracle records ``beta = 0``.
+    difference oracle records ``beta = 0``.  ``wall_time`` is the time of the
+    estimator call that produced the estimate, shared by every estimate of a
+    call over a list of betas.  ``free_loss`` is the cost of the free
+    trajectory that call integrated (``None`` where no trajectory is run).
     """
 
     value: np.ndarray
@@ -333,6 +344,7 @@ class GradientEstimate:
     beta: float
     nudging: NudgeMode = NudgeMode.SYMMETRIC
     wall_time: float | None = None
+    free_loss: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "value", frozen_array(self.value, "gradient", ndim=1))
@@ -359,21 +371,49 @@ class GradientEstimate:
         return out
 
 
-def signed_betas(beta: float, nudging: NudgeMode) -> tuple:
-    """The nudging strengths one estimate runs: ``(beta, -beta)`` or ``(beta,)``."""
-    if beta == 0.0:
-        raise ValueError("nudging strength beta must be nonzero")
-    return (beta, -beta) if nudging is NudgeMode.SYMMETRIC else (beta,)
+def check_betas(beta) -> np.ndarray:
+    """``beta``, one nudging strength or a 1-d sequence of them, as a 1-d array.
+
+    Raises ``ValueError`` unless every entry is finite and nonzero and a
+    sequence is 1-d and non-empty.
+    """
+    betas = np.atleast_1d(np.asarray(beta, dtype=float))
+    if betas.ndim != 1 or betas.size == 0 or not np.all(np.isfinite(betas)) or not betas.all():
+        raise ValueError(
+            f"betas must be one finite nonzero value or a non-empty 1-d list of them, got {beta!r}")
+    return betas
 
 
-def finish_estimate(values, beta, nudging, method, started) -> GradientEstimate:
-    """The estimate from per-sign ``values``, timed since ``started`` (perf_counter)."""
+def signed_betas(beta, nudging: NudgeMode) -> np.ndarray:
+    """The nudged runs of one estimator call, one strength per batch row.
+
+    Every entry ``b`` of ``beta`` (one strength or a 1-d sequence, checked
+    by :func:`check_betas`) gives the rows ``(b, -b)`` under symmetric
+    nudging and ``(b,)`` one-sided, in the order of the entries.
+    """
+    betas = check_betas(beta)
     if nudging is NudgeMode.SYMMETRIC:
-        value = 0.5 * (values[beta] + values[-beta])
-    else:
-        value = values[beta]
-    return GradientEstimate(value=value, method=method, beta=beta, nudging=nudging,
-                            wall_time=time.perf_counter() - started)
+        return np.stack([betas, -betas], axis=1).ravel()
+    return betas
+
+
+def finish_estimates(values, beta, nudging, method, started, free_loss=None):
+    """The estimates of one call from ``values``, one per row of
+    :func:`signed_betas`: a :class:`GradientEstimate` for a scalar ``beta``,
+    else a tuple with one per entry, in order.  Each records the call's wall
+    time since ``started`` (perf_counter) and ``free_loss``."""
+    betas = check_betas(beta)
+    wall_time = time.perf_counter() - started
+    estimates = []
+    for i, b in enumerate(betas):
+        if nudging is NudgeMode.SYMMETRIC:
+            value = 0.5 * (values[2 * i] + values[2 * i + 1])
+        else:
+            value = values[i]
+        estimates.append(GradientEstimate(value=value, method=method, beta=float(b),
+                                          nudging=nudging, wall_time=wall_time,
+                                          free_loss=free_loss))
+    return estimates[0] if np.ndim(beta) == 0 else tuple(estimates)
 
 
 class LagrangianModel(ABC):

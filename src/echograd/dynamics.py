@@ -44,7 +44,7 @@ from .core import (
     as_params,
 )
 from .errors import ConvergenceError, DivergenceError
-from .legendre import forward_legendre, momentum_from_velocity
+from .legendre import _BindingPartner, momentum_from_velocity
 
 __all__ = [
     "Nudge",
@@ -330,6 +330,8 @@ def integrate_lagrangian_ivp(
 
     Runs the Legendre-partner Hamiltonian flow and maps momenta back, so the
     position sequence is arithmetic-identical to a partner Hamiltonian run.
+    The model is bound once: the partner steps through that binding, which
+    then maps the momenta back.
     A parameter stack, ``(B, dim)`` initial data or one nudging strength per
     row runs B integrations in lockstep, as for :func:`integrate_hamiltonian`.
     """
@@ -338,7 +340,6 @@ def integrate_lagrangian_ivp(
     th = as_params(theta)
     position = np.asarray(position, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
-    partner = forward_legendre(model)
     x0 = x.value(0) if x is not None and model.input_dim > 0 else None
     rows = _batch_size((th, 2), (position, 2), (velocity, 2))
     if rows is None:
@@ -348,8 +349,9 @@ def integrate_lagrangian_ivp(
         p0 = [momentum_from_velocity(model, s, v, t, x0) for s, v, t in zip(
             position, np.broadcast_to(velocity, (rows, model.dim)),
             np.broadcast_to(th, (rows, th.shape[-1])))]
-    traj = integrate_hamiltonian(partner, th, PhaseState(position, p0), grid, x, nudge, scheme)
     bound = model.bind(th, _input_values(model, x, grid))
+    traj = integrate_hamiltonian(_BindingPartner(bound), th, PhaseState(position, p0), grid, x,
+                                 nudge, scheme)
     velocities = bound.velocity_rows(traj.positions, traj.momenta)
     return Trajectory(grid, "lagrangian", traj.positions, velocities)
 

@@ -25,10 +25,19 @@ __all__ = ["Problem", "prepare", "ivp_loss"]
 
 @dataclass(frozen=True)
 class Problem:
-    """``estimate(theta, beta) -> GradientEstimate`` and the ``loss(theta)`` it
-    approximates the gradient of; problems of one ``regime`` share that loss.
-    ``loss`` takes one parameter vector, or a ``(B, P)`` stack and returns
-    its ``B`` losses, as :func:`trajectory_loss` does."""
+    """``estimate(theta, beta)`` and the ``loss(theta)`` it approximates the
+    gradient of; problems of one ``regime`` share that loss.
+
+    ``estimate`` takes one nudging strength and returns a
+    :class:`GradientEstimate`, or a 1-d sequence and returns a tuple with one
+    estimate per entry from one pass (one free run, one nudged run for all
+    signed betas); it raises ``ValueError`` for a bad list before any
+    integration.  Each estimate's ``free_loss`` is the cost of that free
+    run.  In the ``"ivp"`` regime that is ``loss(theta)``, bitwise for RHEL
+    when the Hamiltonian's forward run repeats the arithmetic of the
+    Lagrangian run, as for the zoo's Legendre-partner pairs.  ``loss``
+    takes one parameter vector, or a ``(B, P)`` stack and returns its ``B``
+    losses, as :func:`trajectory_loss` does."""
 
     method: EstimatorMethod
     regime: str

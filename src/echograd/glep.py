@@ -25,7 +25,10 @@ terms survive:
   time and needs only parameter derivatives of the velocity gradient at the
   fixed initial condition, no re-integration.
 
-Symmetric nudging averages the estimator at +beta and -beta.
+Symmetric nudging averages the estimator at +beta and -beta.  Each
+estimator takes one beta or a list of them.  A list is estimated in one
+pass: the free run is solved once and, for the initial-value estimators,
+every signed beta is a row of one lockstep nudged run.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_params,
-    finish_estimate,
+    finish_estimates,
     frozen_array,
+    path_cost,
     signed_betas,
     trapezoid_contrast,
 )
@@ -139,19 +143,22 @@ def grad_civp(
     grid: TimeGrid,
     x: Signal | None,
     y: Signal,
-    beta: float,
+    beta,
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
     fd_eps: float = 1e-5,
     theta_limit: int = CIVP_THETA_LIMIT,
     include_boundary: bool = True,
-) -> GradientEstimate:
+) -> GradientEstimate | tuple[GradientEstimate, ...]:
     """Constant-initial-value estimator with its two final-time residuals.
 
-    The residual terms need parameter Jacobians of the final state, obtained
-    by central differencing over theta with one free re-integration per
-    parameter per side, so the parameter count is capped by ``theta_limit``.
-    The free run and the probes are one lockstep integration, and so are the
-    nudged runs of both signs.
+    ``beta`` is one nudging strength, giving one :class:`GradientEstimate`,
+    or a 1-d sequence of them, giving a tuple with one estimate per entry;
+    every entry is checked before any integration.  The residual terms need
+    parameter Jacobians of the final state, obtained by central differencing
+    over theta with one free re-integration per parameter per side, so the
+    parameter count is capped by ``theta_limit``.  The free run and the
+    probes are one lockstep integration, run once per call, and the nudged
+    runs of every signed beta are another.
     ``include_boundary=False`` drops the residual terms; that variant is
     biased and exists only so tests can demonstrate the residuals matter.
     """
@@ -199,8 +206,8 @@ def grad_civp(
             d_gradv[:, j] = (np.asarray(g_plus) - np.asarray(g_minus)) / (2.0 * fd_eps)
 
     nudged = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid, x,
-                                      nudge=Nudge(np.array(signs), cost, y))
-    values = {}
+                                      nudge=Nudge(signs, cost, y))
+    values = []
     for i, b in enumerate(signs):
         positions, velocities = nudged.positions[i], nudged.velocities[i]
         value = trapezoid_contrast(
@@ -211,8 +218,9 @@ def grad_civp(
             )
             value = value + d_state.T @ (gv_nudged_end - gv_free_end)
             value = value - d_gradv.T @ (positions[-1] - free_positions[-1])
-        values[b] = value / b
-    return finish_estimate(values, beta, nudging, EstimatorMethod.CIVP, started)
+        values.append(value / b)
+    return finish_estimates(values, beta, nudging, EstimatorMethod.CIVP, started,
+                            path_cost(cost, free_positions, y, grid.dt))
 
 
 def _defect_jacobian(defect, s, h):
@@ -376,29 +384,37 @@ def grad_cbvp(
     grid: TimeGrid,
     x: Signal | None,
     y: Signal,
-    beta: float,
+    beta,
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
     config: CbvpRelaxConfig | None = None,
-) -> GradientEstimate:
-    """Constant-boundary-value estimator: the pure integral, no residuals."""
+) -> GradientEstimate | tuple[GradientEstimate, ...]:
+    """Constant-boundary-value estimator: the pure integral, no residuals.
+
+    ``beta`` is one nudging strength or a 1-d sequence of them, as for
+    :func:`grad_civp`.  The free boundary value problem is solved once per
+    call; each signed beta is its own nudged solve, warm-started from the
+    free positions.
+    """
     started = time.perf_counter()
     th = as_params(theta)
     nudging = NudgeMode(nudging)
+    signs = signed_betas(beta, nudging)
     xs = x.values if x is not None else None
 
     free = solve_cbvp(model, th, spec, grid, x, config=config).trajectory
     bound = model.bind(th, xs)
     free_params = bound.grad_params_rows(free.positions, free.velocities)
 
-    values = {}
-    for b in signed_betas(beta, nudging):
+    values = []
+    for b in signs:
         nudged = solve_cbvp(
             model, th, spec, grid, x, cost=cost, target=y, beta=b, config=config,
             initial_guess=free.positions,
         ).trajectory
-        values[b] = trapezoid_contrast(
-            bound.grad_params_rows(nudged.positions, nudged.velocities), free_params, grid.dt) / b
-    return finish_estimate(values, beta, nudging, EstimatorMethod.CBVP, started)
+        values.append(trapezoid_contrast(
+            bound.grad_params_rows(nudged.positions, nudged.velocities), free_params, grid.dt) / b)
+    return finish_estimates(values, beta, nudging, EstimatorMethod.CBVP, started,
+                            path_cost(cost, free.positions, y, grid.dt))
 
 
 def grad_pfvp(
@@ -409,17 +425,19 @@ def grad_pfvp(
     grid: TimeGrid,
     x: Signal | None,
     y: Signal,
-    beta: float,
+    beta,
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
     fd_eps: float = 1e-5,
-) -> GradientEstimate:
+) -> GradientEstimate | tuple[GradientEstimate, ...]:
     """Parametric-final-value estimator for reversible systems.
 
-    Free phase: integrate from the fixed initial data.  Nudged phase:
-    integrate the cost-augmented flow forward from the velocity-reversed
-    free endpoint with time-reversed inputs; reversibility makes the result
-    the time-reversed nudged solution that terminates at the free endpoint.
-    The nudged runs of both signs are one lockstep integration.
+    ``beta`` is one nudging strength or a 1-d sequence of them, as for
+    :func:`grad_civp`.  Free phase: integrate from the fixed initial data,
+    once per call.  Nudged phase: integrate the cost-augmented flow forward
+    from the velocity-reversed free endpoint with time-reversed inputs;
+    reversibility makes the result the time-reversed nudged solution that
+    terminates at the free endpoint.  The nudged runs of every signed beta
+    are one lockstep integration.
     One boundary term survives, built from the parameter derivative of the
     velocity gradient at the fixed initial data
     (``model.grad_velocity_params``, no re-integration).
@@ -448,12 +466,13 @@ def grad_pfvp(
     boundary_jac = model.grad_velocity_params(spec.position, spec.velocity, th, x0, eps=fd_eps)
 
     back = integrate_lagrangian_ivp(model, th, end_position, -end_velocity, grid, x_rev,
-                                    nudge=Nudge(np.array(signs), cost, y_rev))
-    values = {}
+                                    nudge=Nudge(signs, cost, y_rev))
+    values = []
     for i, b in enumerate(signs):
         positions, velocities = back.positions[i], back.velocities[i]
         value = trapezoid_contrast(
             bound.grad_params_rows(positions[::-1], -velocities[::-1]), free_params, grid.dt)
         value = value + boundary_jac.T @ (positions[-1] - spec.position)
-        values[b] = value / b
-    return finish_estimate(values, beta, nudging, EstimatorMethod.PFVP, started)
+        values.append(value / b)
+    return finish_estimates(values, beta, nudging, EstimatorMethod.PFVP, started,
+                            path_cost(cost, free.positions, y, grid.dt))

@@ -122,26 +122,40 @@ class LegendreHamiltonian(HamiltonianModel):
         return -np.asarray(self._source.grad_params(s, v, theta, x), dtype=float)
 
     def bind(self, theta, xs=None):
-        return _BoundLegendreHamiltonian(self, theta, xs)
+        return _BoundLegendreHamiltonian(self, theta, xs, self._source.bind(theta, xs))
 
 
 class _BoundLegendreHamiltonian(BoundHamiltonian):
-    """The methods above, evaluated through the source model's binding, so a
-    source with a closed-form velocity never reaches the momentum solve.
+    """The methods above, evaluated through ``source``, the source model's
+    binding at the same ``theta`` and ``xs``, so a source with a closed-form
+    velocity never reaches the momentum solve.
 
     The per-step methods are the source binding's own bound methods, set on
     the instance: each force or velocity is one call into the source.
     """
 
-    def __init__(self, model, theta, xs=None):
+    def __init__(self, model, theta, xs, source):
         super().__init__(model, theta, xs)
-        self._source = model._source.bind(self.theta, xs)
+        self._source = source
         self.grad_position = self._source.partner_grad_position
         self.grad_momentum = self._source.velocity
 
     def grad_params_rows(self, positions, momenta):
         rows = self._source.grad_params_rows(positions, self._source.velocity_rows(positions, momenta))
         return np.negative(rows, out=rows)
+
+
+class _BindingPartner(LegendreHamiltonian):
+    """The partner of ``source.model`` for one solve at the ``theta`` and
+    ``xs`` that the source binding ``source`` fixes: ``bind`` reuses it
+    instead of binding the source model again."""
+
+    def __init__(self, source):
+        super().__init__(source.model)
+        self._bound_source = source
+
+    def bind(self, theta, xs=None):
+        return _BoundLegendreHamiltonian(self, theta, xs, self._bound_source)
 
 
 class LegendreLagrangian(LagrangianModel):

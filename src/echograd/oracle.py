@@ -23,7 +23,7 @@ from .core import (
     Signal,
     TimeGrid,
     as_params,
-    trapezoid,
+    path_cost,
 )
 from .dynamics import integrate_lagrangian_ivp
 from .errors import NumericalError
@@ -93,6 +93,6 @@ def trajectory_loss(
                               for row in np.atleast_2d(th)])
     else:
         raise TypeError(f"unsupported boundary spec {type(spec).__name__}")
-    losses = [float(trapezoid(cost.cost_rows(rows, y.values), grid.dt))
+    losses = [path_cost(cost, rows, y, grid.dt)
               for rows in positions.reshape((-1,) + positions.shape[-2:])]
     return losses[0] if th.ndim == 1 else np.array(losses)

@@ -42,7 +42,8 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_params,
-    finish_estimate,
+    finish_estimates,
+    path_cost,
     signed_betas,
     trapezoid_contrast,
 )
@@ -212,15 +213,19 @@ def grad_rhel(
     grid: TimeGrid,
     x: Signal | None,
     y: Signal,
-    beta: float,
+    beta,
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
     fd_eps: float = 1e-5,
-) -> GradientEstimate:
+) -> GradientEstimate | tuple[GradientEstimate, ...]:
     """Echo-learning estimator with the parametrized-initial-state correction.
 
-    Both nudging signs reuse one forward pass, and their echoes are one
-    lockstep integration.  The boundary correction vanishes identically for
-    declared parameter-independent initial states.
+    ``beta`` is one nudging strength, giving one :class:`GradientEstimate`,
+    or a 1-d sequence of them, giving a tuple with one estimate per entry;
+    every entry is checked before any integration.  Every signed beta
+    reuses the one forward pass, and their echoes are one lockstep
+    integration.  The boundary correction vanishes identically for declared
+    parameter-independent initial states.  ``free_loss`` is the cost of the
+    forward pass (of its phase states for a momentum-dependent cost).
     """
     started = time.perf_counter()
     th = as_params(theta)
@@ -244,8 +249,8 @@ def grad_rhel(
     echo_start = momentum_flip(forward.state(n))
 
     echoes = integrate_hamiltonian(model, th, echo_start, grid, x_rev,
-                                   nudge=Nudge(np.array(signs), cost, y_rev))
-    values = {}
+                                   nudge=Nudge(signs, cost, y_rev))
+    values = []
     for i, b in enumerate(signs):
         positions, momenta = echoes.positions[i], echoes.momenta[i]
         integral = trapezoid_contrast(
@@ -255,5 +260,9 @@ def grad_rhel(
         else:
             deviation = np.concatenate([positions[n], momenta[n]]) - forward_start
             boundary = init_jac.T @ block_swap(deviation)
-        values[b] = -(integral - boundary) / b
-    return finish_estimate(values, beta, nudging, EstimatorMethod.RHEL, started)
+        values.append(-(integral - boundary) / b)
+    states = forward.positions
+    if not cost.position_only:
+        states = np.concatenate([forward.positions, forward.momenta], axis=1)
+    return finish_estimates(values, beta, nudging, EstimatorMethod.RHEL, started,
+                            path_cost(cost, states, y, grid.dt))

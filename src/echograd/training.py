@@ -73,7 +73,10 @@ def train(
 
     The loss recorded at epoch ``k`` is measured before the k-th update, so
     ``losses[0]`` is the initial loss; ``final_loss`` is measured after the
-    last update.
+    last update.  The initial-value estimators integrate that free
+    trajectory themselves, so their epochs record the estimate's
+    ``free_loss`` and make no run of their own; CBVP's free run is the
+    pinned, coarse one, so its epochs evaluate the loss separately.
     """
     started = time.perf_counter()
     if theta0 is None:
@@ -92,8 +95,8 @@ def train(
     losses = np.empty(config.epochs)
     grad_norms = np.empty(config.epochs)
     for epoch in range(config.epochs):
-        losses[epoch] = loss(theta)
         estimate = problem.estimate(ParamVector(theta), config.beta)
+        losses[epoch] = estimate.free_loss if problem.regime == "ivp" else loss(theta)
         grad_norms[epoch] = float(np.linalg.norm(estimate.value))
         theta = theta - config.learning_rate * estimate.value
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from test_legendre import MassLagrangian
 
-from echograd.core import BoundHamiltonian, BoundLagrangian, LagrangianModel
+from echograd.core import BoundHamiltonian, BoundLagrangian, LagrangianModel, Signal, TimeGrid
+from echograd.dynamics import integrate_lagrangian_ivp
 from echograd.legendre import forward_legendre, velocity_from_momentum
 from echograd.models import (
     PhaseTrackingCost,
@@ -181,3 +182,24 @@ def test_cost_rows_match_per_point_costs():
     targets = rng.normal(size=(N_POINTS, 1))
     assert np.array_equal(phase.cost_rows(phase_states, targets),
                           [phase.cost(s, y) for s, y in zip(phase_states, targets)])
+
+
+@pytest.mark.parametrize("lag", [PAIRS[2][1], MassLagrangian(dim=2, mass=2.0)],
+                         ids=["zoo_binding", "default_binding"])
+def test_lagrangian_ivp_binds_the_model_once(monkeypatch, lag):
+    grid = TimeGrid(dt=0.05, n_steps=20)
+    x = Signal.from_function(grid, lambda t: [np.sin(t)]) if lag.input_dim else None
+    theta = np.linspace(0.5, 1.0, lag.theta_dim)
+    calls = []
+    bind = type(lag).bind
+
+    def counted(self, theta, xs=None):
+        calls.append(xs)
+        return bind(self, theta, xs)
+
+    expected = integrate_lagrangian_ivp(lag, theta, [0.3, -0.2], [0.1, 0.4], grid, x)
+    monkeypatch.setattr(type(lag), "bind", counted)
+    run = integrate_lagrangian_ivp(lag, theta, [0.3, -0.2], [0.1, 0.4], grid, x)
+    assert len(calls) == 1
+    assert np.array_equal(run.positions, expected.positions)
+    assert np.array_equal(run.velocities, expected.velocities)
