@@ -14,9 +14,14 @@ Conventions used throughout the package:
 - Models are evaluated point by point (``x`` is one input sample) or, inside
   a solve, through a binding: ``model.bind(theta, xs)`` fixes the parameters
   and the input samples of a grid (one row per point) and takes the grid
-  index ``k`` in place of ``x``.  The default binding calls the per-point
-  methods with ``xs[k]``; a model overrides ``bind`` to do parameter-only
-  work once per solve and to evaluate whole trajectories in one call.
+  index ``k`` in place of ``x``.  There is one bound method per quantity:
+  ``k`` is one grid index shared by every row of a state stack, or, for the
+  position and velocity gradients of a Lagrangian, the rows' own grid
+  indices.  The default binding calls the per-point methods with ``xs[k]``;
+  a model overrides ``bind`` to do parameter-only work once per solve and to
+  evaluate whole trajectories in one call.
+- Central differences build their probe points with :func:`central_probes`
+  and their Jacobians with :func:`central_quotient`.
 - Runs that share a grid and an input signal integrate in lockstep along a
   leading batch axis: a state stack is ``(B, dim)``, a parameter stack
   ``(B, theta_dim)`` and a trajectory stack ``(B, n_steps + 1, dim)``.  Row
@@ -51,6 +56,8 @@ __all__ = [
     "BoundLagrangian",
     "BoundHamiltonian",
     "CostModel",
+    "central_probes",
+    "central_quotient",
     "trapezoid",
     "trapezoid_contrast",
     "path_cost",
@@ -67,6 +74,32 @@ def frozen_array(values, name: str = "array", ndim: int | None = None) -> np.nda
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def central_probes(x, eps: float) -> np.ndarray:
+    """The ``(2n, n)`` probe stack of a central difference at the point ``x``.
+
+    Rows ``2j`` and ``2j + 1`` are ``x`` with entry ``j`` shifted by ``+eps``
+    and ``-eps``.  Raises ``ValueError`` unless ``eps`` is positive and
+    finite, before anything is evaluated at the probes.
+    """
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"finite-difference step must be positive and finite, got {eps!r}")
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    probes = np.repeat(x[None, :], 2 * n, axis=0)
+    j = np.arange(n)
+    probes[2 * j, j] += eps
+    probes[2 * j + 1, j] -= eps
+    return probes
+
+
+def central_quotient(values, eps: float) -> np.ndarray:
+    """The C-contiguous ``(m, n)`` Jacobian from ``values``, the ``(2n, m)``
+    values of a function at the rows of :func:`central_probes`: column ``j``
+    is ``(values[2j] - values[2j + 1]) / (2 eps)``."""
+    values = np.asarray(values, dtype=float)
+    return np.ascontiguousarray(((values[0::2] - values[1::2]) / (2.0 * eps)).T)
 
 
 def trapezoid(values: np.ndarray, dt: float) -> np.ndarray | float:
@@ -470,16 +503,8 @@ class LagrangianModel(ABC):
         The default is a central difference with step ``eps``; models whose
         velocity gradient does not depend on the parameters return zeros.
         """
-        th = as_params(theta)
-        jac = np.empty((self.dim, th.shape[0]))
-        for j in range(th.shape[0]):
-            th_p, th_m = th.copy(), th.copy()
-            th_p[j] += eps
-            th_m[j] -= eps
-            gp = np.asarray(self.grad_velocity(s, v, th_p, x), dtype=float)
-            gm = np.asarray(self.grad_velocity(s, v, th_m, x), dtype=float)
-            jac[:, j] = (gp - gm) / (2.0 * eps)
-        return jac
+        probes = central_probes(as_params(theta), eps)
+        return central_quotient([self.grad_velocity(s, v, row, x) for row in probes], eps)
 
     def bind(self, theta, xs=None) -> "BoundLagrangian":
         """Fix ``theta`` (one vector, or a ``(B, theta_dim)`` stack with one
@@ -552,21 +577,27 @@ class _Bound:
         """The parameters of batch row ``b``."""
         return self.theta if self.theta.ndim == 1 else self.theta[b]
 
-    def _each_row(self, method, s, c, k):
-        """``method(s[b], c[b], theta_b, x_k)`` for every row of the stacks ``s``, ``c``."""
-        x = self.x(k)
-        out = np.empty(np.shape(s))
-        for b in range(out.shape[0]):
-            out[b] = method(s[b], c[b], self.theta_row(b), x)
-        return out
+    def check_index(self, k):
+        """Raise ``ValueError`` when ``k`` holds the rows' own grid indices
+        (anything but one grid index) and ``theta`` is a stack."""
+        if self.theta.ndim != 1 and not isinstance(k, (int, np.integer)):
+            raise ValueError("rows at their own grid indices need a single parameter vector")
 
-    def _each_point(self, method, s, c, ks, width):
-        """``(len(s), width)`` array of ``method(s[i], c[i], theta, xs[ks][i])``;
-        ``ks`` holds the grid indices of the rows (a slice or an index array)."""
-        xs = None if self.xs is None else self.xs[ks]
-        out = np.empty((len(s), width))
-        for i in range(out.shape[0]):
-            out[i] = method(s[i], c[i], self.theta, None if xs is None else xs[i])
+    def _each_row(self, method, s, c, k, width=None):
+        """``method(s[b], c[b], theta, x)`` for every row ``b`` of the stacks
+        ``s``, ``c``, as a new ``(len(s), width)`` array (``width`` defaults
+        to that of ``s``).
+
+        For one grid index ``k``, row ``b`` is at ``theta_row(b)`` and
+        ``xs[k]``; for the rows' own grid indices (a slice or an index
+        array), row ``b`` is at the single ``theta`` and ``xs[k][b]``.
+        """
+        self.check_index(k)
+        x = self.x(k)
+        x_per_row = x is not None and not isinstance(k, (int, np.integer))
+        out = np.empty((len(s), np.shape(s)[1] if width is None else width))
+        for b in range(out.shape[0]):
+            out[b] = method(s[b], c[b], self.theta_row(b), x[b] if x_per_row else x)
         return out
 
 
@@ -574,14 +605,16 @@ class BoundLagrangian(_Bound):
     """Binding of a :class:`LagrangianModel`.
 
     This default evaluates the model's per-point methods with ``xs[k]``, one
-    batch row at a time.  The per-step methods take ``(B, dim)`` stacks of
-    states at grid point ``k`` and return one result row per state.
-    ``*_rows`` methods take one state per row and return a new array with
-    one result row per state, which the caller may overwrite; they need a
-    single ``theta``.  ``grad_params_rows`` takes one state per grid point,
-    rows aligned with ``xs``; ``grad_position_rows`` and
-    ``grad_velocity_rows`` also take ``ks``, the grid indices the rows sit
-    at (a slice such as ``slice(1, n_steps)``, or an index array).
+    row at a time.  The methods without ``_rows`` take ``(B, dim)`` stacks
+    of states and return one result row per state.  Their ``k`` is one grid
+    index shared by every row, row ``b`` at ``theta_row(b)``.
+    ``grad_position`` and ``grad_velocity`` also take, as ``k``, the rows'
+    own grid indices (a slice such as ``slice(1, n_steps)``, or an index
+    array), which needs a single ``theta``: the boundary value solver
+    evaluates midpoints and interior points that way.  ``*_rows`` methods
+    take whole trajectories, one state per grid point with rows aligned
+    with ``xs``, and return a new array that the caller may overwrite;
+    ``grad_params_rows`` needs a single ``theta``.
     """
 
     def grad_position(self, s, v, k) -> np.ndarray:
@@ -589,14 +622,6 @@ class BoundLagrangian(_Bound):
 
     def grad_velocity(self, s, v, k) -> np.ndarray:
         return self._each_row(self.model.grad_velocity, s, v, k)
-
-    def grad_position_rows(self, positions, velocities, ks) -> np.ndarray:
-        return self._each_point(self.model.grad_position, positions, velocities, ks,
-                                self.model.dim)
-
-    def grad_velocity_rows(self, positions, velocities, ks) -> np.ndarray:
-        return self._each_point(self.model.grad_velocity, positions, velocities, ks,
-                                self.model.dim)
 
     def velocity(self, s, p, k) -> np.ndarray:
         """The velocities whose momenta dL/dv are ``p``."""
@@ -626,8 +651,8 @@ class BoundLagrangian(_Bound):
         return out.reshape(pos.shape)
 
     def grad_params_rows(self, positions, velocities) -> np.ndarray:
-        return self._each_point(self.model.grad_params, positions, velocities, slice(None),
-                                self.model.theta_dim)
+        return self._each_row(self.model.grad_params, positions, velocities, slice(None),
+                              self.model.theta_dim)
 
 
 class BoundHamiltonian(_Bound):
@@ -648,8 +673,8 @@ class BoundHamiltonian(_Bound):
         return self._each_row(self.model.grad_momentum, s, p, k)
 
     def grad_params_rows(self, positions, momenta) -> np.ndarray:
-        return self._each_point(self.model.grad_params, positions, momenta, slice(None),
-                                self.model.theta_dim)
+        return self._each_row(self.model.grad_params, positions, momenta, slice(None),
+                              self.model.theta_dim)
 
 
 class CostModel(ABC):

@@ -12,7 +12,9 @@ costs this is a plain Hamiltonian flow with the potential shifted by
 -beta*c, so the nudging force simply joins the kick; the kick at step k uses
 the input and target samples at grid point k.  Momentum-dependent costs (and
 non-separable Hamiltonians) fall back to the generalised Stoermer-Verlet
-step with fixed-point iterations for the implicit half-updates.
+step with fixed-point iterations for the implicit half-updates.  That
+step and rk4 evaluate one nudged vector field, which hands a position-only
+cost the positions only.
 
 Lagrangian initial value problems are integrated by converting to the
 Legendre-partner Hamiltonian flow and mapping momenta back to velocities, so
@@ -229,6 +231,29 @@ def _leapfrog_separable(bound, s, p, n, dt, nudge):
     return positions, momenta
 
 
+def _vector_field(bound, nudge):
+    """``field(s, p, k)``: (ds/dt, dp/dt) of the nudged flow for the state
+    stacks ``s``, ``p`` at sample ``k``.  A position-only cost is handed the
+    positions only, as the :class:`CostModel` contract says."""
+    if nudge is not None:
+        betas, cost, targets = nudge
+
+    def field(s, p, k):
+        ds = bound.grad_momentum(s, p, k)
+        dp = -bound.grad_position(s, p, k)
+        if nudge is not None:
+            if cost.position_only:
+                dp = dp + betas * cost.grad_state_rows(s, targets[k])
+            else:
+                d = s.shape[1]
+                g = cost.grad_state_rows(np.concatenate([s, p], axis=1), targets[k])
+                ds = ds - betas * g[:, d:]
+                dp = dp + betas * g[:, :d]
+        return ds, dp
+
+    return field
+
+
 def _leapfrog_implicit(bound, s, p, n, dt, nudge):
     """Generalised Stoermer-Verlet; implicit half-updates by fixed point.
 
@@ -237,19 +262,7 @@ def _leapfrog_implicit(bound, s, p, n, dt, nudge):
     checked after every step: a non-finite state would make the next
     fixed-point solve fail to converge instead of reporting the divergence.
     """
-    d = s.shape[1]
-    if nudge is not None:
-        betas, cost, targets = nudge
-
-    def rates(s, p, k):
-        """(ds/dt, dp/dt) of the nudged flow at sample k."""
-        ds = bound.grad_momentum(s, p, k)
-        dp = -bound.grad_position(s, p, k)
-        if nudge is not None:
-            g = cost.grad_state_rows(np.concatenate([s, p], axis=1), targets[k])
-            ds = ds - betas * g[:, d:]
-            dp = dp + betas * g[:, :d]
-        return ds, dp
+    field = _vector_field(bound, nudge)
 
     def fixed_point(update, start, what):
         value = start
@@ -268,14 +281,14 @@ def _leapfrog_implicit(bound, s, p, n, dt, nudge):
     positions, momenta = _storage(s, p, n)
     for k in range(n):
         s_k = s
-        p_half = fixed_point(lambda q: p + 0.5 * dt * rates(s_k, q, k)[1], p, "momentum")
-        ds0 = rates(s_k, p_half, k)[0]
+        p_half = fixed_point(lambda q: p + 0.5 * dt * field(s_k, q, k)[1], p, "momentum")
+        ds0 = field(s_k, p_half, k)[0]
         s = fixed_point(
-            lambda q: s_k + 0.5 * dt * (ds0 + rates(q, p_half, k + 1)[0]),
+            lambda q: s_k + 0.5 * dt * (ds0 + field(q, p_half, k + 1)[0]),
             s_k + dt * ds0,
             "position",
         )
-        p = p_half + 0.5 * dt * rates(s, p_half, k + 1)[1]
+        p = p_half + 0.5 * dt * field(s, p_half, k + 1)[1]
         positions[k + 1], momenta[k + 1] = s, p
         _check_rows(positions, momenta, k + 1, k + 2)
     return positions, momenta
@@ -286,22 +299,7 @@ def _rk4(bound, s, p, n, dt, nudge):
 
     Not time-symmetric; exists as the negative control for retrace tests.
     """
-    d = s.shape[1]
-    if nudge is not None:
-        betas, cost, targets = nudge
-
-    def field(s, p, k):
-        ds = bound.grad_momentum(s, p, k)
-        dp = -bound.grad_position(s, p, k)
-        if nudge is not None:
-            if cost.position_only:
-                dp = dp + betas * cost.grad_state_rows(s, targets[k])
-            else:
-                g = cost.grad_state_rows(np.concatenate([s, p], axis=1), targets[k])
-                ds = ds - betas * g[:, d:]
-                dp = dp + betas * g[:, :d]
-        return ds, dp
-
+    field = _vector_field(bound, nudge)
     positions, momenta = _storage(s, p, n)
     for steps in _chunks(n):
         for k in steps:
@@ -390,8 +388,8 @@ def euler_lagrange_residual(
     pos, vel = traj.positions, traj.velocities
     bound = model.bind(th, xs)
 
-    grad_v = bound.grad_velocity_rows(pos, vel, slice(None))
-    el = bound.grad_position_rows(pos[1:-1], vel[1:-1], slice(1, n))
+    grad_v = bound.grad_velocity(pos, vel, slice(None))
+    el = bound.grad_position(pos[1:-1], vel[1:-1], slice(1, n))
     if beta != 0.0:
         el = el + beta * cost.grad_state_rows(pos[1:-1], target.values[1:-1])
     residual = el - (grad_v[2:] - grad_v[:-2]) / (2.0 * grid.dt)

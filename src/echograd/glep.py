@@ -49,6 +49,8 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_params,
+    central_probes,
+    central_quotient,
     finish_estimates,
     frozen_array,
     path_cost,
@@ -146,7 +148,6 @@ def grad_civp(
     beta,
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
     fd_eps: float = 1e-5,
-    theta_limit: int = CIVP_THETA_LIMIT,
     include_boundary: bool = True,
 ) -> GradientEstimate | tuple[GradientEstimate, ...]:
     """Constant-initial-value estimator with its two final-time residuals.
@@ -156,7 +157,7 @@ def grad_civp(
     every entry is checked before any integration.  The residual terms need
     parameter Jacobians of the final state, obtained by central differencing
     over theta with one free re-integration per parameter per side, so the
-    parameter count is capped by ``theta_limit``.  The free run and the
+    parameter count is capped by ``CIVP_THETA_LIMIT``.  The free run and the
     probes are one lockstep integration, run once per call, and the nudged
     runs of every signed beta are another.
     ``include_boundary=False`` drops the residual terms; that variant is
@@ -164,10 +165,10 @@ def grad_civp(
     """
     started = time.perf_counter()
     th = as_params(theta)
-    if th.shape[0] > theta_limit:
+    if th.shape[0] > CIVP_THETA_LIMIT:
         raise ValueError(
             f"CIVP probes re-integrate per parameter; {th.shape[0]} parameters exceed "
-            f"the guard of {theta_limit}"
+            f"the guard of {CIVP_THETA_LIMIT}"
         )
     if not cost.position_only:
         raise ValueError("trajectory estimators require a position-only cost")
@@ -176,15 +177,12 @@ def grad_civp(
 
     xs = x.values if x is not None else None
     x_end = None if xs is None else xs[-1]
-    dim, n_theta = model.dim, th.shape[0]
-    # Row 0 is the free run; with the boundary terms, rows 2j + 1 and 2j + 2
-    # are the free runs at theta +- fd_eps e_j, all in one lockstep run.
+    # Row 0 is the free run; with the boundary terms, rows 1 onwards are the
+    # free runs at the central-difference probes of theta, all in one
+    # lockstep run.
     thetas = th[None, :]
     if include_boundary:
-        thetas = np.repeat(th[None, :], 2 * n_theta + 1, axis=0)
-        j = np.arange(n_theta)
-        thetas[2 * j + 1, j] += fd_eps
-        thetas[2 * j + 2, j] -= fd_eps
+        thetas = np.concatenate([thetas, central_probes(th, fd_eps)])
     runs = integrate_lagrangian_ivp(model, thetas, spec.position, spec.velocity, grid, x)
     free_positions, free_velocities = runs.positions[0], runs.velocities[0]
     bound = model.bind(th, xs)
@@ -194,16 +192,12 @@ def grad_civp(
     )
 
     if include_boundary:
-        d_state = np.empty((dim, n_theta))     # d s_T / d theta
-        d_gradv = np.empty((dim, n_theta))     # d/d theta of dL/dv at the free endpoint
-        for j in range(n_theta):
-            probes = []
-            for row in (2 * j + 1, 2 * j + 2):
-                s_end, v_end = runs.positions[row, -1], runs.velocities[row, -1]
-                probes.append((s_end, model.grad_velocity(s_end, v_end, thetas[row], x_end)))
-            (s_plus, g_plus), (s_minus, g_minus) = probes
-            d_state[:, j] = (s_plus - s_minus) / (2.0 * fd_eps)
-            d_gradv[:, j] = (np.asarray(g_plus) - np.asarray(g_minus)) / (2.0 * fd_eps)
+        s_ends, v_ends = runs.positions[1:, -1], runs.velocities[1:, -1]
+        # d s_T / d theta, and d/d theta of dL/dv at the free endpoint
+        d_state = central_quotient(s_ends, fd_eps)
+        d_gradv = central_quotient(
+            [model.grad_velocity(s, v, t, x_end) for s, v, t in zip(s_ends, v_ends, thetas[1:])],
+            fd_eps)
 
     nudged = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid, x,
                                       nudge=Nudge(signs, cost, y))
@@ -331,9 +325,9 @@ def solve_cbvp(
         """Pointwise Euler-Lagrange defect at the interior grid points."""
         half_v = (s[1:] - s[:-1]) / dt
         half_mid = 0.5 * (s[1:] + s[:-1])
-        flux = bound.grad_velocity_rows(half_mid, half_v, slice(0, n))
+        flux = bound.grad_velocity(half_mid, half_v, slice(0, n))
         centered_v = (s[2:] - s[:-2]) / (2.0 * dt)
-        el = bound.grad_position_rows(s[1:-1], centered_v, slice(1, n))
+        el = bound.grad_position(s[1:-1], centered_v, slice(1, n))
         if beta != 0.0:
             el = el + beta * cost.grad_state_rows(s[1:-1], ys_interior)
         return el - (flux[1:] - flux[:-1]) / dt

@@ -22,7 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoundHamiltonian, HamiltonianModel, LagrangianModel
+from .core import (
+    BoundHamiltonian,
+    HamiltonianModel,
+    LagrangianModel,
+    central_probes,
+    central_quotient,
+)
 from .errors import ConvergenceError, SingularHessianError
 
 __all__ = [
@@ -66,16 +72,10 @@ def velocity_from_momentum(model: LagrangianModel, s, p, theta, x=None) -> np.nd
     raise ConvergenceError("momentum inversion did not converge")
 
 
-def _momentum_hessian_fd(model: HamiltonianModel, s, p, theta, x):
-    d = model.dim
-    hess = np.empty((d, d))
-    for j in range(d):
-        dp = np.zeros(d)
-        dp[j] = _FD_HESSIAN_EPS
-        gp = np.asarray(model.grad_momentum(s, p + dp, theta, x), dtype=float)
-        gm = np.asarray(model.grad_momentum(s, p - dp, theta, x), dtype=float)
-        hess[:, j] = (gp - gm) / (2.0 * _FD_HESSIAN_EPS)
-    return hess
+def _hessian_fd(grad, s, c, theta, x):
+    """Central-difference Jacobian of ``grad(s, c, theta, x)`` in ``c``."""
+    probes = central_probes(c, _FD_HESSIAN_EPS)
+    return central_quotient([grad(s, row, theta, x) for row in probes], _FD_HESSIAN_EPS)
 
 
 def _momentum_from_hamiltonian(model: HamiltonianModel, s, v, theta, x=None) -> np.ndarray:
@@ -86,7 +86,7 @@ def _momentum_from_hamiltonian(model: HamiltonianModel, s, v, theta, x=None) -> 
         residual = np.asarray(model.grad_momentum(s, p, theta, x), dtype=float) - v
         if np.max(np.abs(residual)) <= NEWTON_TOL * (1.0 + np.max(np.abs(v))):
             return p
-        hess = _momentum_hessian_fd(model, s, p, theta, x)
+        hess = _hessian_fd(model.grad_momentum, s, p, theta, x)
         p = p - _solve(hess, residual, "momentum")
     raise ConvergenceError("velocity inversion did not converge")
 
@@ -190,16 +190,7 @@ class LegendreLagrangian(LagrangianModel):
         return -np.asarray(self._source.grad_params(s, p, theta, x), dtype=float)
 
     def velocity_hessian(self, s, v, theta, x=None):
-        v = np.asarray(v, dtype=float)
-        d = self.dim
-        hess = np.empty((d, d))
-        for j in range(d):
-            dv = np.zeros(d)
-            dv[j] = _FD_HESSIAN_EPS
-            gp = self.grad_velocity(s, v + dv, theta, x)
-            gm = self.grad_velocity(s, v - dv, theta, x)
-            hess[:, j] = (gp - gm) / (2.0 * _FD_HESSIAN_EPS)
-        return hess
+        return _hessian_fd(self.grad_velocity, s, v, theta, x)
 
 
 def forward_legendre(model: LagrangianModel) -> HamiltonianModel:

@@ -229,26 +229,17 @@ class _BoundPotential:
             self._drive = np.stack([xs @ w.T for _, w in splits], axis=1)
 
     def grad_s(self, s, k):
-        """dV/ds of the ``(B, dim)`` state stack ``s`` at grid point ``k``."""
+        """dV/ds of the ``(B, dim)`` state stack ``s`` at grid point ``k``.
+
+        ``k`` indexes the leading ``(n_points, rows)`` axes of the input
+        force, so ``(ks, 0)`` evaluates one state per row at the grid
+        indices ``ks`` (a slice or an index array) for a single theta.
+        """
         grad = np.matmul(self._stiffness, s[:, :, None])[:, :, 0]
         if self._drive is not None:
             grad = grad + self._drive[k]
         if self._core.quartic:
             grad = grad + self._core.quartic * s**3
-        return grad
-
-    def grad_s_rows(self, positions, ks):
-        """dV/ds at one state per row, row ``i`` at the grid index ``ks[i]``.
-
-        Needs a single theta; row by row, the arithmetic is that of ``grad_s``.
-        """
-        if not self._single:
-            raise ValueError("position gradient rows need a single parameter vector")
-        grad = np.matmul(self._stiffness, positions[:, :, None])[:, :, 0]
-        if self._drive is not None:
-            grad = grad + self._drive[ks, 0]
-        if self._core.quartic:
-            grad = grad + self._core.quartic * positions**3
         return grad
 
     def grad_theta_rows(self, positions):
@@ -356,16 +347,16 @@ class _BoundOscillatorLagrangian(BoundLagrangian):
         self._potential = _BoundPotential(model._core, self.theta, xs)
 
     def grad_position(self, s, v, k):
+        if not isinstance(k, (int, np.integer)):
+            # rows at their own grid indices need a single theta, whose input
+            # force is parameter row 0
+            self.check_index(k)
+            k = (k, 0)
         return -self._potential.grad_s(s, k)
 
     def grad_velocity(self, s, v, k):
+        self.check_index(k)
         return np.array(v, dtype=float)
-
-    def grad_position_rows(self, positions, velocities, ks):
-        return -self._potential.grad_s_rows(positions, ks)
-
-    def grad_velocity_rows(self, positions, velocities, ks):
-        return np.array(velocities, dtype=float)
 
     def velocity(self, s, p, k):
         return p

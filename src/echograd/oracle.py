@@ -42,8 +42,8 @@ def fd_gradient(loss, theta: ParamVector, eps: float = DEFAULT_FD_EPS) -> Gradie
     shifted by ``+eps`` and ``-eps``.  ``loss`` must be deterministic and
     evaluate every row as it would on its own; a non-finite value aborts.
     """
-    if eps <= 0:
-        raise ValueError("finite-difference step must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"finite-difference step must be positive and finite, got {eps!r}")
     th = as_params(theta)
     n = th.shape[0]
     probes = np.repeat(th[None, :], 2 * n, axis=0)

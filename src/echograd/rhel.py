@@ -42,6 +42,8 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_params,
+    central_probes,
+    central_quotient,
     finish_estimates,
     path_cost,
     signed_betas,
@@ -84,15 +86,8 @@ class InitialStateMap(ABC):
 
     def jacobian(self, theta, eps: float = 1e-5) -> np.ndarray:
         """(2 dim, theta_dim) central-difference Jacobian of the map."""
-        th = as_params(theta)
-        base = self.state(th).as_vector()
-        jac = np.empty((base.shape[0], th.shape[0]))
-        for j in range(th.shape[0]):
-            th_p, th_m = th.copy(), th.copy()
-            th_p[j] += eps
-            th_m[j] -= eps
-            jac[:, j] = (self.state(th_p).as_vector() - self.state(th_m).as_vector()) / (2.0 * eps)
-        return jac
+        probes = central_probes(as_params(theta), eps)
+        return central_quotient([self.state(row).as_vector() for row in probes], eps)
 
 
 class ConstantInitialState(InitialStateMap):

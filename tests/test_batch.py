@@ -172,6 +172,16 @@ def test_parameter_rows_need_a_single_theta():
     bound = member.hamiltonian.bind(np.stack([member.theta.values] * 2))
     with pytest.raises(ValueError, match="single parameter vector"):
         bound.grad_params_rows(np.zeros((5, 2)), np.zeros((5, 2)))
+    # a parameter stack with the rows' own grid indices, as many rows as
+    # parameter rows or one, on the zoo binding and on the default binding
+    for lag, theta in ((member.lagrangian, member.theta.values),
+                       (MassLagrangian(dim=2, mass=2.0), np.array([1.3]))):
+        bound = lag.bind(np.stack([theta] * 2))
+        for ks in (slice(1, 3), np.array([2, 0]), np.array([1])):
+            states = np.zeros((len(np.arange(5)[ks]), 2))
+            for method in (bound.grad_position, bound.grad_velocity):
+                with pytest.raises(ValueError, match="single parameter vector"):
+                    method(states, states, ks)
 
 
 # Derandomized, so the property runs the same examples on every run.

@@ -95,8 +95,8 @@ def test_oscillator_bindings_match_per_point_methods(name, lag, ham):
     for ks in (slice(None), slice(1, N_POINTS - 1), np.array([4, 0, 7])):
         index = np.arange(N_POINTS)[ks]
         s, c = pos[ks], con[ks]
-        by_position = lb.grad_position_rows(s, c, ks)
-        by_velocity = lb.grad_velocity_rows(s, c, ks)
+        by_position = lb.grad_position(s, c, ks)
+        by_velocity = lb.grad_velocity(s, c, ks)
         _assert_close(by_position, rows(lag.grad_position)[ks])
         _assert_close(by_velocity, rows(lag.grad_velocity)[ks])
         for i, k in enumerate(index):
@@ -138,9 +138,9 @@ def test_default_binding_reproduces_per_point_calls_exactly():
     params = np.array([lag.grad_params(s, c, theta) for s, c in zip(pos, con)])
     assert np.array_equal(lb.grad_params_rows(pos, con), params)
     interior = slice(1, N_POINTS - 1)
-    assert np.array_equal(lb.grad_position_rows(pos[interior], con[interior], interior),
+    assert np.array_equal(lb.grad_position(pos[interior], con[interior], interior),
                           [lag.grad_position(s, c, theta) for s, c in zip(pos, con)][interior])
-    assert np.array_equal(lb.grad_velocity_rows(pos[interior], con[interior], interior),
+    assert np.array_equal(lb.grad_velocity(pos[interior], con[interior], interior),
                           [lag.grad_velocity(s, c, theta) for s, c in zip(pos, con)][interior])
     velocities = np.array([velocity_from_momentum(lag, s, c, theta) for s, c in zip(pos, con)])
     assert np.array_equal(lb.velocity_rows(pos, con), velocities)

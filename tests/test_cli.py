@@ -136,6 +136,19 @@ def test_numerical_failure_exits_three(tmp_path):
     assert "Warning" not in result.stderr, result.stderr
 
 
+@pytest.mark.parametrize("fd_eps", ["0", "-1.0e-5", ".nan"])
+def test_gradcheck_rejects_a_bad_finite_difference_step(tmp_path, fd_eps):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(FAST_CONFIG.replace("  beta: 0.001\n", f"  beta: 0.001\n  fd_eps: {fd_eps}\n", 1))
+    out = tmp_path / "r"
+    result = _run(["--config", str(cfg), "--out", str(out), "--estimator", "civp", "gradcheck"],
+                  tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "finite-difference step" in result.stderr, result.stderr
+    assert "Warning" not in result.stderr, result.stderr
+    assert not (out / "gradcheck.json").exists()
+
+
 def test_default_config_cbvp_train_completes(tmp_path):
     # The recorded loss is the free-trajectory cost, while CBVP descends its
     # own pinned, coarse loss, so only completion and finiteness are checked.

@@ -1,8 +1,12 @@
 """Domain types, invariants, and the model zoo's hand-coded derivatives."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import echograd
 from echograd.core import (
     EstimatorMethod,
     GradientEstimate,
@@ -12,6 +16,8 @@ from echograd.core import (
     Signal,
     TimeGrid,
     Trajectory,
+    central_probes,
+    central_quotient,
     trapezoid,
 )
 from echograd.models import make_oscillator_model, make_quartic_model, model_zoo
@@ -248,3 +254,28 @@ def test_quartic_model_is_nonlinear():
     g1 = lag.grad_position(s, np.zeros(1), th)
     g2 = lag.grad_position(2 * s, np.zeros(1), th)
     assert not np.allclose(g2, 2 * g1)
+
+
+def test_every_public_name_of_every_module_resolves():
+    # perfbench/tracer.py looks up every __all__ entry of the traced modules,
+    # so a stale entry would crash each traced benchmark run
+    modules = [importlib.import_module(f"echograd.{info.name}")
+               for info in pkgutil.iter_modules(echograd.__path__)]
+    assert len(modules) > 10
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+
+
+def test_central_difference_probes_and_quotient():
+    x = np.array([1.0, -2.0, 0.5])
+    probes = central_probes(x, 0.5)
+    assert np.array_equal(probes, [[1.5, -2.0, 0.5], [0.5, -2.0, 0.5], [1.0, -1.5, 0.5],
+                                   [1.0, -2.5, 0.5], [1.0, -2.0, 1.0], [1.0, -2.0, 0.0]])
+    # f(x) = (x0 x1, x2^2): binary-exact probe arithmetic at eps = 0.5
+    jac = central_quotient([[p[0] * p[1], p[2] ** 2] for p in probes], 0.5)
+    assert jac.flags.c_contiguous
+    assert np.array_equal(jac, [[-2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for eps in (0.0, -1e-5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite-difference step"):
+            central_probes(x, eps)

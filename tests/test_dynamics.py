@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from echograd.core import ParamVector, PhaseState, Signal, TimeGrid, Trajectory
+from echograd.core import CostModel, ParamVector, PhaseState, Signal, TimeGrid, Trajectory
 from echograd.dynamics import (
+    SCHEMES,
     Nudge,
     echo_retrace_check,
     euler_lagrange_residual,
@@ -14,6 +17,7 @@ from echograd.dynamics import (
     momentum_flip,
 )
 from echograd.errors import DivergenceError
+from echograd.legendre import backward_legendre, forward_legendre
 from echograd.models import (
     QuadraticTrackingCost,
     make_oscillator_model,
@@ -23,6 +27,9 @@ from echograd.models import (
 
 LAG1, HAM1 = make_oscillator_model(1, coupling="direct")
 THETA1 = np.array([1.0])
+MASK = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=bool)
+# Derandomized, so the property runs the same examples on every run.
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
 
 def test_momentum_flip_examples():
@@ -232,6 +239,69 @@ def test_retrace_every_zoo_member():
                 grid, lambda t: [np.sin(1.3 * t)] * member.hamiltonian.input_dim
             )
         assert echo_retrace_check(member.hamiltonian, member.theta, phi0, grid, x) <= 1e-8
+
+
+def _retrace_models():
+    """The zoo, a masked coupling with the input off and on, and a driven quartic."""
+    models = [(m.hamiltonian, m.theta.values) for m in model_zoo()]
+    for input_dim in (0, 1):
+        _, ham = make_oscillator_model(3, MASK, input_dim)
+        models.append((ham, np.linspace(0.6, 1.4, ham.theta_dim)))
+    _, ham = make_quartic_model(2, "dense", input_dim=1)
+    models.append((ham, np.linspace(0.8, -0.3, ham.theta_dim)))
+    return models
+
+
+@PROPERTY
+@given(model=st.sampled_from(_retrace_models()), n=st.integers(20, 200),
+       seed=st.integers(0, 2**16))
+def test_property_zero_nudge_echo_retraces(model, n, seed):
+    ham, theta = model
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(dt=0.02, n_steps=n)
+    theta = theta * (1.0 + 0.1 * rng.normal(size=theta.shape[0]))
+    phi0 = PhaseState(rng.normal(scale=0.5, size=ham.dim), rng.normal(scale=0.5, size=ham.dim))
+    x = None
+    if ham.input_dim:
+        x = Signal.from_function(grid, lambda t: np.sin(1.3 * t + np.arange(ham.input_dim)))
+    assert echo_retrace_check(ham, theta, phi0, grid, x) <= 1e-8
+
+
+class _PositionShapedCost(CostModel):
+    """Position-only tracking of coordinate 0 that rejects any other state shape."""
+
+    position_only = True
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def _error(self, state, target):
+        assert np.shape(state) == (self.dim,), f"got state of shape {np.shape(state)}"
+        return state[0] - target[0]
+
+    def cost(self, state, target):
+        return 0.5 * self._error(state, target) ** 2
+
+    def grad_state(self, state, target):
+        grad = np.zeros(self.dim)
+        grad[0] = self._error(state, target)
+        return grad
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_position_only_cost_is_handed_positions_on_a_non_separable_flow(scheme):
+    member = [m for m in model_zoo() if m.name == "osc2_chain"][0]
+    ham = forward_legendre(backward_legendre(member.hamiltonian))
+    assert not ham.separable
+    grid = TimeGrid(dt=0.05, n_steps=20)
+    y = Signal.from_function(grid, lambda t: [0.3 * np.sin(t)])
+    phi0 = PhaseState([0.4, -0.2], [0.1, 0.3])
+    runs = [integrate_hamiltonian(ham, member.theta, phi0, grid, nudge=nudge, scheme=scheme)
+            for nudge in (Nudge(0.1, _PositionShapedCost(2), y),
+                          Nudge(0.1, QuadraticTrackingCost(2, indices=[0]), y), None)]
+    assert np.array_equal(runs[0].positions, runs[1].positions)
+    assert np.array_equal(runs[0].momenta, runs[1].momenta)
+    assert not np.array_equal(runs[0].momenta, runs[2].momenta)
 
 
 def test_rk4_is_not_time_symmetric():

@@ -32,8 +32,9 @@ def test_fd_sine_derivative():
 
 
 def test_fd_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        fd_gradient(lambda ths: np.zeros(len(ths)), ParamVector([1.0]), eps=0.0)
+    for eps in (0.0, -1e-5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite-difference step"):
+            fd_gradient(lambda ths: np.zeros(len(ths)), ParamVector([1.0]), eps=eps)
     with pytest.raises(NumericalError):
         fd_gradient(lambda ths: np.full(len(ths), np.nan), ParamVector([1.0]))
 
