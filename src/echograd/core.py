@@ -56,6 +56,7 @@ __all__ = [
     "BoundLagrangian",
     "BoundHamiltonian",
     "CostModel",
+    "check_fd_step",
     "central_probes",
     "central_quotient",
     "trapezoid",
@@ -76,15 +77,22 @@ def frozen_array(values, name: str = "array", ndim: int | None = None) -> np.nda
     return arr
 
 
+def check_fd_step(eps: float) -> None:
+    """Raise ``ValueError`` unless the finite-difference step ``eps`` is
+    positive and finite."""
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"finite-difference step must be positive and finite, got {eps!r}")
+
+
 def central_probes(x, eps: float) -> np.ndarray:
     """The ``(2n, n)`` probe stack of a central difference at the point ``x``.
 
     Rows ``2j`` and ``2j + 1`` are ``x`` with entry ``j`` shifted by ``+eps``
     and ``-eps``.  Raises ``ValueError`` unless ``eps`` is positive and
-    finite, before anything is evaluated at the probes.
+    finite (:func:`check_fd_step`), before anything is evaluated at the
+    probes.
     """
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"finite-difference step must be positive and finite, got {eps!r}")
+    check_fd_step(eps)
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     probes = np.repeat(x[None, :], 2 * n, axis=0)
@@ -600,6 +608,33 @@ class _Bound:
             out[b] = method(s[b], c[b], self.theta_row(b), x[b] if x_per_row else x)
         return out
 
+    def grad_params_rows(self, positions, conjugate) -> np.ndarray:
+        """The parameter gradient at every state of one trajectory, one state
+        per grid point with rows aligned with ``xs``, as a new array with one
+        row per point.  Needs a single ``theta``."""
+        return self._each_row(self.model.grad_params, positions, conjugate, slice(None),
+                              self.model.theta_dim)
+
+    def grad_params_contrast(self, positions, conjugate, ref_positions, ref_conjugate,
+                             dt) -> np.ndarray:
+        """Trapezoid integral over the grid of the parameter gradient at the
+        states of a trajectory minus that at the states of the reference
+        trajectory ``(ref_positions, ref_conjugate)``.
+
+        Both trajectories have one state per grid point, rows aligned with
+        ``xs``.  ``positions``/``conjugate`` are one trajectory, giving a
+        ``(theta_dim,)`` result, or a ``(B, n_points, dim)`` stack, giving
+        one result row per trajectory, each contrasted with the same
+        reference.  Needs a single ``theta``.  This default builds the
+        reference rows once per call and contrasts every trajectory's rows
+        with :func:`trapezoid_contrast`.
+        """
+        reference = self.grad_params_rows(ref_positions, ref_conjugate)
+        if np.ndim(positions) == 2:
+            return trapezoid_contrast(self.grad_params_rows(positions, conjugate), reference, dt)
+        return np.array([trapezoid_contrast(self.grad_params_rows(p, c), reference, dt)
+                         for p, c in zip(positions, conjugate)])
+
 
 class BoundLagrangian(_Bound):
     """Binding of a :class:`LagrangianModel`.
@@ -611,10 +646,11 @@ class BoundLagrangian(_Bound):
     ``grad_position`` and ``grad_velocity`` also take, as ``k``, the rows'
     own grid indices (a slice such as ``slice(1, n_steps)``, or an index
     array), which needs a single ``theta``: the boundary value solver
-    evaluates midpoints and interior points that way.  ``*_rows`` methods
-    take whole trajectories, one state per grid point with rows aligned
-    with ``xs``, and return a new array that the caller may overwrite;
-    ``grad_params_rows`` needs a single ``theta``.
+    evaluates midpoints and interior points that way.  ``velocity_rows``,
+    ``grad_params_rows`` and ``grad_params_contrast`` take whole
+    trajectories, one state per grid point with rows aligned with ``xs``,
+    and return a new array that the caller may overwrite; the parameter
+    gradients need a single ``theta``.
     """
 
     def grad_position(self, s, v, k) -> np.ndarray:
@@ -650,10 +686,6 @@ class BoundLagrangian(_Bound):
                                                    self.x(k))
         return out.reshape(pos.shape)
 
-    def grad_params_rows(self, positions, velocities) -> np.ndarray:
-        return self._each_row(self.model.grad_params, positions, velocities, slice(None),
-                              self.model.theta_dim)
-
 
 class BoundHamiltonian(_Bound):
     """Binding of a :class:`HamiltonianModel`; the integrators step through it.
@@ -661,9 +693,10 @@ class BoundHamiltonian(_Bound):
     This default evaluates the model's per-point methods with ``xs[k]``, one
     batch row at a time.  ``grad_position`` and ``grad_momentum`` take
     ``(B, dim)`` stacks of states at grid point ``k`` and return one result
-    row per state.  ``grad_params_rows`` takes one state per grid point,
-    rows aligned with ``xs``, needs a single ``theta`` and returns a new
-    array with one result row per point, which the caller may overwrite.
+    row per state.  ``grad_params_rows`` and ``grad_params_contrast`` take
+    whole trajectories, one state per grid point with rows aligned with
+    ``xs``, need a single ``theta`` and return a new array, which the caller
+    may overwrite.
     """
 
     def grad_position(self, s, p, k) -> np.ndarray:
@@ -671,10 +704,6 @@ class BoundHamiltonian(_Bound):
 
     def grad_momentum(self, s, p, k) -> np.ndarray:
         return self._each_row(self.model.grad_momentum, s, p, k)
-
-    def grad_params_rows(self, positions, momenta) -> np.ndarray:
-        return self._each_row(self.model.grad_params, positions, momenta, slice(None),
-                              self.model.theta_dim)
 
 
 class CostModel(ABC):

@@ -413,6 +413,13 @@ def echo_retrace_check(
     flipped = momentum_flip(forward.state(grid.n_steps))
     x_rev = x.time_reversed() if x is not None else None
     back = integrate_hamiltonian(model, theta, flipped, grid, x_rev, scheme=scheme)
+    return _retrace_error(forward, back)
+
+
+def _retrace_error(forward: Trajectory, back: Trajectory) -> float:
+    """Worst deviation of ``back``, a run from the momentum-flipped endpoint
+    of ``forward``, from retracing it: max |difference| over positions and
+    flipped momenta, ``back`` read back to front."""
     pos_err = np.abs(back.positions[::-1] - forward.positions)
     mom_err = np.abs(-back.momenta[::-1] - forward.momenta)
     return float(max(pos_err.max(), mom_err.max()))

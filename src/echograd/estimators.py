@@ -33,9 +33,10 @@ class Problem:
     estimate per entry from one pass (one free run, one nudged run for all
     signed betas); it raises ``ValueError`` for a bad list before any
     integration.  Each estimate's ``free_loss`` is the cost of that free
-    run.  In the ``"ivp"`` regime that is ``loss(theta)``, bitwise for RHEL
-    when the Hamiltonian's forward run repeats the arithmetic of the
-    Lagrangian run, as for the zoo's Legendre-partner pairs.  ``loss``
+    run, which is ``loss(theta)`` bitwise: CBVP's free solve is the one its
+    loss makes, and for RHEL this holds when the Hamiltonian's forward run
+    repeats the arithmetic of the Lagrangian run, as for the zoo's
+    Legendre-partner pairs.  ``loss``
     takes one parameter vector, or a ``(B, P)`` stack and returns its ``B``
     losses, as :func:`trajectory_loss` does."""
 

@@ -51,11 +51,11 @@ from .core import (
     as_params,
     central_probes,
     central_quotient,
+    check_fd_step,
     finish_estimates,
     frozen_array,
     path_cost,
     signed_betas,
-    trapezoid_contrast,
 )
 from .dynamics import Nudge, integrate_lagrangian_ivp
 from .errors import ConvergenceError, DivergenceError, SingularHessianError
@@ -185,8 +185,6 @@ def grad_civp(
         thetas = np.concatenate([thetas, central_probes(th, fd_eps)])
     runs = integrate_lagrangian_ivp(model, thetas, spec.position, spec.velocity, grid, x)
     free_positions, free_velocities = runs.positions[0], runs.velocities[0]
-    bound = model.bind(th, xs)
-    free_params = bound.grad_params_rows(free_positions, free_velocities)
     gv_free_end = np.asarray(
         model.grad_velocity(free_positions[-1], free_velocities[-1], th, x_end), dtype=float
     )
@@ -201,11 +199,12 @@ def grad_civp(
 
     nudged = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid, x,
                                       nudge=Nudge(signs, cost, y))
+    contrasts = model.bind(th, xs).grad_params_contrast(
+        nudged.positions, nudged.velocities, free_positions, free_velocities, grid.dt)
     values = []
     for i, b in enumerate(signs):
         positions, velocities = nudged.positions[i], nudged.velocities[i]
-        value = trapezoid_contrast(
-            bound.grad_params_rows(positions, velocities), free_params, grid.dt)
+        value = contrasts[i]
         if include_boundary:
             gv_nudged_end = np.asarray(
                 model.grad_velocity(positions[-1], velocities[-1], th, x_end), dtype=float
@@ -396,17 +395,12 @@ def grad_cbvp(
     xs = x.values if x is not None else None
 
     free = solve_cbvp(model, th, spec, grid, x, config=config).trajectory
-    bound = model.bind(th, xs)
-    free_params = bound.grad_params_rows(free.positions, free.velocities)
-
-    values = []
-    for b in signs:
-        nudged = solve_cbvp(
-            model, th, spec, grid, x, cost=cost, target=y, beta=b, config=config,
-            initial_guess=free.positions,
-        ).trajectory
-        values.append(trapezoid_contrast(
-            bound.grad_params_rows(nudged.positions, nudged.velocities), free_params, grid.dt) / b)
+    nudged = [solve_cbvp(model, th, spec, grid, x, cost=cost, target=y, beta=b, config=config,
+                         initial_guess=free.positions).trajectory for b in signs]
+    contrasts = model.bind(th, xs).grad_params_contrast(
+        np.stack([run.positions for run in nudged]), np.stack([run.velocities for run in nudged]),
+        free.positions, free.velocities, grid.dt)
+    values = [contrast / b for contrast, b in zip(contrasts, signs)]
     return finish_estimates(values, beta, nudging, EstimatorMethod.CBVP, started,
                             path_cost(cost, free.positions, y, grid.dt))
 
@@ -440,6 +434,7 @@ def grad_pfvp(
     th = as_params(theta)
     nudging = NudgeMode(nudging)
     signs = signed_betas(beta, nudging)
+    check_fd_step(fd_eps)
     if not model.reversible:
         raise ValueError("the final-value construction requires a velocity-even model")
     if not cost.position_only:
@@ -447,8 +442,6 @@ def grad_pfvp(
 
     free = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid, x)
     xs = x.values if x is not None else None
-    bound = model.bind(th, xs)
-    free_params = bound.grad_params_rows(free.positions, free.velocities)
 
     x_rev = x.time_reversed() if x is not None else None
     y_rev = y.time_reversed()
@@ -461,12 +454,13 @@ def grad_pfvp(
 
     back = integrate_lagrangian_ivp(model, th, end_position, -end_velocity, grid, x_rev,
                                     nudge=Nudge(signs, cost, y_rev))
+    # Each nudged run read back to front, with its velocities reversed.
+    contrasts = model.bind(th, xs).grad_params_contrast(
+        back.positions[:, ::-1], -back.velocities[:, ::-1], free.positions, free.velocities,
+        grid.dt)
     values = []
     for i, b in enumerate(signs):
-        positions, velocities = back.positions[i], back.velocities[i]
-        value = trapezoid_contrast(
-            bound.grad_params_rows(positions[::-1], -velocities[::-1]), free_params, grid.dt)
-        value = value + boundary_jac.T @ (positions[-1] - spec.position)
+        value = contrasts[i] + boundary_jac.T @ (back.positions[i, -1] - spec.position)
         values.append(value / b)
     return finish_estimates(values, beta, nudging, EstimatorMethod.PFVP, started,
                             path_cost(cost, free.positions, y, grid.dt))

@@ -140,9 +140,14 @@ class _BoundLegendreHamiltonian(BoundHamiltonian):
         self.grad_position = self._source.partner_grad_position
         self.grad_momentum = self._source.velocity
 
-    def grad_params_rows(self, positions, momenta):
-        rows = self._source.grad_params_rows(positions, self._source.velocity_rows(positions, momenta))
-        return np.negative(rows, out=rows)
+    def grad_params_contrast(self, positions, momenta, ref_positions, ref_momenta, dt):
+        """dH/dtheta = -dL/dtheta at the velocities of the momenta: the
+        source binding's contrast at ``velocity_rows``, negated."""
+        source = self._source
+        contrast = source.grad_params_contrast(
+            positions, source.velocity_rows(positions, momenta),
+            ref_positions, source.velocity_rows(ref_positions, ref_momenta), dt)
+        return np.negative(contrast, out=contrast)
 
 
 class _BindingPartner(LegendreHamiltonian):

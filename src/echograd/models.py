@@ -198,9 +198,9 @@ class _BoundPotential:
     ``theta`` is one vector or a ``(B, theta_dim)`` stack.  K and the input
     force W x_k of every grid point are formed once per theta row; the force
     on a ``(B, dim)`` state stack is one stacked matrix product per step.
-    The parameter gradient of a whole trajectory (single theta) is one array
-    product per block.  Row by row, the arithmetic of ``grad_s`` is that of
-    ``potential_grad_s``.
+    The parameter-gradient contrast of a whole trajectory (single theta) is
+    a few d x d matrix products.  Row by row, the arithmetic of ``grad_s`` is
+    that of ``potential_grad_s``.
     """
 
     def __init__(self, core: _OscillatorCore, theta, xs):
@@ -242,35 +242,52 @@ class _BoundPotential:
             grad = grad + self._core.quartic * s**3
         return grad
 
-    def grad_theta_rows(self, positions):
-        """(rows, theta_dim) array of dV/dtheta, row k at ``positions[k]`` and x_k.
+    def grad_theta_contrast(self, positions, ref_positions, dt):
+        """Trapezoid integral of dV/dtheta at ``positions`` minus at
+        ``ref_positions``, both one state per grid point with rows aligned
+        with the input samples.
 
-        Needs a single theta.
+        ``positions`` is one trajectory, giving a ``(theta_dim,)`` result, or
+        a ``(B, n_points, dim)`` stack, giving one row per trajectory.  Needs
+        a single theta.  With trapezoid weights w, states E, reference F and
+        D = E - F, the stiffness block is linear in the d x d matrix
+        M = (w D)^T E + (w F)^T D = sum_k w_k (e_k e_k^T - f_k f_k^T) and the
+        input block is (w D)^T X, so the cost is O(n_points d^2) and no
+        (n_points, theta_dim) array is formed.  Each trajectory is copied
+        contiguous first: numpy's matmul leaves BLAS for strided operands,
+        and a stack row then no longer matches the same trajectory on its own.
         """
         core = self._core
         if not self._single:
-            raise ValueError("parameter gradient rows need a single parameter vector")
-        s = np.asarray(positions, dtype=float)
-        n_rows, d = s.shape
-        rows = np.empty((n_rows, core.theta_dim))
-        g_k = rows[:, : core._n_stiffness]
-        if core.coupling in ("direct", "mask"):
-            i, j = core._entry_rows, core._entry_cols
-            np.multiply(s[:, i], s[:, j], out=g_k)
-            g_k[:, i == j] *= 0.5
-        else:
-            as_ = s @ self._factor.T
-            if core.coupling == "dense":
-                np.multiply(as_[:, :, None], s[:, None, :], out=g_k.reshape(n_rows, d, d))
+            raise ValueError("parameter gradients need a single parameter vector")
+        ref = np.ascontiguousarray(ref_positions, dtype=float)
+        n_rows, d = ref.shape
+        if self._xs is not None and self._xs.shape[0] != n_rows:
+            raise ValueError(f"expected {self._xs.shape[0]} states, got {n_rows}")
+        weights = np.full((n_rows, 1), float(dt))
+        weights[[0, -1]] *= 0.5
+        weighted_ref = weights * ref
+        stack = np.asarray(positions, dtype=float)
+        out = np.empty(stack.shape[:-2] + (core.theta_dim,))
+        for row, states in zip(out.reshape(-1, core.theta_dim), stack.reshape((-1, n_rows, d))):
+            states = np.ascontiguousarray(states)
+            delta = states - ref
+            weighted_delta = weights * delta
+            gram = weighted_delta.T @ states + weighted_ref.T @ delta
+            g_k = row[: core._n_stiffness]
+            if core.coupling in ("direct", "mask"):
+                g_k[:] = gram[core._entry_rows, core._entry_cols]
+                g_k[core._entry_rows == core._entry_cols] *= 0.5
             else:
-                np.multiply(as_, s, out=g_k[:, :d])
-                np.multiply(as_[:, 1:], s[:, :-1], out=g_k[:, d:])
-        if self._xs is not None:
-            if self._xs.shape[0] != n_rows:
-                raise ValueError(f"expected {self._xs.shape[0]} states, got {n_rows}")
-            g_w = rows[:, core._n_stiffness :].reshape(n_rows, d, core.input_dim)
-            np.multiply(s[:, :, None], self._xs[:, None, :], out=g_w)
-        return rows
+                a_gram = self._factor @ gram
+                if core.coupling == "dense":
+                    g_k[:] = a_gram.ravel()
+                else:
+                    g_k[:d] = np.diagonal(a_gram)
+                    g_k[d:] = np.diagonal(a_gram, -1)
+            if self._xs is not None:
+                row[core._n_stiffness :] = (weighted_delta.T @ self._xs).ravel()
+        return out
 
 
 class OscillatorLagrangian(LagrangianModel):
@@ -367,9 +384,9 @@ class _BoundOscillatorLagrangian(BoundLagrangian):
     def velocity_rows(self, positions, momenta):
         return np.array(momenta, dtype=float)
 
-    def grad_params_rows(self, positions, velocities):
-        rows = self._potential.grad_theta_rows(positions)
-        return np.negative(rows, out=rows)
+    def grad_params_contrast(self, positions, velocities, ref_positions, ref_velocities, dt):
+        contrast = self._potential.grad_theta_contrast(positions, ref_positions, dt)
+        return np.negative(contrast, out=contrast)
 
 
 class _BoundOscillatorHamiltonian(BoundHamiltonian):
@@ -383,8 +400,8 @@ class _BoundOscillatorHamiltonian(BoundHamiltonian):
     def grad_momentum(self, s, p, k):
         return p
 
-    def grad_params_rows(self, positions, momenta):
-        return self._potential.grad_theta_rows(positions)
+    def grad_params_contrast(self, positions, momenta, ref_positions, ref_momenta, dt):
+        return self._potential.grad_theta_contrast(positions, ref_positions, dt)
 
 
 def make_oscillator_model(dim, coupling="dense", input_dim=0):
@@ -422,6 +439,11 @@ class QuadraticTrackingCost(CostModel):
         self.dim = int(dim)
         self.indices, self._index = _selector(self.dim, indices)
         self.target_dim = len(self.indices)
+        # An increasing run of coordinates is read and written as a slice,
+        # a view, where an index array would copy.
+        first = self.indices[0] if self.indices else 0
+        if self.indices == tuple(range(first, first + self.target_dim)):
+            self._index = slice(first, first + self.target_dim)
 
     def cost(self, state, target):
         err = np.asarray(state, dtype=float)[self._index] - np.asarray(target, dtype=float)
@@ -439,8 +461,11 @@ class QuadraticTrackingCost(CostModel):
 
     def grad_state_rows(self, states, targets):
         states = np.asarray(states, dtype=float)
-        grad = np.zeros_like(states)
-        grad[:, self._index] = states[:, self._index] - np.asarray(targets, dtype=float)
+        grad = np.zeros(states.shape)
+        if isinstance(self._index, slice):
+            np.subtract(states[:, self._index], targets, out=grad[:, self._index])
+        else:
+            grad[:, self._index] = states[:, self._index] - np.asarray(targets, dtype=float)
         return grad
 
 

@@ -44,12 +44,12 @@ from .core import (
     as_params,
     central_probes,
     central_quotient,
+    check_fd_step,
     finish_estimates,
     path_cost,
     signed_betas,
-    trapezoid_contrast,
 )
-from .dynamics import Nudge, integrate_hamiltonian, momentum_flip
+from .dynamics import Nudge, _retrace_error, integrate_hamiltonian, momentum_flip
 
 __all__ = [
     "InitialStateMap",
@@ -195,9 +195,7 @@ def run_echo(
 
 def retrace_deviation(run: EchoRun) -> float:
     """Worst deviation of the echo from a perfect momentum-flipped retrace."""
-    pos_err = np.abs(run.echo.positions[::-1] - run.forward.positions)
-    mom_err = np.abs(-run.echo.momenta[::-1] - run.forward.momenta)
-    return float(max(pos_err.max(), mom_err.max()))
+    return _retrace_error(run.forward, run.echo)
 
 
 def grad_rhel(
@@ -226,6 +224,7 @@ def grad_rhel(
     th = as_params(theta)
     nudging = NudgeMode(nudging)
     signs = signed_betas(beta, nudging)
+    check_fd_step(fd_eps)
     if not model.time_reversible:
         raise ValueError("echo runs require a momentum-flip invariant Hamiltonian")
 
@@ -234,28 +233,25 @@ def grad_rhel(
     y_rev = y.time_reversed()
     n = grid.n_steps
 
-    # Row k is read at forward index n - k, in step with the echo.
-    forward_params = model.bind(th, None if x is None else x.values).grad_params_rows(
-        forward.positions, forward.momenta)[::-1]
-    echo_bound = model.bind(th, None if x_rev is None else x_rev.values)
-
     init_jac = None if init.theta_independent else init.jacobian(th, fd_eps)
     forward_start = forward.state(0).as_vector()
     echo_start = momentum_flip(forward.state(n))
 
     echoes = integrate_hamiltonian(model, th, echo_start, grid, x_rev,
                                    nudge=Nudge(signs, cost, y_rev))
+    # The reference is the forward pass read back to front, row k at forward
+    # index n - k, in step with the echo and its reversed inputs.
+    integrals = model.bind(th, None if x_rev is None else x_rev.values).grad_params_contrast(
+        echoes.positions, echoes.momenta, forward.positions[::-1], forward.momenta[::-1],
+        grid.dt)
     values = []
     for i, b in enumerate(signs):
-        positions, momenta = echoes.positions[i], echoes.momenta[i]
-        integral = trapezoid_contrast(
-            echo_bound.grad_params_rows(positions, momenta), forward_params, grid.dt)
         if init_jac is None:
             boundary = 0.0
         else:
-            deviation = np.concatenate([positions[n], momenta[n]]) - forward_start
-            boundary = init_jac.T @ block_swap(deviation)
-        values.append(-(integral - boundary) / b)
+            end = np.concatenate([echoes.positions[i, n], echoes.momenta[i, n]])
+            boundary = init_jac.T @ block_swap(end - forward_start)
+        values.append(-(integrals[i] - boundary) / b)
     states = forward.positions
     if not cost.position_only:
         states = np.concatenate([forward.positions, forward.momenta], axis=1)

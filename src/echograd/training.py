@@ -15,7 +15,7 @@ from .core import (
     ParamVector,
     frozen_array,
 )
-from .estimators import ivp_loss, prepare
+from .estimators import prepare
 from .glep import CbvpRelaxConfig
 from .tasks import Task
 
@@ -69,14 +69,15 @@ def train(
     config: TrainConfig,
     theta0: ParamVector | None = None,
 ) -> RunRecord:
-    """Gradient descent on the free-trajectory cost; deterministic per seed.
+    """Gradient descent on the loss the estimator answers; deterministic per seed.
 
-    The loss recorded at epoch ``k`` is measured before the k-th update, so
-    ``losses[0]`` is the initial loss; ``final_loss`` is measured after the
-    last update.  The initial-value estimators integrate that free
-    trajectory themselves, so their epochs record the estimate's
-    ``free_loss`` and make no run of their own; CBVP's free run is the
-    pinned, coarse one, so its epochs evaluate the loss separately.
+    That loss is the prepared problem's: the free-trajectory cost for the
+    initial-value estimators, and for CBVP the cost of its pinned, coarse
+    boundary value problem.  The loss recorded at epoch ``k`` is measured
+    before the k-th update, so ``losses[0]`` is the initial loss;
+    ``final_loss`` is measured after the last update.  Every estimator
+    solves that free trajectory itself, so the epochs record the estimate's
+    ``free_loss`` and make no run of their own.
     """
     started = time.perf_counter()
     if theta0 is None:
@@ -89,14 +90,11 @@ def train(
         nudging=config.nudging, fd_eps=config.fd_eps,
         cbvp_config=config.cbvp, cbvp_coarsen=config.cbvp_coarsen,
     )
-    # every estimator is scored on the free-trajectory loss, CBVP included
-    loss = ivp_loss(lagrangian, task)
-
     losses = np.empty(config.epochs)
     grad_norms = np.empty(config.epochs)
     for epoch in range(config.epochs):
         estimate = problem.estimate(ParamVector(theta), config.beta)
-        losses[epoch] = estimate.free_loss if problem.regime == "ivp" else loss(theta)
+        losses[epoch] = estimate.free_loss
         grad_norms[epoch] = float(np.linalg.norm(estimate.value))
         theta = theta - config.learning_rate * estimate.value
 
@@ -112,7 +110,7 @@ def train(
     return RunRecord(
         losses=losses,
         grad_norms=grad_norms,
-        final_loss=loss(theta),
+        final_loss=problem.loss(theta),
         theta_final=ParamVector(theta),
         wall_time=time.perf_counter() - started,
         config=snapshot,

@@ -172,6 +172,9 @@ def test_parameter_rows_need_a_single_theta():
     bound = member.hamiltonian.bind(np.stack([member.theta.values] * 2))
     with pytest.raises(ValueError, match="single parameter vector"):
         bound.grad_params_rows(np.zeros((5, 2)), np.zeros((5, 2)))
+    for bound in (bound, member.lagrangian.bind(np.stack([member.theta.values] * 2))):
+        with pytest.raises(ValueError, match="single parameter vector"):
+            bound.grad_params_contrast(*np.zeros((4, 5, 2)), 0.1)
     # a parameter stack with the rows' own grid indices, as many rows as
     # parameter rows or one, on the zoo binding and on the default binding
     for lag, theta in ((member.lagrangian, member.theta.values),

@@ -88,6 +88,22 @@ def test_property_list_estimates_equal_scalar_calls(model, n, seed, nudging, bet
         assert gap <= ECHO_EQUALS_PFVP * max(1.0, np.linalg.norm(pfvp.value)), gap
 
 
+def test_wide_echo_equals_pfvp_and_lists_equal_scalar_calls():
+    # d=64: the parameter contrast runs on BLAS-sized matrix products
+    config = load_config()
+    config["task"]["dim"] = 64
+    bundle = build_bundle(config)
+    lag, ham, task = bundle.lagrangian, bundle.hamiltonian, bundle.task
+    theta = np.random.default_rng(1).normal(scale=float(config["task"]["theta_scale"]),
+                                            size=lag.theta_dim)
+    betas = [1e-2, -1e-4]
+    rhel, pfvp = (_assert_list_equals_scalar_calls(prepare(m, lag, ham, task, theta), theta,
+                                                   betas) for m in ("rhel", "pfvp"))
+    for echo, final_value in zip(rhel, pfvp):
+        gap = np.linalg.norm(echo.value - final_value.value)
+        assert gap <= ECHO_EQUALS_PFVP * np.linalg.norm(final_value.value), gap
+
+
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(model=st.sampled_from(MODELS), n=st.integers(8, 20), seed=st.integers(0, 2**16),
        nudging=st.sampled_from(list(NudgeMode)),
@@ -172,8 +188,8 @@ def test_echo_forward_run_is_the_free_loss_run_on_the_default_config(default_bun
 
 @pytest.mark.parametrize("method", IVP_METHODS + ("cbvp",))
 def test_train_records_the_free_trajectory_loss_of_each_epoch(method):
-    # the initial-value methods hand it back as free_loss; CBVP's own free
-    # run is the pinned, coarse one, so train evaluates the loss for it
+    # every estimator hands back the loss it answers as free_loss: the
+    # free-trajectory cost, or for CBVP that of the pinned, coarse problem
     _, lag, ham, theta = MODELS[2]
     task = _task(lag, 80, 4)
     theta0 = ParamVector(theta)
@@ -183,7 +199,7 @@ def test_train_records_the_free_trajectory_loss_of_each_epoch(method):
         return train(lag, ham, task, config, theta0=theta0)
 
     record = run(3)
-    loss = ivp_loss(lag, task)
+    loss = prepare(method, lag, ham, task, theta0).loss
     assert record.losses[0] == loss(theta)
     for k in (1, 2):
         assert record.losses[k] == loss(run(k).theta_final.values)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from test_legendre import MassLagrangian
 
-from echograd.core import BoundHamiltonian, BoundLagrangian, LagrangianModel, Signal, TimeGrid
+from echograd.core import (
+    BoundHamiltonian,
+    BoundLagrangian,
+    LagrangianModel,
+    Signal,
+    TimeGrid,
+    trapezoid,
+    trapezoid_contrast,
+)
 from echograd.dynamics import integrate_lagrangian_ivp
 from echograd.legendre import forward_legendre, velocity_from_momentum
 from echograd.models import (
@@ -50,6 +58,17 @@ def _assert_close(bound, reference):
     assert np.max(np.abs(bound - reference)) <= 1e-14 * max(np.max(np.abs(reference)), 1e-300)
 
 
+def _contrast_reference(fn, theta, xs, pos, con, ref_pos, ref_con, dt):
+    """The contrast integral from the per-point parameter gradients ``fn``,
+    and its tolerance: 1e-12 of the horizon times the largest row entry."""
+    def rows(p, c):
+        return np.array([fn(p[k], c[k], theta, _x(xs, k)) for k in range(len(p))])
+
+    states, reference = rows(pos, con), rows(ref_pos, ref_con)
+    scale = max(np.max(np.abs(states)), np.max(np.abs(reference)))
+    return trapezoid(states - reference, dt), 1e-12 * dt * (len(pos) - 1) * scale
+
+
 def _stack_at(pos, con, k, rows):
     """A state stack at grid point ``k``: batch row b holds sample ``k + b``."""
     index = [(k + b) % N_POINTS for b in range(rows)]
@@ -86,10 +105,15 @@ def test_oscillator_bindings_match_per_point_methods(name, lag, ham):
     def rows(fn):
         return np.array([fn(pos[k], con[k], theta, _x(xs, k)) for k in range(N_POINTS)])
 
-    _assert_close(hb.grad_params_rows(pos, con), rows(ham.grad_params))
-    _assert_close(lb.grad_params_rows(pos, con), rows(lag.grad_params))
     _assert_close(lb.velocity_rows(pos, con), con)
-    _assert_close(wb.grad_params_rows(pos, con), rows(wrapped.grad_params))
+    ref_pos, ref_con = _samples(lag, seed=len(name) + 1)[1:3]
+    dt = 0.1
+    for bound, model in ((hb, ham), (lb, lag), (wb, wrapped)):
+        expected, tol = _contrast_reference(model.grad_params, theta, xs, pos, con,
+                                            ref_pos, ref_con, dt)
+        contrast = bound.grad_params_contrast(pos, con, ref_pos, ref_con, dt)
+        assert contrast.shape == expected.shape
+        assert np.max(np.abs(contrast - expected)) <= tol
     # rows at the grid indices they sit at, as the boundary value solver
     # passes them; row for row bitwise the per-step evaluation
     for ks in (slice(None), slice(1, N_POINTS - 1), np.array([4, 0, 7])):
@@ -102,10 +126,15 @@ def test_oscillator_bindings_match_per_point_methods(name, lag, ham):
         for i, k in enumerate(index):
             assert np.array_equal(by_position[i], lb.grad_position(s[i:i + 1], c[i:i + 1], k)[0])
             assert np.array_equal(by_velocity[i], lb.grad_velocity(s[i:i + 1], c[i:i + 1], k)[0])
-    # the echo and final-value estimators pass trajectories read back to front
+    # the echo and final-value estimators pass trajectories read back to
+    # front: read through a binding of the reversed inputs, the reversed
+    # pass gives the contrast of the forward binding
     xs_rev = None if xs is None else xs[::-1]
-    _assert_close(ham.bind(theta, xs_rev).grad_params_rows(pos[::-1], con[::-1]),
-                  rows(ham.grad_params)[::-1])
+    expected, tol = _contrast_reference(ham.grad_params, theta, xs, pos, con, ref_pos, ref_con,
+                                        dt)
+    reversed_contrast = ham.bind(theta, xs_rev).grad_params_contrast(
+        pos[::-1], con[::-1], ref_pos[::-1], ref_con[::-1], dt)
+    assert np.max(np.abs(reversed_contrast - expected)) <= tol
 
 
 def test_default_binding_reproduces_per_point_calls_exactly():
@@ -137,6 +166,15 @@ def test_default_binding_reproduces_per_point_calls_exactly():
     lb, wb = lag.bind(theta), wrapped.bind(theta)
     params = np.array([lag.grad_params(s, c, theta) for s, c in zip(pos, con)])
     assert np.array_equal(lb.grad_params_rows(pos, con), params)
+    # the default contrast is trapezoid_contrast of those rows, per trajectory
+    ref_pos, ref_con = _samples(lag, seed=8)[1:3]
+    ref_params = np.array([lag.grad_params(s, c, theta) for s, c in zip(ref_pos, ref_con)])
+    contrast = trapezoid_contrast(params.copy(), ref_params, 0.1)
+    assert np.array_equal(lb.grad_params_contrast(pos, con, ref_pos, ref_con, 0.1), contrast)
+    assert np.array_equal(
+        lb.grad_params_contrast(np.stack([pos, ref_pos]), np.stack([con, ref_con]),
+                                ref_pos, ref_con, 0.1),
+        [contrast, np.zeros_like(contrast)])
     interior = slice(1, N_POINTS - 1)
     assert np.array_equal(lb.grad_position(pos[interior], con[interior], interior),
                           [lag.grad_position(s, c, theta) for s, c in zip(pos, con)][interior])
@@ -144,10 +182,54 @@ def test_default_binding_reproduces_per_point_calls_exactly():
                           [lag.grad_velocity(s, c, theta) for s, c in zip(pos, con)][interior])
     velocities = np.array([velocity_from_momentum(lag, s, c, theta) for s, c in zip(pos, con)])
     assert np.array_equal(lb.velocity_rows(pos, con), velocities)
-    assert np.array_equal(wb.grad_params_rows(pos, con), -lb.grad_params_rows(pos, velocities))
+    # the wrapper negates the source's contrast at the velocities, which is
+    # bitwise the per-point contrast of the wrapped model
+    ref_velocities = lb.velocity_rows(ref_pos, ref_con)
+    wrapped_contrast = wb.grad_params_contrast(pos, con, ref_pos, ref_con, 0.1)
+    assert np.array_equal(wrapped_contrast,
+                          -lb.grad_params_contrast(pos, velocities, ref_pos, ref_velocities, 0.1))
 
     hb = BoundHamiltonian(wrapped, theta)
-    assert np.array_equal(hb.grad_params_rows(pos, con), wb.grad_params_rows(pos, con))
+    assert np.array_equal(hb.grad_params_contrast(pos, con, ref_pos, ref_con, 0.1),
+                          wrapped_contrast)
+
+
+COUPLINGS = {"direct": "direct", "mask": MASK, "dense": "dense", "chain": "chain"}
+
+
+@pytest.mark.parametrize("input_dim", [0, 2])
+@pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+def test_parameter_contrast_matches_the_per_point_rows(coupling, input_dim):
+    lag, ham = make_quartic_model(3, COUPLINGS[coupling], input_dim, strength=0.5)
+    wrapped = forward_legendre(lag)
+    rng = np.random.default_rng(input_dim)
+    n_points, dt = 41, 0.05
+    theta = rng.normal(size=lag.theta_dim)
+    xs = rng.normal(size=(n_points, input_dim)) if input_dim else None
+    ref_pos, ref_con = rng.normal(size=(2, n_points, 3))
+    # nudged-size, tiny and unrelated departures from the reference
+    scales = np.array([1e-3, 1e-6, 1.0])[:, None, None]
+    pos = ref_pos + scales * rng.normal(size=(3, n_points, 3))
+    con = ref_con + scales * rng.normal(size=(3, n_points, 3))
+    # as the integrators store a stack: row b a strided view of (n_points, B, dim)
+    strided_pos = np.ascontiguousarray(pos.transpose(1, 0, 2)).transpose(1, 0, 2)
+    strided_con = np.ascontiguousarray(con.transpose(1, 0, 2)).transpose(1, 0, 2)
+    # a reference read back to front, as the echo passes its forward run
+    reversed_ref_pos = np.ascontiguousarray(ref_pos[::-1])[::-1]
+    reversed_ref_con = np.ascontiguousarray(ref_con[::-1])[::-1]
+    for model in (ham, lag, wrapped):
+        bound = model.bind(theta, xs)
+        contrast = bound.grad_params_contrast(pos, con, ref_pos, ref_con, dt)
+        assert contrast.shape == (3, model.theta_dim)
+        for b in range(3):
+            expected, tol = _contrast_reference(model.grad_params, theta, xs, pos[b], con[b],
+                                                ref_pos, ref_con, dt)
+            assert np.max(np.abs(contrast[b] - expected)) <= tol
+            alone = bound.grad_params_contrast(pos[b], con[b], ref_pos, ref_con, dt)
+            assert alone.tobytes() == contrast[b].tobytes()
+        strided = bound.grad_params_contrast(strided_pos, strided_con, reversed_ref_pos,
+                                             reversed_ref_con, dt)
+        assert strided.tobytes() == contrast.tobytes()
 
 
 @pytest.mark.parametrize("name,lag,ham", PAIRS[:4], ids=[p[0] for p in PAIRS[:4]])
@@ -182,6 +264,21 @@ def test_cost_rows_match_per_point_costs():
     targets = rng.normal(size=(N_POINTS, 1))
     assert np.array_equal(phase.cost_rows(phase_states, targets),
                           [phase.cost(s, y) for s, y in zip(phase_states, targets)])
+
+
+@pytest.mark.parametrize("indices", [None, [1], [1, 2], [0, 2], [2, 1], []],
+                         ids=["all", "one", "run", "gap", "descending", "none"])
+def test_tracking_cost_gradient_rows_equal_per_point_gradients(indices):
+    # runs of coordinates take a slice, the others an index array
+    rng = np.random.default_rng(6)
+    cost = QuadraticTrackingCost(3, indices=indices)
+    states = rng.normal(size=(N_POINTS, 3))
+    targets = rng.normal(size=(N_POINTS, cost.target_dim))
+    assert np.array_equal(cost.grad_state_rows(states, targets),
+                          [cost.grad_state(s, y) for s, y in zip(states, targets)])
+    # a batch at one grid point, its target row shared
+    assert np.array_equal(cost.grad_state_rows(states, targets[4]),
+                          [cost.grad_state(s, targets[4]) for s in states])
 
 
 @pytest.mark.parametrize("lag", [PAIRS[2][1], MassLagrangian(dim=2, mass=2.0)],

@@ -150,8 +150,7 @@ def test_gradcheck_rejects_a_bad_finite_difference_step(tmp_path, fd_eps):
 
 
 def test_default_config_cbvp_train_completes(tmp_path):
-    # The recorded loss is the free-trajectory cost, while CBVP descends its
-    # own pinned, coarse loss, so only completion and finiteness are checked.
+    # The recorded loss is the one CBVP descends: its own pinned, coarse loss.
     out = tmp_path / "cbvp"
     result = _run(["--out", str(out), "--estimator", "cbvp", "train"], tmp_path)
     assert result.returncode == 0, result.stderr
@@ -159,6 +158,8 @@ def test_default_config_cbvp_train_completes(tmp_path):
     assert len(lines) == 201  # header + the default 200 epochs
     values = [float(v) for line in lines[1:] for v in line.split(",")]
     assert all(math.isfinite(v) for v in values)
+    losses = [float(line.split(",")[1]) for line in lines[1:]]
+    assert losses[-1] < losses[0]
 
 
 def test_compare_outputs(tmp_path, fast_config):
@@ -259,3 +260,27 @@ def test_compare_payload_is_byte_reproducible(tmp_path, fast_config):
     assert manifests[0]["payload_sha256"] == manifests[1]["payload_sha256"]
     # per-cell wall times stay available, outside the hashed payload
     assert set(manifests[0]["timings"]["cells"]) == {"pfvp@0.001", "rhel@0.001"}
+
+
+@pytest.mark.parametrize("estimator", ["pfvp", "rhel"])
+def test_gradcheck_rejects_a_bad_step_before_integrating(tmp_path, monkeypatch, capsys,
+                                                          estimator):
+    # the zoo's velocity Jacobian builds no probes, so the estimator itself
+    # must check the step, ahead of its free run
+    import echograd.cli
+    import echograd.glep
+    import echograd.rhel
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before the step was checked")
+
+    monkeypatch.setattr(echograd.glep, "integrate_lagrangian_ivp", no_integration)
+    monkeypatch.setattr(echograd.rhel, "integrate_hamiltonian", no_integration)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(FAST_CONFIG.replace("  beta: 0.001\n", "  beta: 0.001\n  fd_eps: -1.0e-5\n", 1))
+    out = tmp_path / "r"
+    code = echograd.cli.main(["--config", str(cfg), "--out", str(out), "--estimator", estimator,
+                              "gradcheck"])
+    assert code == 2
+    assert "finite-difference step" in capsys.readouterr().err
+    assert not (out / "gradcheck.json").exists()

@@ -90,6 +90,17 @@ def test_training_reduces_loss(small_bundle):
     assert record.grad_norms.shape == (25,)
 
 
+def test_cbvp_training_records_and_reduces_its_own_loss(small_bundle):
+    lag, ham, theta, task = small_bundle
+    config = TrainConfig(estimator="cbvp", beta=1e-3, learning_rate=0.3, epochs=10)
+    record = train(lag, ham, task, config, theta0=theta)
+    loss = prepare("cbvp", lag, ham, task, theta).loss
+    assert record.losses[0] == loss(theta)
+    assert record.final_loss == loss(record.theta_final.values)
+    assert record.losses[-1] < record.losses[0]
+    assert record.final_loss < record.losses[0]
+
+
 def test_estimator_model_compatibility_checks(small_bundle):
     lag, ham, theta, task = small_bundle
     with pytest.raises(ValueError):

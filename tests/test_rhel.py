@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from echograd.core import ParamVector, PhaseState, Signal, TimeGrid, trapezoid
-from echograd.dynamics import integrate_hamiltonian
+from echograd.dynamics import echo_retrace_check, integrate_hamiltonian
 from echograd.models import (
     PhaseTrackingCost,
     QuadraticTrackingCost,
     ZeroCost,
     make_oscillator_model,
+    model_zoo,
 )
 from echograd.oracle import fd_gradient
 from echograd.rhel import (
@@ -94,6 +95,17 @@ def test_echo_deviation_loglog_slope_one():
     )
     slopes = np.diff(np.log(devs)) / np.diff(np.log(betas))
     assert np.all(np.abs(slopes - 1.0) <= 0.1)
+
+
+def test_echo_run_deviation_is_the_retrace_check():
+    member = model_zoo()[2]
+    grid = _grid(n=200)
+    x = Signal.from_function(grid, lambda t: [np.cos(1.3 * t)])
+    phi0 = PhaseState([0.4, -0.2], [0.1, 0.3])
+    run = run_echo(member.hamiltonian, None, member.theta, ConstantInitialState(phi0), grid, x,
+                   None, beta=0.0)
+    assert retrace_deviation(run) == echo_retrace_check(member.hamiltonian, member.theta, phi0,
+                                                        grid, x)
 
 
 def test_run_echo_requires_reversible_model():
