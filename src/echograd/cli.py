@@ -86,7 +86,8 @@ def _static_ep_check(seed, beta, nudging, fd_eps):
     est = static_ep_gradient(energy, cost, theta, x0, y0, beta, nudging=nudging)
 
     def relaxed_cost(thetas):
-        return [cost.cost(relax(energy, p, x0).state, y0) for p in thetas]
+        # cost.cost per row: cost_rows sums in another order, which would move the oracle's bits
+        return [cost.cost(state, y0) for state in relax(energy, thetas, x0).state]
 
     return est, fd_gradient(relaxed_cost, theta, eps=fd_eps)
 

@@ -194,7 +194,9 @@ class Signal:
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
         if arr.ndim == 1:
-            arr = arr[:, None]
+            # a reshape keeps the row stride of a stacked (n, 1) column, where
+            # a new axis would have stride 0
+            arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.shape[0] != self.grid.n_points:
             raise ValueError(
                 f"signal needs {self.grid.n_points} rows, got array of shape {arr.shape}"

@@ -92,11 +92,8 @@ def _drive_signal(grid, input_dim, amplitude, omega):
     if input_dim == 0 or amplitude == 0.0:
         return None
 
-    def drive(t):
-        return [amplitude * np.sin(omega * t + 2.0 * np.pi * j / max(input_dim, 1))
-                for j in range(input_dim)]
-
-    return Signal.from_function(grid, drive)
+    phases = 2.0 * np.pi * np.arange(input_dim) / max(input_dim, 1)
+    return Signal(grid, amplitude * np.sin(omega * grid.times()[:, None] + phases))
 
 
 def _initial_data(dim, position, velocity):
@@ -118,7 +115,7 @@ def sine_tracking_task(
 ) -> Task:
     """Track a single sinusoid on one selected coordinate."""
     alpha, gamma = _initial_data(dim, initial_position, initial_velocity)
-    y = Signal.from_function(grid, lambda t: [amplitude * np.sin(omega * t)])
+    y = Signal(grid, amplitude * np.sin(omega * grid.times()))
     return Task(
         name="sine_tracking",
         grid=grid,
@@ -146,9 +143,8 @@ def two_sines_task(
 ) -> Task:
     """Track a sum of two incommensurate sinusoids."""
     alpha, gamma = _initial_data(dim, initial_position, initial_velocity)
-    y = Signal.from_function(
-        grid, lambda t: [amplitude * np.sin(omega * t) + amplitude2 * np.sin(omega2 * t)]
-    )
+    t = grid.times()
+    y = Signal(grid, amplitude * np.sin(omega * t) + amplitude2 * np.sin(omega2 * t))
     return Task(
         name="two_sines",
         grid=grid,
@@ -173,12 +169,9 @@ def step_response_task(
 ) -> Task:
     """Drive the system with a step input and hold a constant target after it."""
     alpha, gamma = _initial_data(dim, initial_position, initial_velocity)
-    x = None
-    if input_dim > 0:
-        x = Signal.from_function(
-            grid, lambda t: [level if t >= step_time else 0.0 for _ in range(input_dim)]
-        )
-    y = Signal.from_function(grid, lambda t: [level if t >= step_time else 0.0])
+    held = np.where(grid.times() >= step_time, level, 0.0)
+    x = Signal(grid, np.repeat(held[:, None], input_dim, axis=1)) if input_dim > 0 else None
+    y = Signal(grid, held)
     return Task(
         name="step_response",
         grid=grid,

@@ -284,3 +284,21 @@ def test_gradcheck_rejects_a_bad_step_before_integrating(tmp_path, monkeypatch, 
     assert code == 2
     assert "finite-difference step" in capsys.readouterr().err
     assert not (out / "gradcheck.json").exists()
+
+
+@pytest.mark.parametrize("command, estimator", [
+    ("gradcheck", "static_ep"), ("gradcheck", "civp"), ("gradcheck", "cbvp"),
+    ("gradcheck", "pfvp"), ("gradcheck", "rhel"), ("train", "pfvp"),
+])
+def test_in_process_runs_give_identical_payloads(tmp_path, fast_config, command, estimator):
+    import echograd.cli
+
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        code = echograd.cli.main(["--config", str(fast_config), "--out", str(out),
+                                  "--estimator", estimator, command])
+        assert code == 0
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+    assert manifests[0]["payload_sha256"] == manifests[1]["payload_sha256"]
+    for name in manifests[0]["payload"]["outputs"]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

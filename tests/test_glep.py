@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echograd import glep
 from echograd.core import LagrangianModel, NudgeMode, ParamVector, Signal, TimeGrid
-from echograd.errors import ConvergenceError, NumericalError, SingularHessianError
+from echograd.errors import ConvergenceError, SingularHessianError
 from echograd.glep import (
     CbvpRelaxConfig,
     CbvpSpec,
@@ -23,6 +25,7 @@ from echograd.models import (
     ZeroCost,
     make_oscillator_model,
     make_quartic_model,
+    model_zoo,
 )
 from echograd.oracle import fd_gradient, trajectory_loss
 
@@ -187,15 +190,43 @@ def test_cbvp_singular_jacobian_is_typed_error():
 @pytest.mark.parametrize("beta", [0.0, 1e-3])
 def test_cbvp_quartic_fold_case_is_typed_error(beta):
     # Past a fold of the solution branch: Newton from the straight line
-    # stalls, and the solve must end in a typed error without a warning.
+    # stalls, and the solve must end in a ConvergenceError without a warning
+    # (not a NaN trajectory, nor another numerical error).
     lag, _ = make_quartic_model(2, "chain")
     grid = TimeGrid(dt=(np.pi / 2) / 48, n_steps=48)
     spec = CbvpSpec([0.3, -0.2], [0.6, 0.1])
     y = Signal.from_function(grid, lambda t: [0.4 * np.sin(2.0 * t)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError):
+        with pytest.raises(ConvergenceError):
             solve_cbvp(lag, TH2, spec, grid, cost=COST2, target=y, beta=beta)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(member=st.sampled_from(model_zoo()), n=st.integers(8, 80), seed=st.integers(0, 2**16),
+       beta=st.sampled_from([0.0, 1e-3, -1e-3]))
+def test_property_cbvp_meets_tol_with_pinned_endpoints(member, n, seed, beta):
+    # Horizon 1, below the first conjugate point of every zoo member at
+    # these parameter draws, so the solution branch has no fold in reach.
+    rng = np.random.default_rng(seed)
+    lag, d = member.lagrangian, member.lagrangian.dim
+    theta = member.theta.values * (1.0 + 0.1 * rng.normal(size=lag.theta_dim))
+    grid = TimeGrid(dt=1.0 / n, n_steps=n)
+    spec = CbvpSpec(rng.normal(scale=0.5, size=d), rng.normal(scale=0.5, size=d))
+    x = None
+    if lag.input_dim:
+        x = Signal.from_function(grid, lambda t: np.sin(1.3 * t + np.arange(lag.input_dim)))
+    y = Signal.from_function(grid, lambda t: [0.4 * np.sin(2.0 * t)])
+    config = CbvpRelaxConfig(tol=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_cbvp(lag, theta, spec, grid, x, cost=QuadraticTrackingCost(d, [0]),
+                            target=y, beta=beta, config=config)
+    positions = result.trajectory.positions
+    assert np.all(np.isfinite(positions))
+    assert result.max_residual <= config.tol
+    assert np.array_equal(positions[0], spec.start_position)
+    assert np.array_equal(positions[-1], spec.end_position)
 
 
 # ---------------------------------------------------------------- CBVP estimator

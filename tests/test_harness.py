@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from echograd.compare import compare_estimators
-from echograd.core import EstimatorMethod, HamiltonianModel, ParamVector, TimeGrid
+from echograd.core import EstimatorMethod, HamiltonianModel, ParamVector, Signal, TimeGrid
 from echograd.glep import CbvpRelaxConfig
 from echograd.models import make_oscillator_model
 from echograd.tasks import make_task, sine_tracking_task, step_response_task, two_sines_task
@@ -48,6 +48,52 @@ def test_task_coarsening_is_exact_subsampling():
     assert np.array_equal(coarse.x.values, task.x.values[::8])
     with pytest.raises(ValueError):
         task.coarsened(7)
+
+
+SIGNAL_GRIDS = [
+    TimeGrid(dt=dt, n_steps=n, t_start=t0)
+    for dt, n, t0 in [(0.0025, 800, 0.0), (0.005, 400, 0.0), (0.01, 200, 0.0), (0.02, 50, 0.0),
+                      (0.1, 10, 0.0), (0.25, 4, 0.0), (0.003, 333, 0.7), (1.0 / 3.0, 9, -1.0)]
+]
+
+
+def _per_time_signals(name, grid, input_dim):
+    """The task's input and target at its default settings, sampled one grid
+    time at a time."""
+    omega = 1.5 if name == "sine_tracking" else 1.2
+
+    def drive(t):
+        if name == "step_response":
+            return [0.6 if t >= 1.0 else 0.0 for _ in range(input_dim)]
+        return [1.0 * np.sin(omega * t + 2.0 * np.pi * j / max(input_dim, 1))
+                for j in range(input_dim)]
+
+    def target(t):
+        if name == "step_response":
+            return [0.6 if t >= 1.0 else 0.0]
+        if name == "sine_tracking":
+            return [0.8 * np.sin(1.5 * t)]
+        return [0.5 * np.sin(1.2 * t) + 0.3 * np.sin(2.3 * t)]
+
+    x = Signal.from_function(grid, drive) if input_dim > 0 else None
+    return x, Signal.from_function(grid, target)
+
+
+@pytest.mark.parametrize("name", ["sine_tracking", "two_sines", "step_response"])
+def test_task_signals_equal_per_time_sampling(name):
+    # the generators build each signal in one array expression; every sample
+    # must be bitwise the one a per-time call gives
+    for grid in SIGNAL_GRIDS:
+        for input_dim in (0, 1, 3):
+            task = make_task(name, grid, input_dim=input_dim)
+            x, y = _per_time_signals(name, grid, input_dim)
+            assert np.array_equal(task.y.values, y.values)
+            assert task.y.values.strides == y.values.strides
+            if x is None:
+                assert task.x is None
+            else:
+                assert task.x.values.shape == (grid.n_points, input_dim)
+                assert np.array_equal(task.x.values, x.values)
 
 
 @pytest.fixture(scope="module")

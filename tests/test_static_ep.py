@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echograd.core import NudgeMode, ParamVector
-from echograd.errors import ConvergenceError
+from echograd.errors import ConvergenceError, DivergenceError
 from echograd.models import QuadraticTrackingCost
 from echograd.oracle import fd_gradient
 from echograd.static_ep import (
@@ -66,13 +68,40 @@ def test_hopfield_energy_bounded_below_on_box():
     hop = HopfieldEnergy(2)
     th = ParamVector([0.3, -0.2, 0.4])
     x0 = np.array([0.8, -0.5])
-    w_sum = np.sum(np.abs(hop._weights(th.values)))
+    w_sum = np.sum(np.abs(hop._matrix(th.values)))
     drive_sum = np.sum(np.abs(x0))
     floor = -(0.5 * w_sum + drive_sum)
     rng = np.random.default_rng(0)
     samples = rng.uniform(-3.0, 3.0, size=(500, 2))
     energies = [hop.energy(s, th.values, x0) for s in samples]
     assert min(energies) >= floor
+
+
+@pytest.mark.parametrize("energy", [QuadraticEnergy(1), QuadraticEnergy(2), QuadraticEnergy(3),
+                                    HopfieldEnergy(2), HopfieldEnergy(3)],
+                         ids=["quad1", "quad2", "quad3", "hop2", "hop3"])
+def test_vectorised_fill_and_gradients_equal_the_entry_loop(energy):
+    # reference: the matrix filled, and the partials formed, one upper-
+    # triangle entry (i, j) at a time
+    rng = np.random.default_rng(energy.dim)
+    entries = [(i, j) for i in range(energy.dim) for j in range(i, energy.dim)]
+    hopfield = isinstance(energy, HopfieldEnergy)
+    for _ in range(50):
+        theta = rng.normal(size=energy.theta_dim)
+        s, x0 = rng.normal(size=energy.dim), rng.normal(size=energy.dim)
+        m = np.zeros((energy.dim, energy.dim))
+        for k, (i, j) in enumerate(entries):
+            m[i, j] = m[j, i] = theta[k]
+        assert np.array_equal(energy._matrix(theta), m[None])
+        u = np.tanh(s) if hopfield else s
+        scale = -1.0 if hopfield else 1.0
+        loop = [scale * 0.5 * u[i] * u[i] if i == j else scale * u[i] * u[j] for i, j in entries]
+        assert np.array_equal(energy.grad_params(s, theta, x0), loop)
+        if hopfield:
+            grad = s - (1.0 - u**2) * (m @ u + x0)
+        else:
+            grad = m @ s - x0
+        assert np.array_equal(energy.grad_state(s, theta, x0), grad)
 
 
 def test_symmetric_estimator_matches_analytic_gradient():
@@ -125,3 +154,124 @@ def test_hopfield_estimator_matches_oracle():
     estimate = static_ep_gradient(hop, cost, th, x0, y0, beta=1e-4, config=TIGHT)
     rel = np.linalg.norm(estimate.value - oracle) / np.linalg.norm(oracle)
     assert rel <= 1e-3
+
+
+# ---------------------------------------------------------------- lockstep rows
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+ENERGIES = [QuadraticEnergy(1), QuadraticEnergy(2), QuadraticEnergy(3),
+            HopfieldEnergy(2), HopfieldEnergy(3)]
+BETAS = (0.0, 1e-3, -1e-3, 1e-2, -1e-2, 0.3, -0.3)
+
+
+def _thetas(energy, rows, rng):
+    """Parameter rows the relaxation converges on: stiffness near the
+    identity for the quadratic energy, weak couplings for the Hopfield one."""
+    if isinstance(energy, QuadraticEnergy):
+        k = np.eye(energy.dim) * rng.uniform(1.0, 2.0, size=(rows, 1, 1))
+        k = k + 0.1 * rng.normal(size=(rows, energy.dim, energy.dim))
+        k = 0.5 * (k + np.swapaxes(k, 1, 2))
+        upper_rows, upper_cols = np.triu_indices(energy.dim)
+        return k[:, upper_rows, upper_cols]
+    return rng.normal(scale=0.3, size=(rows, energy.theta_dim))
+
+
+def _single(energy, theta, x0, target, beta, s0, cost):
+    return relax(energy, theta, x0, target=target, beta=beta, initial_state=s0, cost=cost,
+                 record_energy=True)
+
+
+@PROPERTY
+@given(energy=st.sampled_from(ENERGIES), rows=st.integers(1, 5), seed=st.integers(0, 2**16),
+       shared_theta=st.booleans(), shared_state=st.booleans())
+def test_property_stacked_rows_equal_single_relaxations(energy, rows, seed, shared_theta,
+                                                        shared_state):
+    rng = np.random.default_rng(seed)
+    d = energy.dim
+    thetas = _thetas(energy, rows, rng)
+    if shared_theta:
+        thetas = thetas[0]
+    x0 = rng.normal(size=d)
+    target = rng.normal(scale=0.5, size=d - 1 if d > 1 else 1)
+    cost = QuadraticTrackingCost(d, indices=list(range(target.shape[0])))
+    betas = rng.choice(BETAS, size=rows)
+    s0 = rng.normal(scale=0.5, size=d if shared_state else (rows, d))
+    stacked = _single(energy, thetas, x0, target, betas, s0, cost)
+    assert stacked.state.shape == (rows, d)
+    assert type(stacked.iterations) is int
+    assert stacked.iterations == int(stacked.row_iterations.max())
+    assert stacked.residual == stacked.row_residuals.max()
+    assert stacked.energy_history.shape == (stacked.iterations + 1, rows)
+    for b in range(rows):
+        theta = thetas if shared_theta else thetas[b]
+        one = _single(energy, theta, x0, target, betas[b], s0 if shared_state else s0[b], cost)
+        # the residual is the max-norm of the augmented gradient at the state returned
+        g = energy.grad_state(one.state, theta, x0)
+        if betas[b] != 0.0:
+            g = g + betas[b] * cost.grad_state(one.state, target)
+        assert one.residual == np.max(np.abs(g))
+        assert one.state.shape == (d,)
+        assert np.array_equal(stacked.state[b], one.state)
+        assert stacked.row_iterations[b] == one.iterations
+        assert stacked.row_residuals[b] == one.residual
+        assert one.residual <= RelaxConfig().tol
+        assert np.array_equal(stacked.energy_history[: one.iterations + 1, b],
+                              one.energy_history)
+
+
+def test_row_seeded_at_its_fixed_point_stops_while_the_others_go_on():
+    hop = HopfieldEnergy(2)
+    thetas = np.array([[0.3, -0.2, 0.4], [0.1, 0.5, -0.3], [-0.4, 0.2, 0.2]])
+    x0 = np.array([0.8, -0.5])
+    fixed = relax(hop, thetas[0], x0).state
+    seeds = np.array([fixed, [1.5, -1.5], [-1.0, 0.5]])
+    stacked = relax(hop, thetas, x0, initial_state=seeds)
+    assert stacked.row_iterations[0] == 0
+    assert np.array_equal(stacked.state[0], fixed)
+    assert np.all(stacked.row_iterations[1:] > 0)
+    for b in (1, 2):
+        one = relax(hop, thetas[b], x0, initial_state=seeds[b])
+        assert np.array_equal(stacked.state[b], one.state)
+        assert stacked.row_iterations[b] == one.iterations
+
+
+def test_non_finite_row_raises_divergence_naming_it():
+    # at step 10, stiffness -1 grows the state elevenfold per sweep
+    config = RelaxConfig(step=10.0, tol=1e-12, max_iters=10_000)
+    thetas = np.array([[0.05], [-1.0], [0.1]])
+    with pytest.raises(DivergenceError, match="row 1") as stacked:
+        relax(QE, thetas, X0, config=config)
+    assert stacked.value.row == 1
+    with pytest.raises(DivergenceError) as single:
+        relax(QE, thetas[1], X0, config=config)
+    assert stacked.value.step == single.value.step
+
+
+def test_row_missing_the_budget_raises_convergence_naming_it():
+    config = RelaxConfig(step=0.05, tol=1e-8, max_iters=500)
+    thetas = np.array([[1.0], [1e-3], [1.0]])
+    with pytest.raises(ConvergenceError, match="row 1"):
+        relax(QE, thetas, X0, config=config)
+    assert relax(QE, thetas[0], X0, config=config).iterations < 500
+
+
+def test_stacked_arguments_must_agree_on_rows():
+    qe2 = QuadraticEnergy(2)
+    thetas = np.tile([1.0, 0.1, 1.0], (3, 1))
+    x0 = np.array([1.0, -1.0])
+    target = np.array([0.0, 0.0])
+    with pytest.raises(ValueError, match="disagree"):
+        relax(qe2, thetas, x0, target=target, beta=np.array([0.1, -0.1]),
+              cost=QuadraticTrackingCost(2))
+    with pytest.raises(ValueError, match="disagree"):
+        relax(qe2, thetas, x0, initial_state=np.zeros((2, 2)))
+
+
+def test_initial_state_of_the_wrong_width_is_rejected():
+    qe2 = QuadraticEnergy(2)
+    theta = np.array([1.0, 0.1, 1.0])
+    x0 = np.array([1.0, -1.0])
+    with pytest.raises(ValueError, match="width"):
+        relax(qe2, theta, x0, initial_state=np.zeros(3))
+    with pytest.raises(ValueError, match="width"):
+        relax(qe2, np.tile(theta, (2, 1)), x0, initial_state=np.zeros((2, 1)))
