@@ -19,7 +19,9 @@ Conventions used throughout the package:
   position and velocity gradients of a Lagrangian, the rows' own grid
   indices.  The default binding calls the per-point methods with ``xs[k]``;
   a model overrides ``bind`` to do parameter-only work once per solve and to
-  evaluate whole trajectories in one call.
+  evaluate whole trajectories in one call.  The integrators reach the
+  (nudged) force only through the binding's ``force``, built once per
+  integration.
 - Central differences build their probe points with :func:`central_probes`
   and their Jacobians with :func:`central_quotient`.
 - Runs that share a grid and an input signal integrate in lockstep along a
@@ -610,6 +612,29 @@ class _Bound:
             out[b] = method(s[b], c[b], self.theta_row(b), x[b] if x_per_row else x)
         return out
 
+    def force(self, batch, nudge=None):
+        """The force of the flow the integrators step through this binding,
+        built once per integration.
+
+        Returns ``f(s, p, k)``: -dH/ds + beta dc/ds for the ``(batch, dim)``
+        state stacks ``s``, ``p`` at grid point ``k``, where H is the
+        Hamiltonian (for a Lagrangian binding, its Legendre partner's) and
+        ``nudge`` is ``None`` or a :class:`~echograd.dynamics.Nudge` with a
+        position-only cost.  The result may be a buffer that the next call
+        overwrites.  This default negates the binding's dH/ds and adds the
+        nudge of :func:`_nudge_term`.
+        """
+        grad_position = getattr(self, self._flow_grad_position)
+        add_nudge = _nudge_term(batch, self.model.dim, nudge)
+
+        def force(s, p, k):
+            f = -grad_position(s, p, k)
+            if add_nudge is not None:
+                add_nudge(f, s, k)
+            return f
+
+        return force
+
     def grad_params_rows(self, positions, conjugate) -> np.ndarray:
         """The parameter gradient at every state of one trajectory, one state
         per grid point with rows aligned with ``xs``, as a new array with one
@@ -638,6 +663,37 @@ class _Bound:
                          for p, c in zip(positions, conjugate)])
 
 
+def _nudge_term(batch, dim, nudge):
+    """The nudge of a force built once per integration: ``add(f, s, k)``
+    adds beta_b dc/ds(s_b, y_k) in place to row ``b`` of the ``(batch, dim)``
+    force stack ``f``, for the state stack ``s`` at grid point ``k`` and
+    every row of nonzero strength; ``None`` when no row is nudged.
+
+    ``nudge`` is ``None`` or a nudge with a position-only cost and one
+    strength, or one per row.  Rows at zero strength are left untouched, so
+    each is bitwise its free run, signed zeros included.  The cost gradient
+    is written into one buffer, allocated here.
+    """
+    if nudge is None:
+        return None
+    betas = np.broadcast_to(np.asarray(nudge.beta, dtype=float), (batch,))
+    nudged = np.flatnonzero(betas)
+    if nudged.size == 0:
+        return None
+    cost, ys = nudge.cost, nudge.target.values
+    targets = np.broadcast_to(ys[:, None, :], (ys.shape[0], nudged.size, ys.shape[1]))
+    weights = betas[nudged][:, None]
+    grad = np.zeros((nudged.size, dim))
+    if nudged.size == batch:
+        def add(f, s, k):
+            f += weights * cost.grad_state_rows(s, targets[k], out=grad)
+        return add
+
+    def add(f, s, k):
+        f[nudged] += weights * cost.grad_state_rows(s[nudged], targets[k], out=grad)
+    return add
+
+
 class BoundLagrangian(_Bound):
     """Binding of a :class:`LagrangianModel`.
 
@@ -652,8 +708,11 @@ class BoundLagrangian(_Bound):
     ``grad_params_rows`` and ``grad_params_contrast`` take whole
     trajectories, one state per grid point with rows aligned with ``xs``,
     and return a new array that the caller may overwrite; the parameter
-    gradients need a single ``theta``.
+    gradients need a single ``theta``.  ``force`` is that of the
+    Legendre-partner flow, built from ``partner_grad_position``.
     """
+
+    _flow_grad_position = "partner_grad_position"
 
     def grad_position(self, s, v, k) -> np.ndarray:
         return self._each_row(self.model.grad_position, s, v, k)
@@ -698,8 +757,10 @@ class BoundHamiltonian(_Bound):
     row per state.  ``grad_params_rows`` and ``grad_params_contrast`` take
     whole trajectories, one state per grid point with rows aligned with
     ``xs``, need a single ``theta`` and return a new array, which the caller
-    may overwrite.
+    may overwrite.  ``force`` is built from ``grad_position``.
     """
+
+    _flow_grad_position = "grad_position"
 
     def grad_position(self, s, p, k) -> np.ndarray:
         return self._each_row(self.model.grad_position, s, p, k)
@@ -732,9 +793,17 @@ class CostModel(ABC):
         """Cost of every row of ``states`` against the same row of ``targets``."""
         return np.array([self.cost(s, y) for s, y in zip(states, targets)], dtype=float)
 
-    def grad_state_rows(self, states, targets) -> np.ndarray:
-        """``grad_state`` of every row of ``states`` against the same row of ``targets``."""
-        out = np.empty(np.shape(states))
+    def grad_state_rows(self, states, targets, out=None) -> np.ndarray:
+        """``grad_state`` of every row of ``states`` against the same row of
+        ``targets``, as a new array or written into ``out``.
+
+        ``out`` holds zeros or the result of an earlier call on a stack of
+        the same shape: an override may leave the entries that its gradient
+        never sets (the unselected coordinates of a tracking cost) as they
+        are.
+        """
+        if out is None:
+            out = np.empty(np.shape(states))
         for i in range(out.shape[0]):
             out[i] = self.grad_state(states[i], targets[i])
         return out

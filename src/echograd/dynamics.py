@@ -10,11 +10,18 @@ and is not permitted for echo-phase runs.
 Nudged flows integrate d/dt (s, p) = J dH - beta J dc.  For position-only
 costs this is a plain Hamiltonian flow with the potential shifted by
 -beta*c, so the nudging force simply joins the kick; the kick at step k uses
-the input and target samples at grid point k.  Momentum-dependent costs (and
-non-separable Hamiltonians) fall back to the generalised Stoermer-Verlet
-step with fixed-point iterations for the implicit half-updates.  That
-step and rk4 evaluate one nudged vector field, which hands a position-only
-cost the positions only.
+the input and target samples at grid point k.  Every stepper reaches that
+force only through the binding: ``bound.force(B, nudge)``, built once per
+integration, gives -dH/ds + beta dc/ds of a state stack.  For a
+position-only cost a row at beta = 0 gets no cost term at all, so it is
+bitwise its free run.  The separable leapfrog evaluates the force once per
+step and shares its half kick between the step it ends and the step it
+starts.  Momentum-dependent costs
+(and non-separable Hamiltonians) fall back to the generalised
+Stoermer-Verlet step with fixed-point iterations for the implicit
+half-updates.  That step and rk4 evaluate one nudged vector field: the same
+force for a position-only cost, the phase-state cost gradient added to the
+free force otherwise.
 
 Lagrangian initial value problems are integrated by converting to the
 Legendre-partner Hamiltonian flow and mapping momenta back to velocities, so
@@ -156,20 +163,15 @@ def integrate_hamiltonian(
     d, n, dt, batch = model.dim, grid.n_steps, grid.dt, rows or 1
     s0 = np.array(np.broadcast_to(phi0.position, (batch, d)))
     p0 = np.array(np.broadcast_to(phi0.momentum, (batch, d)))
-    terms = None
-    if nudge is not None:
-        betas = np.broadcast_to(np.asarray(nudge.beta, dtype=float), (batch,))[:, None]
-        ys = nudge.target.values
-        terms = (betas, nudge.cost, np.broadcast_to(ys[:, None, :], (n + 1, batch, ys.shape[1])))
     bound = model.bind(th, xs)
     # A diverging run overflows before its check; _check_rows reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         if scheme == "rk4":
-            positions, momenta = _rk4(bound, s0, p0, n, dt, terms)
+            positions, momenta = _rk4(bound, s0, p0, n, dt, nudge)
         elif model.separable and (nudge is None or nudge.cost.position_only):
-            positions, momenta = _leapfrog_separable(bound, s0, p0, n, dt, terms)
+            positions, momenta = _leapfrog_separable(bound, s0, p0, n, dt, nudge)
         else:
-            positions, momenta = _leapfrog_implicit(bound, s0, p0, n, dt, terms)
+            positions, momenta = _leapfrog_implicit(bound, s0, p0, n, dt, nudge)
     if rows is None:
         positions, momenta = positions[:, 0], momenta[:, 0]
     else:
@@ -178,8 +180,9 @@ def integrate_hamiltonian(
 
 
 # The steppers advance a (B, dim) stack of states and store step k of row b
-# at [k, b] of an (n + 1, B, dim) array.  ``nudge`` is None or the triple
-# (strengths as a (B, 1) column, cost model, (n + 1, B, target_dim) targets).
+# at [k, b] of an (n + 1, B, dim) array.  ``nudge`` is None or a Nudge on
+# the integration grid; the steppers reach the nudged force only through
+# the binding's ``force``.
 
 
 def _check_rows(positions, momenta, lo, hi):
@@ -206,49 +209,48 @@ def _storage(s, p, n):
 
 
 def _leapfrog_separable(bound, s, p, n, dt, nudge):
-    """Kick-drift-kick for H = T(p) + V(s, x), nudge folded into the kick."""
+    """Kick-drift-kick for H = T(p) + V(s, x), nudge folded into the kick.
+
+    One force evaluation per step: its half kick ends one step and starts
+    the next.  Each step writes its state straight into the storage rows.
+    """
     positions, momenta = _storage(s, p, n)
-    grad_position, grad_momentum = bound.grad_position, bound.grad_momentum
-
-    if nudge is not None:
-        betas, cost, targets = nudge
-
-    def kick_force(state, mom, k):
-        f = -grad_position(state, mom, k)
-        if nudge is not None:
-            f = f + betas * cost.grad_state_rows(state, targets[k])
-        return f
-
-    f = kick_force(s, p, 0)
+    force, velocity = bound.force(len(s), nudge), bound.grad_momentum
+    half = 0.5 * dt
+    kick = half * force(s, p, 0)
     for steps in _chunks(n):
         for k in steps:
-            p_half = p + 0.5 * dt * f
-            s = s + dt * grad_momentum(s, p_half, k)
-            f = kick_force(s, p_half, k + 1)
-            p = p_half + 0.5 * dt * f
-            positions[k + 1], momenta[k + 1] = s, p
+            p_half = p + kick
+            s = np.add(s, dt * velocity(s, p_half, k), out=positions[k + 1])
+            kick = half * force(s, p_half, k + 1)
+            p = np.add(p_half, kick, out=momenta[k + 1])
         _check_rows(positions, momenta, steps.start + 1, steps.stop + 1)
     return positions, momenta
 
 
-def _vector_field(bound, nudge):
-    """``field(s, p, k)``: (ds/dt, dp/dt) of the nudged flow for the state
-    stacks ``s``, ``p`` at sample ``k``.  A position-only cost is handed the
-    positions only, as the :class:`CostModel` contract says."""
-    if nudge is not None:
-        betas, cost, targets = nudge
+def _vector_field(bound, batch, nudge):
+    """``field(s, p, k)``: (ds/dt, dp/dt) of the nudged flow for the
+    ``(batch, dim)`` state stacks ``s``, ``p`` at sample ``k``.
+
+    dp/dt is the binding's force, which takes a position-only nudge; a
+    momentum-dependent cost is the one nudge added here, from the phase
+    states.
+    """
+    phase = nudge is not None and not nudge.cost.position_only
+    force, velocity = bound.force(batch, None if phase else nudge), bound.grad_momentum
+    if not phase:
+        # a copy: rk4 holds several stages, and the force reuses its buffer
+        return lambda s, p, k: (velocity(s, p, k), force(s, p, k).copy())
+
+    betas = np.broadcast_to(np.asarray(nudge.beta, dtype=float), (batch,))[:, None]
+    cost, ys = nudge.cost, nudge.target.values
+    targets = np.broadcast_to(ys[:, None, :], (ys.shape[0], batch, ys.shape[1]))
 
     def field(s, p, k):
-        ds = bound.grad_momentum(s, p, k)
-        dp = -bound.grad_position(s, p, k)
-        if nudge is not None:
-            if cost.position_only:
-                dp = dp + betas * cost.grad_state_rows(s, targets[k])
-            else:
-                d = s.shape[1]
-                g = cost.grad_state_rows(np.concatenate([s, p], axis=1), targets[k])
-                ds = ds - betas * g[:, d:]
-                dp = dp + betas * g[:, :d]
+        d = s.shape[1]
+        g = cost.grad_state_rows(np.concatenate([s, p], axis=1), targets[k])
+        ds = velocity(s, p, k) - betas * g[:, d:]
+        dp = force(s, p, k) + betas * g[:, :d]
         return ds, dp
 
     return field
@@ -262,7 +264,7 @@ def _leapfrog_implicit(bound, s, p, n, dt, nudge):
     checked after every step: a non-finite state would make the next
     fixed-point solve fail to converge instead of reporting the divergence.
     """
-    field = _vector_field(bound, nudge)
+    field = _vector_field(bound, len(s), nudge)
 
     def fixed_point(update, start, what):
         value = start
@@ -299,7 +301,7 @@ def _rk4(bound, s, p, n, dt, nudge):
 
     Not time-symmetric; exists as the negative control for retrace tests.
     """
-    field = _vector_field(bound, nudge)
+    field = _vector_field(bound, len(s), nudge)
     positions, momenta = _storage(s, p, n)
     for steps in _chunks(n):
         for k in steps:

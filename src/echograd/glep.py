@@ -10,9 +10,9 @@ terms survive:
   the final time.  They involve parameter derivatives of the final state and
   of the velocity gradient there, computed here by central finite-difference
   probes over the parameters, one re-integration per parameter per side,
-  all run in lockstep with the free run.  This is deliberately impractical
-  beyond a handful of parameters and is guarded accordingly; the estimator
-  exists to validate the formula.
+  all run in lockstep with the free and the nudged runs.  This is
+  deliberately impractical beyond a handful of parameters and is guarded
+  accordingly; the estimator exists to validate the formula.
 - Fixed endpoint positions ("CBVP"): no residual terms at all, but the
   trajectories come from a two-point boundary value problem.  Its interior
   positions solve the discrete Euler-Lagrange equations of a midpoint
@@ -28,7 +28,8 @@ terms survive:
 Symmetric nudging averages the estimator at +beta and -beta.  Each
 estimator takes one beta or a list of them.  A list is estimated in one
 pass: the free run is solved once and, for the initial-value estimators,
-every signed beta is a row of one lockstep nudged run.
+every signed beta is a row of one lockstep nudged run (for CIVP, of the
+same lockstep run as the free run and its probes).
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ def grad_civp(
     every entry is checked before any integration.  The residual terms need
     parameter Jacobians of the final state, obtained by central differencing
     over theta with one free re-integration per parameter per side, so the
-    parameter count is capped by ``CIVP_THETA_LIMIT``.  The free run and the
-    probes are one lockstep integration, run once per call, and the nudged
-    runs of every signed beta are another.
+    parameter count is capped by ``CIVP_THETA_LIMIT``.  The free run, the
+    probes and the nudged runs of every signed beta are one lockstep
+    integration per call.
     ``include_boundary=False`` drops the residual terms; that variant is
     biased and exists only so tests can demonstrate the residuals matter.
     """
@@ -177,33 +178,37 @@ def grad_civp(
 
     xs = x.values if x is not None else None
     x_end = None if xs is None else xs[-1]
-    # Row 0 is the free run; with the boundary terms, rows 1 onwards are the
-    # free runs at the central-difference probes of theta, all in one
-    # lockstep run.
+    # One lockstep run.  Row 0 is the free run; with the boundary terms,
+    # rows 1 to 2P are the free runs at the central-difference probes of
+    # theta.  These rows are at beta = 0, so each is bitwise its free run on
+    # its own.  The last rows are the nudged runs, one per signed beta.
     thetas = th[None, :]
     if include_boundary:
         thetas = np.concatenate([thetas, central_probes(th, fd_eps)])
-    runs = integrate_lagrangian_ivp(model, thetas, spec.position, spec.velocity, grid, x)
+    n_free = thetas.shape[0]
+    runs = integrate_lagrangian_ivp(
+        model, np.concatenate([thetas, np.broadcast_to(th, (len(signs), th.shape[0]))]),
+        spec.position, spec.velocity, grid, x,
+        nudge=Nudge(np.concatenate([np.zeros(n_free), signs]), cost, y))
     free_positions, free_velocities = runs.positions[0], runs.velocities[0]
     gv_free_end = np.asarray(
         model.grad_velocity(free_positions[-1], free_velocities[-1], th, x_end), dtype=float
     )
 
     if include_boundary:
-        s_ends, v_ends = runs.positions[1:, -1], runs.velocities[1:, -1]
+        s_ends, v_ends = runs.positions[1:n_free, -1], runs.velocities[1:n_free, -1]
         # d s_T / d theta, and d/d theta of dL/dv at the free endpoint
         d_state = central_quotient(s_ends, fd_eps)
         d_gradv = central_quotient(
             [model.grad_velocity(s, v, t, x_end) for s, v, t in zip(s_ends, v_ends, thetas[1:])],
             fd_eps)
 
-    nudged = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid, x,
-                                      nudge=Nudge(signs, cost, y))
+    nudged_positions, nudged_velocities = runs.positions[n_free:], runs.velocities[n_free:]
     contrasts = model.bind(th, xs).grad_params_contrast(
-        nudged.positions, nudged.velocities, free_positions, free_velocities, grid.dt)
+        nudged_positions, nudged_velocities, free_positions, free_velocities, grid.dt)
     values = []
     for i, b in enumerate(signs):
-        positions, velocities = nudged.positions[i], nudged.velocities[i]
+        positions, velocities = nudged_positions[i], nudged_velocities[i]
         value = contrasts[i]
         if include_boundary:
             gv_nudged_end = np.asarray(

@@ -131,14 +131,16 @@ class _BoundLegendreHamiltonian(BoundHamiltonian):
     velocity never reaches the momentum solve.
 
     The per-step methods are the source binding's own bound methods, set on
-    the instance: each force or velocity is one call into the source.
+    the instance: each velocity is one call into the source, and ``force``
+    is the source binding's, the force of the partner flow.
     """
 
     def __init__(self, model, theta, xs, source):
         super().__init__(model, theta, xs)
         self._source = source
-        self.grad_position = self._source.partner_grad_position
-        self.grad_momentum = self._source.velocity
+        self.grad_position = source.partner_grad_position
+        self.grad_momentum = source.velocity
+        self.force = source.force
 
     def grad_params_contrast(self, positions, momenta, ref_positions, ref_momenta, dt):
         """dH/dtheta = -dL/dtheta at the velocities of the momenta: the

@@ -38,6 +38,7 @@ from .core import (
     HamiltonianModel,
     LagrangianModel,
     ParamVector,
+    _nudge_term,
 )
 
 __all__ = [
@@ -242,6 +243,30 @@ class _BoundPotential:
             grad = grad + self._core.quartic * s**3
         return grad
 
+    def force(self, batch, nudge=None):
+        """``f(s, p, k)``: -dV/ds of the ``(batch, dim)`` state stack ``s``
+        at grid point ``k``, nudged as :func:`~echograd.core._nudge_term`
+        says, written into one buffer allocated here.  The arithmetic is
+        that of ``-grad_s(s, k)``; ``p`` is not read.
+        """
+        stiffness, drive, quartic = self._stiffness, self._drive, self._core.quartic
+        product = np.empty((batch, self._core.dim, 1))
+        f = product[:, :, 0]
+        add_nudge = _nudge_term(batch, self._core.dim, nudge)
+
+        def force(s, p, k):
+            np.matmul(stiffness, s[:, :, None], out=product)
+            if drive is not None:
+                np.add(f, drive[k], out=f)
+            if quartic:
+                np.add(f, quartic * s**3, out=f)
+            np.negative(f, out=f)
+            if add_nudge is not None:
+                add_nudge(f, s, k)
+            return f
+
+        return force
+
     def grad_theta_contrast(self, positions, ref_positions, dt):
         """Trapezoid integral of dV/dtheta at ``positions`` minus at
         ``ref_positions``, both one state per grid point with rows aligned
@@ -381,6 +406,9 @@ class _BoundOscillatorLagrangian(BoundLagrangian):
     def partner_grad_position(self, s, p, k):
         return self._potential.grad_s(s, k)
 
+    def force(self, batch, nudge=None):
+        return self._potential.force(batch, nudge)
+
     def velocity_rows(self, positions, momenta):
         return np.array(momenta, dtype=float)
 
@@ -399,6 +427,9 @@ class _BoundOscillatorHamiltonian(BoundHamiltonian):
 
     def grad_momentum(self, s, p, k):
         return p
+
+    def force(self, batch, nudge=None):
+        return self._potential.force(batch, nudge)
 
     def grad_params_contrast(self, positions, momenta, ref_positions, ref_momenta, dt):
         return self._potential.grad_theta_contrast(positions, ref_positions, dt)
@@ -459,9 +490,9 @@ class QuadraticTrackingCost(CostModel):
         err = np.asarray(states, dtype=float)[:, self._index] - np.asarray(targets, dtype=float)
         return 0.5 * np.einsum("ij,ij->i", err, err)
 
-    def grad_state_rows(self, states, targets):
+    def grad_state_rows(self, states, targets, out=None):
         states = np.asarray(states, dtype=float)
-        grad = np.zeros(states.shape)
+        grad = np.zeros(states.shape) if out is None else out
         if isinstance(self._index, slice):
             np.subtract(states[:, self._index], targets, out=grad[:, self._index])
         else:
@@ -515,8 +546,9 @@ class ZeroCost(CostModel):
     def grad_state(self, state, target):
         return np.zeros(self.dim)
 
-    def grad_state_rows(self, states, targets):
-        return np.zeros_like(np.asarray(states, dtype=float))
+    def grad_state_rows(self, states, targets, out=None):
+        # an ``out`` holds zeros already: those of a buffer or an earlier call
+        return np.zeros_like(np.asarray(states, dtype=float)) if out is None else out
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,10 @@ class LagrangianInitialState(InitialStateMap):
         """``[0; d(dL/dv)/d theta]``: the position block is fixed."""
         momentum = self._source.grad_velocity_params(
             self._position, self._velocity, as_params(theta), self._x0, eps=eps)
-        return np.vstack([np.zeros_like(momentum), momentum])
+        d = momentum.shape[0]
+        jac = np.zeros((2 * d, momentum.shape[1]))
+        jac[d:] = momentum
+        return jac
 
 
 class CallableInitialState(InitialStateMap):

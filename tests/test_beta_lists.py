@@ -20,6 +20,7 @@ from echograd.config import build_bundle, load_config
 from echograd.core import NudgeMode, ParamVector, TimeGrid
 from echograd.dynamics import integrate_hamiltonian, integrate_lagrangian_ivp
 from echograd.estimators import ivp_loss, prepare
+from echograd.glep import CivpSpec
 from echograd.models import make_oscillator_model, make_quartic_model, model_zoo
 from echograd.rhel import LagrangianInitialState
 from echograd.tasks import sine_tracking_task
@@ -139,9 +140,7 @@ def test_bad_beta_lists_are_rejected_before_any_integration(monkeypatch, method,
         problems[method].estimate(theta, betas)
 
 
-def test_compare_runs_seven_integrations_for_three_estimators_and_three_betas(monkeypatch):
-    _, lag, ham, theta = MODELS[2]
-    task = _task(lag, 60, 1)
+def _count_integrations(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
@@ -150,14 +149,34 @@ def test_compare_runs_seven_integrations_for_three_estimators_and_three_betas(mo
 
     monkeypatch.setattr(echograd.dynamics, "integrate_hamiltonian", counted)
     monkeypatch.setattr(echograd.rhel, "integrate_hamiltonian", counted)
+    return calls
+
+
+def test_compare_runs_six_integrations_for_three_estimators_and_three_betas(monkeypatch):
+    _, lag, ham, theta = MODELS[2]
+    task = _task(lag, 60, 1)
+    calls = _count_integrations(monkeypatch)
     table = compare_estimators(lag, ham, ParamVector(theta), task, [1e-2, 1e-3, 1e-4],
                                list(IVP_METHODS))
-    # one oracle stack, then a free run and a nudged run per estimator
-    assert len(calls) == 7
+    # one oracle stack, one lockstep run for CIVP (free run, probes and
+    # nudged runs), then a free run and a nudged run each for PFVP and RHEL
+    assert len(calls) == 6
     assert len(table.cells) == 9
     for method in IVP_METHODS:
         times = {c.wall_time for c in table.cells if c.estimator == method}
         assert len(times) == 1, "the cells of one estimator share its call's wall time"
+
+
+@pytest.mark.parametrize("include_boundary", [True, False])
+def test_civp_over_three_betas_is_one_integration(monkeypatch, include_boundary):
+    _, lag, _, theta = MODELS[2]
+    task = _task(lag, 60, 1)
+    calls = _count_integrations(monkeypatch)
+    estimates = echograd.glep.grad_civp(
+        lag, task.cost, ParamVector(theta), CivpSpec(task.initial_position, task.initial_velocity),
+        task.grid, task.x, task.y, [1e-2, 1e-3, 1e-4], include_boundary=include_boundary)
+    assert len(calls) == 1
+    assert len(estimates) == 3
 
 
 @pytest.fixture(scope="module")

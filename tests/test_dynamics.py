@@ -1,11 +1,23 @@
 """Integrators: closed-form checks, time symmetry, residual diagnostics."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_batch import MODELS as BATCH_MODELS
 
-from echograd.core import CostModel, ParamVector, PhaseState, Signal, TimeGrid, Trajectory
+from echograd.core import (
+    BoundHamiltonian,
+    BoundLagrangian,
+    CostModel,
+    ParamVector,
+    PhaseState,
+    Signal,
+    TimeGrid,
+    Trajectory,
+)
 from echograd.dynamics import (
     SCHEMES,
     Nudge,
@@ -327,3 +339,95 @@ def test_energy_drift_shrinks_quadratically():
         drifts.append(np.max(np.abs(series - series[0])))
     slopes = np.log2(np.array(drifts[:-1]) / np.array(drifts[1:]))
     assert np.all(np.abs(slopes - 2.0) <= 0.3)
+
+
+# The zoo members, masked couplings and the driven quartic of the lockstep
+# tests; the default-binding model has no zoo force to compare.
+FORCE_MODELS = [m for m in BATCH_MODELS if m[0] != "mass2_default_binding"]
+
+
+class _CoreForce:
+    """A zoo model whose bindings keep every zoo method but build their
+    force with the ``core`` default, from ``grad_position`` (Hamiltonian)
+    or ``partner_grad_position`` (Lagrangian) and the cost's rows."""
+
+    def __init__(self, model, default):
+        self._model, self._default = model, default
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def bind(self, theta, xs=None):
+        bound = self._model.bind(theta, xs)
+        assert type(bound).force is not self._default.force
+        bound.force = partial(self._default.force, bound)
+        return bound
+
+
+def _force_case(lag, theta, rows, stacked, nudged, seed, zero_start=False):
+    """Parameters (one vector or a stack), initial data, signals and nudge
+    of a lockstep run; row 1 of a nudged run of two or more rows is at
+    beta = 0."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(dt=0.02, n_steps=60)
+    thetas = theta * (1.0 + 0.1 * rng.normal(size=(rows, theta.shape[0])))
+    th = thetas if stacked else theta
+    s0, c0 = rng.normal(scale=0.5, size=(2, rows, lag.dim))
+    x = None
+    if lag.input_dim:
+        x = Signal.from_function(grid, lambda t: np.sin(1.3 * t + np.arange(lag.input_dim)))
+    if zero_start:
+        # negative zeros: a kick of +0 would turn them positive
+        s0, c0 = np.zeros_like(s0), np.full_like(c0, -0.0)
+        x = None if x is None else Signal.zeros(grid, lag.input_dim)
+    y = Signal.from_function(grid, lambda t: [0.4 * np.cos(2.0 * t)])
+    nudge = None
+    if nudged:
+        betas = rng.choice([1e-2, -1e-2, 1e-3], size=rows)
+        if rows > 1:
+            betas[1] = 0.0
+        nudge = Nudge(betas, QuadraticTrackingCost(lag.dim, indices=[0]), y)
+    return grid, th, s0, c0, x, nudge
+
+
+def _bytes(traj):
+    return traj.positions.tobytes() + traj.conjugate.tobytes()
+
+
+@PROPERTY
+@given(model=st.sampled_from(FORCE_MODELS), rows=st.integers(1, 4), stacked=st.booleans(),
+       nudged=st.booleans(), scheme=st.sampled_from(SCHEMES), seed=st.integers(0, 2**16))
+def test_property_zoo_force_equals_the_core_default_force(model, rows, stacked, nudged, scheme,
+                                                          seed):
+    _, lag, ham, theta = model
+    grid, th, s0, c0, x, nudge = _force_case(lag, theta, rows, stacked, nudged, seed)
+    runs = [
+        (integrate_hamiltonian, ham, _CoreForce(ham, BoundHamiltonian), PhaseState(s0, c0)),
+        (integrate_lagrangian_ivp, lag, _CoreForce(lag, BoundLagrangian), (s0, c0)),
+    ]
+    for integrate, zoo, default, start in runs:
+        args = (start,) if isinstance(start, PhaseState) else start
+        a = integrate(zoo, th, *args, grid, x, nudge, scheme)
+        b = integrate(default, th, *args, grid, x, nudge, scheme)
+        assert _bytes(a) == _bytes(b), integrate.__name__
+
+
+@PROPERTY
+@given(model=st.sampled_from(FORCE_MODELS), rows=st.integers(2, 4), stacked=st.booleans(),
+       zero_start=st.booleans(), seed=st.integers(0, 2**16))
+def test_property_zero_beta_row_of_a_nudged_lockstep_is_its_free_run(model, rows, stacked,
+                                                                    zero_start, seed):
+    # from a zero state at zero input the free run is all zeros, whose signs
+    # a nudge of zero strength, adding 0 * dc/ds, could flip
+    _, lag, ham, theta = model
+    grid, th, s0, c0, x, nudge = _force_case(lag, theta, rows, stacked, True, seed, zero_start)
+    row_theta = th[1] if stacked else th
+    for zoo in (ham, lag):
+        if zoo is ham:
+            lockstep = integrate_hamiltonian(ham, th, PhaseState(s0, c0), grid, x, nudge)
+            free = integrate_hamiltonian(ham, row_theta, PhaseState(s0[1], c0[1]), grid, x)
+        else:
+            lockstep = integrate_lagrangian_ivp(lag, th, s0, c0, grid, x, nudge)
+            free = integrate_lagrangian_ivp(lag, row_theta, s0[1], c0[1], grid, x)
+        assert lockstep.positions[1].tobytes() == free.positions.tobytes()
+        assert lockstep.conjugate[1].tobytes() == free.conjugate.tobytes()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from echograd.core import ParamVector, PhaseState, Signal, TimeGrid, trapezoid
+from echograd.core import LagrangianModel, ParamVector, PhaseState, Signal, TimeGrid, trapezoid
 from echograd.dynamics import echo_retrace_check, integrate_hamiltonian
 from echograd.models import (
     PhaseTrackingCost,
@@ -183,6 +183,46 @@ def test_grad_rhel_momentum_dependent_cost():
     oracle = fd_gradient(lambda thetas: [loss(p) for p in thetas], TH2).value
     estimate = grad_rhel(HAM2, cost, TH2, init, grid, None, y, beta=1e-4)
     assert np.linalg.norm(estimate.value - oracle) / np.linalg.norm(oracle) <= 1e-4
+
+
+class _MassParameterLagrangian(LagrangianModel):
+    """L = theta_0/2 |v|^2 - theta_1/2 |s|^2: dL/dv depends on the parameters."""
+
+    reversible = True
+    quadratic_kinetic = True
+    dim = 2
+    theta_dim = 2
+    input_dim = 0
+
+    def lagrangian(self, s, v, theta, x=None):
+        return 0.5 * theta[0] * float(v @ v) - 0.5 * theta[1] * float(s @ s)
+
+    def grad_position(self, s, v, theta, x=None):
+        return -theta[1] * np.asarray(s, dtype=float)
+
+    def grad_velocity(self, s, v, theta, x=None):
+        return theta[0] * np.asarray(v, dtype=float)
+
+    def grad_params(self, s, v, theta, x=None):
+        return -0.5 * np.array([-float(v @ v), float(s @ s)])
+
+    def velocity_hessian(self, s, v, theta, x=None):
+        return theta[0] * np.eye(2)
+
+
+@pytest.mark.parametrize("source,theta", [
+    (_MassParameterLagrangian(), np.array([1.3, 0.7])),
+    (LAG2, TH2.values),
+], ids=["mass_parameter", "zoo"])
+def test_lagrangian_initial_state_jacobian_is_the_stacked_blocks(source, theta):
+    position, velocity = np.array([0.8, -0.3]), np.array([0.2, 0.5])
+    init = LagrangianInitialState(source, position, velocity)
+    momentum = source.grad_velocity_params(position, velocity, theta)
+    jac = init.jacobian(theta)
+    # one array: a zero position block over the momentum block, bitwise
+    expected = np.vstack([np.zeros_like(momentum), momentum])
+    assert jac.shape == expected.shape and jac.flags.c_contiguous
+    assert jac.tobytes() == expected.tobytes()
 
 
 def test_grad_rhel_parameter_dependent_initial_state():
