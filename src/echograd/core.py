@@ -472,7 +472,9 @@ class LagrangianModel(ABC):
     Two methods have defaults a model may override: ``grad_velocity_params``
     (a central difference of ``grad_velocity``) and ``bind``, which returns
     a :class:`BoundLagrangian` that calls the per-point methods.  An override
-    of ``bind`` must agree with the per-point methods.
+    of ``bind`` must agree with the per-point methods.  A model whose
+    ``grad_velocity`` does not read ``theta`` sets ``theta_free_momentum``,
+    and the boundary terms that ``grad_velocity_params`` feeds are skipped.
 
     Attributes:
         dim: state dimension.
@@ -481,6 +483,8 @@ class LagrangianModel(ABC):
         reversible: the function is even in the velocity argument.
         quadratic_kinetic: the velocity Hessian is constant, so momentum
             conversion has a closed form.
+        theta_free_momentum: dL/dv does not depend on the parameters, so
+            ``grad_velocity_params`` is exactly zero (default ``False``).
     """
 
     dim: int
@@ -488,6 +492,7 @@ class LagrangianModel(ABC):
     input_dim: int
     reversible: bool
     quadratic_kinetic: bool
+    theta_free_momentum: bool = False
 
     @abstractmethod
     def lagrangian(self, s, v, theta, x=None) -> float:
@@ -670,27 +675,44 @@ def _nudge_term(batch, dim, nudge):
     every row of nonzero strength; ``None`` when no row is nudged.
 
     ``nudge`` is ``None`` or a nudge with a position-only cost and one
-    strength, or one per row.  Rows at zero strength are left untouched, so
-    each is bitwise its free run, signed zeros included.  The cost gradient
-    is written into one buffer, allocated here.
+    strength, or one per row.  The rows are nudged as :func:`_row_nudge`
+    says.
     """
     if nudge is None:
         return None
-    betas = np.broadcast_to(np.asarray(nudge.beta, dtype=float), (batch,))
-    nudged = np.flatnonzero(betas)
-    if nudged.size == 0:
+    return _row_nudge(nudge.cost, nudge.beta, nudge.target.values[:, None, :], batch, dim)
+
+
+def _row_nudge(cost, beta, targets, batch, dim):
+    """``add(f, s, k)``: adds beta_b dc/ds(s_b, targets[k, b]) in place to
+    row ``b`` of the ``(batch, dim)`` stack ``f`` for the state stack ``s``,
+    at every row of nonzero strength; ``None`` when no row is nudged.
+
+    ``beta`` is one strength or one per row, and ``targets`` is an
+    ``(n, 1 or batch, target_dim)`` array, copied to ``batch`` rows once
+    here, so every step reads a contiguous block.  The cost writes its
+    gradient of every row through its ``grad_writer``, bound here to one
+    zeroed buffer, and the scaled gradient joins ``f`` in one masked add:
+    rows at zero strength are left untouched, so each is bitwise its free
+    run, signed zeros included.
+    """
+    betas = np.broadcast_to(np.asarray(beta, dtype=float), (batch,))
+    nudged = betas != 0
+    if not nudged.any():
         return None
-    cost, ys = nudge.cost, nudge.target.values
-    targets = np.broadcast_to(ys[:, None, :], (ys.shape[0], nudged.size, ys.shape[1]))
-    weights = betas[nudged][:, None]
-    grad = np.zeros((nudged.size, dim))
-    if nudged.size == batch:
-        def add(f, s, k):
-            f += weights * cost.grad_state_rows(s, targets[k], out=grad)
-        return add
+    targets = np.ascontiguousarray(
+        np.broadcast_to(targets, (len(targets), batch, targets.shape[-1])), dtype=float)
+    weights = np.ascontiguousarray(np.broadcast_to(betas[:, None], (batch, dim)))
+    where = True if nudged.all() else np.ascontiguousarray(
+        np.broadcast_to(nudged[:, None], (batch, dim)))
+    grad, scaled = np.zeros((batch, dim)), np.empty((batch, dim))
+    write = cost.grad_writer(grad)
 
     def add(f, s, k):
-        f[nudged] += weights * cost.grad_state_rows(s[nudged], targets[k], out=grad)
+        write(s, targets[k])
+        np.multiply(weights, grad, out=scaled)
+        np.add(f, scaled, out=f, where=where)
+
     return add
 
 
@@ -776,7 +798,9 @@ class CostModel(ABC):
     the full phase vector ``(s, p)``; ``grad_state`` is shaped accordingly.
     ``cost_rows`` and ``grad_state_rows`` evaluate a stack of states, one
     row each (a trajectory, or the states of a batch at one grid point);
-    their defaults call ``cost`` / ``grad_state`` once per row.
+    their defaults call ``cost`` / ``grad_state`` once per row.  The nudged
+    force writes the gradient through ``grad_writer``, bound once per
+    integration to its buffer.
     """
 
     position_only: bool
@@ -793,20 +817,28 @@ class CostModel(ABC):
         """Cost of every row of ``states`` against the same row of ``targets``."""
         return np.array([self.cost(s, y) for s, y in zip(states, targets)], dtype=float)
 
-    def grad_state_rows(self, states, targets, out=None) -> np.ndarray:
+    def grad_state_rows(self, states, targets) -> np.ndarray:
         """``grad_state`` of every row of ``states`` against the same row of
-        ``targets``, as a new array or written into ``out``.
-
-        ``out`` holds zeros or the result of an earlier call on a stack of
-        the same shape: an override may leave the entries that its gradient
-        never sets (the unselected coordinates of a tracking cost) as they
-        are.
-        """
-        if out is None:
-            out = np.empty(np.shape(states))
+        ``targets``, as a new array."""
+        out = np.empty(np.shape(states))
         for i in range(out.shape[0]):
             out[i] = self.grad_state(states[i], targets[i])
         return out
+
+    def grad_writer(self, out):
+        """Bind ``out``, a zeroed ``(rows, dim)`` buffer, for the nudge of one
+        integration; returns ``write(states, targets)``, which sets ``out``
+        to ``grad_state_rows(states, targets)`` for stacks of that shape.
+
+        ``out`` then holds zeros or an earlier result, so an override may
+        leave the entries its gradient never sets (the unselected
+        coordinates of a tracking cost) as they are.  This default copies
+        ``grad_state_rows`` into ``out``.
+        """
+        def write(states, targets):
+            out[...] = self.grad_state_rows(states, targets)
+
+        return write
 
 
 def as_params(theta) -> np.ndarray:

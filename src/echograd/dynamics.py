@@ -12,16 +12,18 @@ costs this is a plain Hamiltonian flow with the potential shifted by
 -beta*c, so the nudging force simply joins the kick; the kick at step k uses
 the input and target samples at grid point k.  Every stepper reaches that
 force only through the binding: ``bound.force(B, nudge)``, built once per
-integration, gives -dH/ds + beta dc/ds of a state stack.  For a
-position-only cost a row at beta = 0 gets no cost term at all, so it is
-bitwise its free run.  The separable leapfrog evaluates the force once per
-step and shares its half kick between the step it ends and the step it
-starts.  Momentum-dependent costs
-(and non-separable Hamiltonians) fall back to the generalised
-Stoermer-Verlet step with fixed-point iterations for the implicit
-half-updates.  That step and rk4 evaluate one nudged vector field: the same
-force for a position-only cost, the phase-state cost gradient added to the
-free force otherwise.
+integration, gives -dH/ds + beta dc/ds of a state stack, the cost term
+added by one masked add.  For a position-only cost a row at beta = 0 gets
+no cost term at all, so it is bitwise its free run.  The separable
+leapfrog evaluates the force once per step and shares its half kick
+between the step it ends and the step it starts.  Its step works on
+``(B, dim)`` operands in buffers made once per integration and writes its
+state into the storage rows; with the zoo's force it allocates no array.
+Momentum-dependent costs (and non-separable Hamiltonians) fall back to the
+generalised Stoermer-Verlet step with fixed-point iterations for the
+implicit half-updates.  That step and rk4 evaluate one nudged vector
+field: the same force for a position-only cost, the phase-state cost
+gradient added to the free force otherwise.
 
 Lagrangian initial value problems are integrated by converting to the
 Legendre-partner Hamiltonian flow and mapping momenta back to velocities, so
@@ -161,8 +163,10 @@ def integrate_hamiltonian(
     nudge = _validate_nudge(nudge, grid)
 
     d, n, dt, batch = model.dim, grid.n_steps, grid.dt, rows or 1
-    s0 = np.array(np.broadcast_to(phi0.position, (batch, d)))
-    p0 = np.array(np.broadcast_to(phi0.momentum, (batch, d)))
+    # C order: a copied broadcast is otherwise column-major, and the
+    # steppers' elementwise work on it strided.
+    s0 = np.array(np.broadcast_to(phi0.position, (batch, d)), order="C")
+    p0 = np.array(np.broadcast_to(phi0.momentum, (batch, d)), order="C")
     bound = model.bind(th, xs)
     # A diverging run overflows before its check; _check_rows reports it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -212,19 +216,24 @@ def _leapfrog_separable(bound, s, p, n, dt, nudge):
     """Kick-drift-kick for H = T(p) + V(s, x), nudge folded into the kick.
 
     One force evaluation per step: its half kick ends one step and starts
-    the next.  Each step writes its state straight into the storage rows.
+    the next.  Each step writes its state straight into the storage rows,
+    and its intermediates into buffers made here; the step sizes are
+    ``(B, dim)`` arrays, so every operation is on same-shape operands.
     """
     positions, momenta = _storage(s, p, n)
     force, velocity = bound.force(len(s), nudge), bound.grad_momentum
-    half = 0.5 * dt
-    kick = half * force(s, p, 0)
+    half, step = np.full(s.shape, 0.5 * dt), np.full(s.shape, dt)
+    kick, p_half, drift = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    np.multiply(half, force(s, p, 0), out=kick)
     for steps in _chunks(n):
-        for k in steps:
-            p_half = p + kick
-            s = np.add(s, dt * velocity(s, p_half, k), out=positions[k + 1])
-            kick = half * force(s, p_half, k + 1)
-            p = np.add(p_half, kick, out=momenta[k + 1])
-        _check_rows(positions, momenta, steps.start + 1, steps.stop + 1)
+        stored = slice(steps.start + 1, steps.stop + 1)
+        for k, s_next, p_next in zip(steps, positions[stored], momenta[stored]):
+            np.add(p, kick, out=p_half)
+            np.multiply(step, velocity(s, p_half, k), out=drift)
+            s = np.add(s, drift, out=s_next)
+            np.multiply(half, force(s, p_half, k + 1), out=kick)
+            p = np.add(p_half, kick, out=p_next)
+        _check_rows(positions, momenta, stored.start, stored.stop)
     return positions, momenta
 
 

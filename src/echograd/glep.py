@@ -433,7 +433,8 @@ def grad_pfvp(
     are one lockstep integration.
     One boundary term survives, built from the parameter derivative of the
     velocity gradient at the fixed initial data
-    (``model.grad_velocity_params``, no re-integration).
+    (``model.grad_velocity_params``, no re-integration); it is skipped for
+    a model that declares ``theta_free_momentum``.
     """
     started = time.perf_counter()
     th = as_params(theta)
@@ -453,9 +454,13 @@ def grad_pfvp(
     end_position = free.positions[-1]
     end_velocity = free.velocities[-1]
 
-    # d/d theta of dL/dv at the pinned initial data.
-    x0 = None if xs is None else xs[0]
-    boundary_jac = model.grad_velocity_params(spec.position, spec.velocity, th, x0, eps=fd_eps)
+    # d/d theta of dL/dv at the pinned initial data, zero for a model that
+    # declares it so.
+    boundary_jac = None
+    if not model.theta_free_momentum:
+        x0 = None if xs is None else xs[0]
+        boundary_jac = model.grad_velocity_params(spec.position, spec.velocity, th, x0,
+                                                  eps=fd_eps)
 
     back = integrate_lagrangian_ivp(model, th, end_position, -end_velocity, grid, x_rev,
                                     nudge=Nudge(signs, cost, y_rev))
@@ -465,7 +470,9 @@ def grad_pfvp(
         grid.dt)
     values = []
     for i, b in enumerate(signs):
-        value = contrasts[i] + boundary_jac.T @ (back.positions[i, -1] - spec.position)
+        value = contrasts[i]
+        if boundary_jac is not None:
+            value = value + boundary_jac.T @ (back.positions[i, -1] - spec.position)
         values.append(value / b)
     return finish_estimates(values, beta, nudging, EstimatorMethod.PFVP, started,
                             path_cost(cost, free.positions, y, grid.dt))

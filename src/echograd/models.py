@@ -247,19 +247,27 @@ class _BoundPotential:
         """``f(s, p, k)``: -dV/ds of the ``(batch, dim)`` state stack ``s``
         at grid point ``k``, nudged as :func:`~echograd.core._nudge_term`
         says, written into one buffer allocated here.  The arithmetic is
-        that of ``-grad_s(s, k)``; ``p`` is not read.
+        that of ``-grad_s(s, k)``, on operands of the stack's shape: the
+        input force is copied to ``batch`` rows once here.  ``p`` is not
+        read.
         """
-        stiffness, drive, quartic = self._stiffness, self._drive, self._core.quartic
-        product = np.empty((batch, self._core.dim, 1))
+        d, stiffness, quartic = self._core.dim, self._stiffness, self._core.quartic
+        product = np.empty((batch, d, 1))
         f = product[:, :, 0]
-        add_nudge = _nudge_term(batch, self._core.dim, nudge)
+        drive = None
+        if self._drive is not None:
+            drive = np.ascontiguousarray(
+                np.broadcast_to(self._drive, (len(self._drive), batch, d)))
+        cube = np.empty((batch, d)) if quartic else None
+        add_nudge = _nudge_term(batch, d, nudge)
 
         def force(s, p, k):
             np.matmul(stiffness, s[:, :, None], out=product)
             if drive is not None:
                 np.add(f, drive[k], out=f)
             if quartic:
-                np.add(f, quartic * s**3, out=f)
+                np.multiply(quartic, np.power(s, 3, out=cube), out=cube)
+                np.add(f, cube, out=f)
             np.negative(f, out=f)
             if add_nudge is not None:
                 add_nudge(f, s, k)
@@ -320,6 +328,7 @@ class OscillatorLagrangian(LagrangianModel):
 
     reversible = True
     quadratic_kinetic = True
+    theta_free_momentum = True
 
     def __init__(self, core: _OscillatorCore):
         self._core = core
@@ -490,14 +499,22 @@ class QuadraticTrackingCost(CostModel):
         err = np.asarray(states, dtype=float)[:, self._index] - np.asarray(targets, dtype=float)
         return 0.5 * np.einsum("ij,ij->i", err, err)
 
-    def grad_state_rows(self, states, targets, out=None):
+    def grad_state_rows(self, states, targets):
         states = np.asarray(states, dtype=float)
-        grad = np.zeros(states.shape) if out is None else out
-        if isinstance(self._index, slice):
-            np.subtract(states[:, self._index], targets, out=grad[:, self._index])
-        else:
-            grad[:, self._index] = states[:, self._index] - np.asarray(targets, dtype=float)
+        grad = np.zeros(states.shape)
+        self.grad_writer(grad)(states, targets)
         return grad
+
+    def grad_writer(self, out):
+        index = self._index
+        if isinstance(index, slice):
+            selected = out[:, index]
+            return lambda states, targets: np.subtract(states[:, index], targets, out=selected)
+
+        def write(states, targets):
+            out[:, index] = states[:, index] - np.asarray(targets, dtype=float)
+
+        return write
 
 
 class PhaseTrackingCost(CostModel):
@@ -546,9 +563,8 @@ class ZeroCost(CostModel):
     def grad_state(self, state, target):
         return np.zeros(self.dim)
 
-    def grad_state_rows(self, states, targets, out=None):
-        # an ``out`` holds zeros already: those of a buffer or an earlier call
-        return np.zeros_like(np.asarray(states, dtype=float)) if out is None else out
+    def grad_state_rows(self, states, targets):
+        return np.zeros_like(np.asarray(states, dtype=float))
 
 
 @dataclass(frozen=True)

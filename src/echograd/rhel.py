@@ -112,13 +112,13 @@ class LagrangianInitialState(InitialStateMap):
     Position is the fixed initial position; momentum is the source model's
     velocity gradient at the fixed initial data, which is what makes a
     Hamiltonian echo run equivalent to the final-value construction on the
-    Lagrangian side.
+    Lagrangian side.  The map is ``theta_independent`` when the source
+    declares ``theta_free_momentum``.
     """
-
-    theta_independent = False
 
     def __init__(self, source: LagrangianModel, position, velocity, x0=None):
         self._source = source
+        self.theta_independent = source.theta_free_momentum
         self._position = np.array(position, dtype=float)
         self._velocity = np.array(velocity, dtype=float)
         self._x0 = None if x0 is None else np.array(x0, dtype=float)

@@ -29,6 +29,7 @@ from .core import (
     GradientEstimate,
     NudgeMode,
     ParamVector,
+    _row_nudge,
     as_params,
 )
 from .errors import ConvergenceError, DivergenceError
@@ -265,20 +266,21 @@ def relax(
                                initial_state=s0 if s0.ndim == 2 else None)
     betas = np.broadcast_to(betas, (rows,))
     nudged = np.flatnonzero(betas)
+    add_nudge = None
     if nudged.size:
         if target is None or cost is None:
             raise ValueError("a nonzero beta requires a target and a cost model")
-        push = betas[nudged, None]
         target = np.asarray(target, dtype=float)
         targets = np.broadcast_to(target, (nudged.size,) + target.shape)
+        add_nudge = _row_nudge(cost, betas, target[None, None], rows, model.dim)
     bound = model.bind(np.broadcast_to(th, (rows, th.shape[-1])), x0)
     s = np.array(np.broadcast_to(s0, (rows, model.dim)))
     history = [] if record_energy else None
 
     def grad(states):
         g = bound.grad_state(states)
-        if nudged.size:
-            g[nudged] += push * cost.grad_state_rows(states[nudged], targets)
+        if add_nudge is not None:
+            add_nudge(g, states, 0)
         return g
 
     def energy(states):

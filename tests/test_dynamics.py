@@ -431,3 +431,118 @@ def test_property_zero_beta_row_of_a_nudged_lockstep_is_its_free_run(model, rows
             free = integrate_lagrangian_ivp(lag, row_theta, s0[1], c0[1], grid, x)
         assert lockstep.positions[1].tobytes() == free.positions.tobytes()
         assert lockstep.conjugate[1].tobytes() == free.conjugate.tobytes()
+
+
+def _reference_leapfrog(core, thetas, s0, p0, grid, xs, betas, cost, ys):
+    """Kick-drift-kick for the unit-mass zoo, written out one row at a time:
+    the force is -(K s + W x_k + q s^3), then + beta dc/ds for a nudged row,
+    and a half kick is 0.5 dt times the force."""
+    half, dt = 0.5 * grid.dt, grid.dt
+    positions, momenta = [], []
+    for theta, s, p, beta in zip(thetas, s0, p0, betas):
+        stiffness = core.stiffness(theta)
+        _, w = core._split(theta)
+        drive = None if w is None else xs @ w.T
+
+        def force(s, k):
+            grad = stiffness @ s
+            if drive is not None:
+                grad = grad + drive[k]
+            if core.quartic:
+                grad = grad + core.quartic * s**3
+            f = -grad
+            if beta != 0.0:
+                f = f + beta * cost.grad_state(s, ys[k])
+            return f
+
+        row_s, row_p = [s], [p]
+        kick = half * force(s, 0)
+        for k in range(grid.n_steps):
+            p_half = p + kick
+            s = s + dt * p_half
+            kick = half * force(s, k + 1)
+            p = p_half + kick
+            row_s.append(s)
+            row_p.append(p)
+        positions.append(row_s)
+        momenta.append(row_p)
+    return np.array(positions), np.array(momenta)
+
+
+REFERENCE_BETAS = {
+    "free": None,
+    "all_nudged": [1e-2, -1e-2, 1e-3, -1e-3],
+    "zero_rows_between": [1e-2, 0.0, -1e-3, 0.0, 0.0, 1e-2],
+}
+
+
+@pytest.mark.parametrize("nudging", list(REFERENCE_BETAS))
+@pytest.mark.parametrize("layout", ["single", "one_theta", "theta_stack"])
+@pytest.mark.parametrize("model", FORCE_MODELS, ids=[m[0] for m in FORCE_MODELS])
+def test_leapfrog_equals_a_reference_kick_drift_kick(model, layout, nudging):
+    _, lag, ham, theta = model
+    betas = REFERENCE_BETAS[nudging]
+    rows = 1 if layout == "single" else len(betas or [0.0] * 3)
+    rng = np.random.default_rng(rows)
+    grid = TimeGrid(dt=0.02, n_steps=70)
+    thetas = theta * (1.0 + 0.1 * rng.normal(size=(rows, theta.shape[0])))
+    if layout != "theta_stack":
+        thetas[:] = theta
+    s0, p0 = rng.normal(scale=0.5, size=(2, rows, lag.dim))
+    x = None
+    if lag.input_dim:
+        x = Signal.from_function(grid, lambda t: np.sin(1.3 * t + np.arange(lag.input_dim)))
+    y = Signal.from_function(grid, lambda t: [0.4 * np.cos(2.0 * t)])
+    cost = QuadraticTrackingCost(lag.dim, indices=[lag.dim - 1])
+    row_betas = np.zeros(rows) if betas is None else np.array(betas[:rows])
+    nudge = None if betas is None else Nudge(row_betas, cost, y)
+    th, start, vel = (thetas if layout == "theta_stack" else theta), s0, p0
+    if layout == "single":
+        start, vel = s0[0], p0[0]
+        nudge = None if nudge is None else Nudge(row_betas[0], cost, y)
+    expected = _reference_leapfrog(ham._core, thetas, s0, p0, grid,
+                                   None if x is None else x.values, row_betas, cost, y.values)
+    if layout == "single":
+        expected = expected[0][0], expected[1][0]
+    runs = (integrate_hamiltonian(ham, th, PhaseState(start, vel), grid, x, nudge),
+            integrate_lagrangian_ivp(lag, th, start, vel, grid, x, nudge))
+    for run in runs:
+        assert run.positions.tobytes() == expected[0].tobytes(), run.kind
+        assert run.conjugate.tobytes() == expected[1].tobytes(), run.kind
+
+
+class _RowsOnlyTracking(CostModel):
+    """Tracking of one coordinate that overrides ``grad_state_rows`` and
+    leaves ``grad_writer`` to the base class."""
+
+    position_only = True
+
+    def __init__(self, dim, index):
+        self.dim, self.index = dim, index
+
+    def cost(self, state, target):
+        return 0.5 * float((state[self.index] - target[0]) ** 2)
+
+    def grad_state(self, state, target):
+        raise AssertionError("the rows override should be used")
+
+    def grad_state_rows(self, states, targets):
+        grad = np.zeros(np.shape(states))
+        grad[:, self.index] = states[:, self.index] - np.asarray(targets)[:, 0]
+        return grad
+
+
+@pytest.mark.parametrize("model", FORCE_MODELS, ids=[m[0] for m in FORCE_MODELS])
+def test_cost_overriding_only_grad_state_rows_nudges_like_the_tracking_cost(model):
+    _, lag, ham, theta = model
+    assert _RowsOnlyTracking.grad_writer is CostModel.grad_writer
+    grid, th, s0, c0, x, _ = _force_case(lag, theta, 3, True, False, seed=5)
+    y = Signal.from_function(grid, lambda t: [0.4 * np.cos(2.0 * t)])
+    betas = np.array([1e-2, 0.0, -1e-3])
+    costs = (_RowsOnlyTracking(lag.dim, lag.dim - 1),
+             QuadraticTrackingCost(lag.dim, indices=[lag.dim - 1]))
+    for integrate, zoo, start in ((integrate_hamiltonian, ham, (PhaseState(s0, c0),)),
+                                  (integrate_lagrangian_ivp, lag, (s0, c0))):
+        custom, tracking = (integrate(zoo, th, *start, grid, x, Nudge(betas, cost, y))
+                            for cost in costs)
+        assert _bytes(custom) == _bytes(tracking), integrate.__name__

@@ -337,6 +337,29 @@ def test_pfvp_boundary_term_vanishes_for_parameter_free_kinetic():
         assert np.array_equal(diff, np.zeros(2))
 
 
+class _UndeclaredZoo(type(LAG2)):
+    """The zoo Lagrangian without its ``theta_free_momentum`` declaration."""
+
+    theta_free_momentum = False
+
+
+def test_pfvp_skips_the_boundary_term_of_a_theta_free_momentum(monkeypatch):
+    grid = _grid(n=400)
+    spec = CivpSpec([0.8, -0.3], [0.2, 0.5])
+    y = Signal.from_function(grid, lambda t: [0.6 * np.sin(2.1 * t)])
+    assert LAG2.theta_free_momentum and not LagrangianModel.theta_free_momentum
+    undeclared = grad_pfvp(_UndeclaredZoo(LAG2._core), COST2, TH2, spec, grid, None, y,
+                           beta=[1e-3, 1e-4])
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a declared theta-free momentum needs no boundary Jacobian")
+
+    monkeypatch.setattr(type(LAG2), "grad_velocity_params", unused)
+    declared = grad_pfvp(LAG2, COST2, TH2, spec, grid, None, y, beta=[1e-3, 1e-4])
+    for skipped, full in zip(declared, undeclared):
+        assert np.array_equal(skipped.value, full.value)
+
+
 def test_pfvp_requires_reversible_model_and_position_cost():
     grid = _grid(n=100)
     spec = CivpSpec([0.0], [0.0])

@@ -225,6 +225,32 @@ def test_lagrangian_initial_state_jacobian_is_the_stacked_blocks(source, theta):
     assert jac.tobytes() == expected.tobytes()
 
 
+class _UndeclaredZoo(type(LAG2)):
+    """The zoo Lagrangian without its ``theta_free_momentum`` declaration."""
+
+    theta_free_momentum = False
+
+
+def test_lagrangian_initial_state_of_a_theta_free_momentum_is_theta_independent(monkeypatch):
+    position, velocity = np.array([0.8, -0.3]), np.array([0.2, 0.5])
+    assert not LagrangianInitialState(_MassParameterLagrangian(), position,
+                                      velocity).theta_independent
+    undeclared = LagrangianInitialState(_UndeclaredZoo(LAG2._core), position, velocity)
+    declared = LagrangianInitialState(LAG2, position, velocity)
+    assert declared.theta_independent and not undeclared.theta_independent
+    grid = _grid(n=400)
+    y = _sin_target(grid)
+    full = grad_rhel(HAM2, COST2, TH2, undeclared, grid, None, y, beta=[1e-3, 1e-4])
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a theta-independent initial state needs no Jacobian")
+
+    monkeypatch.setattr(LagrangianInitialState, "jacobian", unused)
+    skipped = grad_rhel(HAM2, COST2, TH2, declared, grid, None, y, beta=[1e-3, 1e-4])
+    for a, b in zip(skipped, full):
+        assert np.array_equal(a.value, b.value)
+
+
 def test_grad_rhel_parameter_dependent_initial_state():
     grid = _grid()
     y = _sin_target(grid)
