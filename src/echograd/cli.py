@@ -18,7 +18,6 @@ Exit codes: 0 success; 1 gradcheck mismatch beyond --check-tol;
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -34,7 +33,7 @@ from .estimators import prepare
 from .models import QuadraticTrackingCost, model_zoo
 from .oracle import fd_gradient
 from .rhel import LagrangianInitialState, run_echo
-from .serialize import echo_run_to_csv, file_sha256, signal_to_csv, write_manifest
+from .serialize import echo_run_to_csv, signal_to_csv, write_json, write_run
 from .static_ep import HopfieldEnergy, relax, static_ep_gradient
 from .training import TrainConfig, train
 
@@ -120,16 +119,8 @@ def cmd_gradcheck(args):
         "oracle": [float(v) for v in oracle.value],
         "rel_err": rel_err,
     }
-    report_path = out / "gradcheck.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    payload = {
-        "command": "gradcheck",
-        "config": config,
-        "outputs": {"gradcheck.json": file_sha256(report_path)},
-    }
-    write_manifest(out / "manifest.json", payload, timings={"total_seconds": elapsed})
+    write_json(out / "gradcheck.json", report)
+    write_run(out, "gradcheck", config, ["gradcheck.json"], {"total_seconds": elapsed})
     print(f"gradcheck {method.value}: rel_err={rel_err:.3e}")
     if args.check_tol is not None and rel_err > args.check_tol:
         print(f"FAIL: rel_err {rel_err:.3e} exceeds tolerance {args.check_tol:.3e}",
@@ -158,17 +149,9 @@ def cmd_compare(args):
     elapsed = time.perf_counter() - started
     table.write_csv(out / "compare.csv")
     table.write_json(out / "compare.json")
-    payload = {
-        "command": "compare",
-        "config": config,
-        "outputs": {
-            "compare.csv": file_sha256(out / "compare.csv"),
-            "compare.json": file_sha256(out / "compare.json"),
-        },
-    }
     cell_times = {f"{c.estimator}@{c.beta!r}": c.wall_time for c in table.cells}
-    write_manifest(out / "manifest.json", payload,
-                   timings={"total_seconds": elapsed, "cells": cell_times})
+    write_run(out, "compare", config, ["compare.csv", "compare.json"],
+              {"total_seconds": elapsed, "cells": cell_times})
     worst = max(c.rel_err_vs_oracle for c in table.cells)
     print(f"compare: {len(table.cells)} cells, worst rel_err={worst:.3e}")
     return 0
@@ -192,8 +175,7 @@ def cmd_train(args):
     record = train(bundle.lagrangian, bundle.hamiltonian, bundle.task, cfg,
                    theta0=bundle.theta)
 
-    losses_path = out / "losses.csv"
-    with open(losses_path, "w") as fh:
+    with open(out / "losses.csv", "w") as fh:
         fh.write("epoch,loss,grad_norm\n")
         for k in range(cfg.epochs):
             fh.write(f"{k},{float(record.losses[k])!r},{float(record.grad_norms[k])!r}\n")
@@ -203,20 +185,9 @@ def cmd_train(args):
         "final_loss": record.final_loss,
         "theta_final": [float(v) for v in record.theta_final.values],
     }
-    report_path = out / "train.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    payload = {
-        "command": "train",
-        "config": config,
-        "outputs": {
-            "losses.csv": file_sha256(losses_path),
-            "train.json": file_sha256(report_path),
-        },
-    }
-    write_manifest(out / "manifest.json", payload,
-                   timings={"total_seconds": record.wall_time})
+    write_json(out / "train.json", report)
+    write_run(out, "train", config, ["losses.csv", "train.json"],
+              {"total_seconds": record.wall_time})
     print(
         f"train {cfg.estimator.value}: loss {record.losses[0]:.6f} -> {record.final_loss:.6f} "
         f"in {cfg.epochs} epochs"
@@ -243,17 +214,9 @@ def cmd_retrace(args):
         err = echo_retrace_check(member.hamiltonian, member.theta, phi0, grid, x)
         rows.append({"model": member.name, "dt": dt, "t_end": t_end, "max_error": err})
         print(f"retrace {member.name}: max_error={err:.3e}")
-    report_path = out / "retrace.json"
-    with open(report_path, "w") as fh:
-        json.dump({"rows": rows}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    payload = {
-        "command": "retrace",
-        "config": config,
-        "outputs": {"retrace.json": file_sha256(report_path)},
-    }
-    write_manifest(out / "manifest.json", payload,
-                   timings={"total_seconds": time.perf_counter() - started})
+    write_json(out / "retrace.json", {"rows": rows})
+    write_run(out, "retrace", config, ["retrace.json"],
+              {"total_seconds": time.perf_counter() - started})
     return 0
 
 
@@ -270,26 +233,16 @@ def cmd_export(args):
     run = run_echo(bundle.hamiltonian, task.cost, bundle.theta, init, task.grid,
                    task.x, task.y, beta)
     echo_run_to_csv(run, out / "forward.csv", out / "echo.csv")
-    outputs = {
-        "forward.csv": file_sha256(out / "forward.csv"),
-        "echo.csv": file_sha256(out / "echo.csv"),
-    }
+    signal_to_csv(task.y, out / "target.csv", prefix="y")
+    files = ["forward.csv", "echo.csv", "target.csv"]
     if task.x is not None:
         signal_to_csv(task.x, out / "input.csv", prefix="x")
-        outputs["input.csv"] = file_sha256(out / "input.csv")
-    signal_to_csv(task.y, out / "target.csv", prefix="y")
-    outputs["target.csv"] = file_sha256(out / "target.csv")
-    payload = {
-        "command": "export",
-        "config": config,
-        "beta": beta,
-        "grid": {"dt": task.grid.dt, "n_steps": task.grid.n_steps, "t_start": task.grid.t_start},
-        "model": f"oscillator_d{task.dim}_{config['task']['coupling']}",
-        "outputs": outputs,
-    }
-    write_manifest(out / "manifest.json", payload,
-                   timings={"total_seconds": time.perf_counter() - started})
-    print(f"export: wrote {len(outputs)} files to {out}")
+        files.append("input.csv")
+    grid = task.grid
+    write_run(out, "export", config, files, {"total_seconds": time.perf_counter() - started},
+              beta=beta, grid={"dt": grid.dt, "n_steps": grid.n_steps, "t_start": grid.t_start},
+              model=f"oscillator_d{task.dim}_{config['task']['coupling']}")
+    print(f"export: wrote {len(files)} files to {out}")
     return 0
 
 

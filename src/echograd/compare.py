@@ -11,7 +11,6 @@ which for Legendre-partner models should sit at roundoff for any beta.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .core import (
 from .estimators import prepare
 from .glep import CbvpRelaxConfig
 from .oracle import fd_gradient
+from .serialize import write_json
 from .tasks import Task
 
 __all__ = ["CompareCell", "ComparisonTable", "compare_estimators"]
@@ -92,9 +92,7 @@ class ComparisonTable:
                 )
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_payload(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_payload())
 
 
 def _rel_err(value, reference):

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import subprocess
+from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +27,9 @@ __all__ = [
     "gradient_to_json",
     "canonical_json",
     "payload_hash",
+    "write_json",
     "write_manifest",
+    "write_run",
     "file_sha256",
     "git_describe",
 ]
@@ -117,10 +120,15 @@ def echo_run_to_csv(run, forward_path, echo_path) -> None:
     trajectory_to_csv(run.echo, echo_path, phase="echo")
 
 
-def gradient_to_json(estimate: GradientEstimate, path) -> None:
+def write_json(path, data) -> None:
+    """Every JSON report and manifest: indent 2, sorted keys, trailing newline."""
     with open(path, "w") as fh:
-        json.dump(estimate.as_dict(), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def gradient_to_json(estimate: GradientEstimate, path) -> None:
+    write_json(path, estimate.as_dict())
 
 
 def canonical_json(payload) -> str:
@@ -167,7 +175,17 @@ def write_manifest(path, payload: dict, timings: dict | None = None) -> str:
         "git_describe": git_describe(),
         "timings": timings or {},
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return digest
+
+
+def write_run(out, command: str, config: dict, files, timings: dict, **fields) -> str:
+    """Write ``out/manifest.json`` for one command run; return the payload hash.
+
+    The payload is ``{"command", "config", **fields, "outputs"}``; ``outputs``
+    maps each name in ``files``, a file in ``out``, to its sha256.
+    """
+    out = Path(out)
+    outputs = {name: file_sha256(out / name) for name in files}
+    payload = {"command": command, "config": config, **fields, "outputs": outputs}
+    return write_manifest(out / "manifest.json", payload, timings)

@@ -274,7 +274,7 @@ def relax(
         targets = np.broadcast_to(target, (nudged.size,) + target.shape)
         add_nudge = _row_nudge(cost, betas, target[None, None], rows, model.dim)
     bound = model.bind(np.broadcast_to(th, (rows, th.shape[-1])), x0)
-    s = np.array(np.broadcast_to(s0, (rows, model.dim)))
+    s = np.array(np.broadcast_to(s0, (rows, model.dim)), order="C")
     history = [] if record_energy else None
 
     def grad(states):

@@ -22,6 +22,7 @@ from echograd.dynamics import integrate_hamiltonian, integrate_lagrangian_ivp
 from echograd.estimators import ivp_loss, prepare
 from echograd.glep import CivpSpec
 from echograd.models import make_oscillator_model, make_quartic_model, model_zoo
+from echograd.oracle import fd_gradient
 from echograd.rhel import LagrangianInitialState
 from echograd.tasks import sine_tracking_task
 from echograd.training import TrainConfig, train
@@ -87,6 +88,51 @@ def test_property_list_estimates_equal_scalar_calls(model, n, seed, nudging, bet
     for rhel, pfvp in zip(estimates["rhel"], estimates["pfvp"]):
         gap = np.linalg.norm(rhel.value - pfvp.value)
         assert gap <= ECHO_EQUALS_PFVP * max(1.0, np.linalg.norm(pfvp.value)), gap
+
+
+def _masked_model(d, input_dim, rng):
+    """A random symmetric coupling mask with its whole diagonal set, and a
+    drawn theta: diagonal stiffness in [0.8, 1.6], weak off-diagonal ones."""
+    upper = np.triu(rng.random((d, d)) < 0.5, 1)
+    mask = upper | upper.T | np.eye(d, dtype=bool)
+    lag, ham = make_oscillator_model(d, mask, input_dim)
+    entries = [(i, j) for i in range(d) for j in range(i, d) if mask[i, j]]
+    stiffness = [rng.uniform(0.8, 1.6) if i == j else rng.normal(scale=0.3 / d)
+                 for i, j in entries]
+    theta = np.concatenate([stiffness, rng.normal(scale=0.5, size=d * input_dim)])
+    return lag, ham, theta
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(d=st.integers(2, 4), input_dim=st.integers(0, 1), n=st.integers(20, 200),
+       seed=st.integers(0, 2**16), nudging=st.sampled_from(list(NudgeMode)),
+       betas=st.lists(st.sampled_from(SIGNED), min_size=1, max_size=3))
+def test_property_echo_equals_pfvp_on_masked_couplings(d, input_dim, n, seed, nudging,
+                                                       betas):
+    rng = np.random.default_rng(seed)
+    lag, ham, theta = _masked_model(d, input_dim, rng)
+    task = _task(lag, n, seed)
+    rhel, pfvp = (prepare(m, lag, ham, task, theta, nudging).estimate(theta, betas)
+                  for m in ("rhel", "pfvp"))
+    for echo, final_value in zip(rhel, pfvp):
+        gap = np.linalg.norm(echo.value - final_value.value)
+        assert gap <= ECHO_EQUALS_PFVP * np.linalg.norm(final_value.value), gap
+
+
+def test_symmetric_nudging_error_quarters_when_beta_halves():
+    # the symmetric estimate's bias is O(beta^2); at these betas it is far
+    # above the finite-difference oracle's own error
+    for seed in range(4):
+        config = load_config()
+        config["seed"] = seed
+        bundle = build_bundle(config)
+        problems = {m: prepare(m, bundle.lagrangian, bundle.hamiltonian, bundle.task,
+                               bundle.theta) for m in IVP_METHODS}
+        oracle = fd_gradient(problems["civp"].loss, bundle.theta).value
+        for method, problem in problems.items():
+            big, small = problem.estimate(bundle.theta, [4e-2, 2e-2])
+            ratio = np.linalg.norm(big.value - oracle) / np.linalg.norm(small.value - oracle)
+            assert abs(ratio - 4.0) <= 0.1, (seed, method, ratio)
 
 
 def test_wide_echo_equals_pfvp_and_lists_equal_scalar_calls():

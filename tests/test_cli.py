@@ -1,5 +1,6 @@
 """End-to-end CLI runs: outputs, exit codes, byte reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -302,3 +303,26 @@ def test_in_process_runs_give_identical_payloads(tmp_path, fast_config, command,
     assert manifests[0]["payload_sha256"] == manifests[1]["payload_sha256"]
     for name in manifests[0]["payload"]["outputs"]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, input_dim", [
+    ("gradcheck", 0), ("compare", 0), ("train", 0), ("retrace", 0), ("export", 0),
+    ("export", 1),
+])
+def test_manifest_names_every_output_with_its_hash(tmp_path, command, input_dim):
+    import echograd.cli
+    from echograd.config import load_config
+
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(FAST_CONFIG.replace("input_dim: 0", f"input_dim: {input_dim}"))
+    out = tmp_path / "out"
+    assert echograd.cli.main(["--config", str(cfg), "--out", str(out), command]) == 0
+    payload = json.loads((out / "manifest.json").read_text())["payload"]
+    assert payload["command"] == command
+    assert payload["config"] == json.loads(json.dumps(load_config(cfg)))
+    files = {path.name for path in out.iterdir()} - {"manifest.json"}
+    assert payload["outputs"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files
+    }
+    if command == "export":
+        assert ("input.csv" in files) == (input_dim == 1)

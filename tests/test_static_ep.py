@@ -275,3 +275,28 @@ def test_initial_state_of_the_wrong_width_is_rejected():
         relax(qe2, theta, x0, initial_state=np.zeros(3))
     with pytest.raises(ValueError, match="width"):
         relax(qe2, np.tile(theta, (2, 1)), x0, initial_state=np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+@pytest.mark.parametrize("kind", ["quadratic", "hopfield"])
+def test_rows_from_one_shared_initial_state_equal_single_relaxations(kind, d):
+    # the shared state is stacked in C order, so each row's arithmetic is
+    # that of its own relaxation at widths where matmul's path depends on it
+    rng = np.random.default_rng(d)
+    if kind == "quadratic":
+        energy = QuadraticEnergy(d)
+        a = rng.normal(size=(3, d, d))
+        k = a @ np.swapaxes(a, 1, 2) / d + np.eye(d)  # positive definite
+        upper_rows, upper_cols = np.triu_indices(d)
+        thetas = k[:, upper_rows, upper_cols]
+    else:
+        energy = HopfieldEnergy(d)
+        thetas = rng.normal(scale=0.3 / np.sqrt(d), size=(3, energy.theta_dim))
+    x0 = rng.normal(size=d)
+    s0 = rng.normal(scale=0.5, size=d)
+    stacked = relax(energy, thetas, x0, initial_state=s0, record_energy=True)
+    for b in range(3):
+        one = relax(energy, thetas[b], x0, initial_state=s0, record_energy=True)
+        assert np.array_equal(stacked.state[b], one.state)
+        assert np.array_equal(stacked.energy_history[: one.iterations + 1, b],
+                              one.energy_history)
