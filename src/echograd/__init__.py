@@ -26,7 +26,6 @@ from .dynamics import (
     momentum_flip,
 )
 from .glep import (
-    CbvpRelaxConfig,
     CbvpSpec,
     CivpSpec,
     grad_cbvp,
@@ -56,6 +55,6 @@ from .rhel import (
 )
 from .static_ep import HopfieldEnergy, QuadraticEnergy, RelaxConfig, relax, static_ep_gradient
 from .tasks import Task, make_task, sine_tracking_task, step_response_task, two_sines_task
-from .training import RunRecord, TrainConfig, train
+from .training import RunRecord, train
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ from .core import (
     check_betas,
 )
 from .estimators import prepare
-from .glep import CbvpRelaxConfig
 from .oracle import fd_gradient
 from .serialize import write_json
 from .tasks import Task
@@ -108,7 +107,7 @@ def compare_estimators(
     estimators,
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
     fd_eps: float = 1e-5,
-    cbvp_config: CbvpRelaxConfig | None = None,
+    cbvp_tol: float = 1e-10,
     cbvp_coarsen: int = 16,
 ) -> ComparisonTable:
     """Run the (estimator, beta) matrix on one task.
@@ -125,7 +124,7 @@ def compare_estimators(
     if np.ndim(betas) != 1:
         raise ValueError(f"betas must be a non-empty 1-d list, got {betas!r}")
     check_betas(betas)
-    problems = [prepare(m, lagrangian, hamiltonian, task, theta, nudging, fd_eps, cbvp_config,
+    problems = [prepare(m, lagrangian, hamiltonian, task, theta, nudging, fd_eps, cbvp_tol,
                         cbvp_coarsen) for m in estimators]
     if not problems:
         raise ValueError("estimators must list at least one trajectory method")

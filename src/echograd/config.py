@@ -14,11 +14,10 @@ import yaml
 
 from .core import ParamVector, TimeGrid
 from .errors import ConfigError
-from .glep import CbvpRelaxConfig
 from .models import make_oscillator_model, make_quartic_model
 from .tasks import make_task
 
-__all__ = ["DEFAULT_CONFIG", "load_config", "build_bundle", "Bundle", "cbvp_config_from"]
+__all__ = ["DEFAULT_CONFIG", "load_config", "build_bundle", "Bundle"]
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -139,7 +138,3 @@ def build_bundle(config: dict) -> Bundle:
     rng = np.random.default_rng(int(config["seed"]))
     theta = ParamVector(rng.normal(scale=section["theta_scale"], size=lagrangian.theta_dim))
     return Bundle(lagrangian, hamiltonian, theta, task)
-
-
-def cbvp_config_from(config: dict) -> CbvpRelaxConfig:
-    return CbvpRelaxConfig(tol=config["cbvp"]["tol"])

@@ -58,7 +58,9 @@ __all__ = [
     "BoundLagrangian",
     "BoundHamiltonian",
     "CostModel",
-    "check_fd_step",
+    "check_positive_finite",
+    "lockstep_rows",
+    "row_stack",
     "central_probes",
     "central_quotient",
     "trapezoid",
@@ -79,11 +81,28 @@ def frozen_array(values, name: str = "array", ndim: int | None = None) -> np.nda
     return arr
 
 
-def check_fd_step(eps: float) -> None:
-    """Raise ``ValueError`` unless the finite-difference step ``eps`` is
-    positive and finite."""
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"finite-difference step must be positive and finite, got {eps!r}")
+def check_positive_finite(value: float, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is positive and finite (NaN is not)."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def lockstep_rows(*stacks):
+    """Rows of a lockstep run: the common length of the stacked arguments
+    among ``(value, stacked_ndim)`` pairs, ``None`` when none is stacked;
+    ``ValueError`` when they disagree."""
+    sizes = {len(value) for value, ndim in stacks if np.ndim(value) == ndim}
+    if len(sizes) > 1:
+        raise ValueError(f"stacked arguments disagree on the number of batch rows: {sorted(sizes)}")
+    return sizes.pop() if sizes else None
+
+
+def row_stack(value, rows: int) -> np.ndarray:
+    """A fresh ``(rows, width)`` array of ``value`` (one row, shared, or
+    already ``rows`` rows).  C order: a copied broadcast is otherwise
+    column-major, and elementwise work on its rows strided."""
+    value = np.asarray(value, dtype=float)
+    return np.array(np.broadcast_to(value, (rows, value.shape[-1])), order="C")
 
 
 def central_probes(x, eps: float) -> np.ndarray:
@@ -91,10 +110,9 @@ def central_probes(x, eps: float) -> np.ndarray:
 
     Rows ``2j`` and ``2j + 1`` are ``x`` with entry ``j`` shifted by ``+eps``
     and ``-eps``.  Raises ``ValueError`` unless ``eps`` is positive and
-    finite (:func:`check_fd_step`), before anything is evaluated at the
-    probes.
+    finite, before anything is evaluated at the probes.
     """
-    check_fd_step(eps)
+    check_positive_finite(eps, "finite-difference step")
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     probes = np.repeat(x[None, :], 2 * n, axis=0)

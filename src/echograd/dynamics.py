@@ -53,6 +53,8 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_params,
+    lockstep_rows,
+    row_stack,
 )
 from .errors import ConvergenceError, DivergenceError
 from .legendre import _BindingPartner, momentum_from_velocity
@@ -126,15 +128,6 @@ def _validate_nudge(nudge, grid):
     return nudge
 
 
-def _batch_size(*stacks):
-    """Rows of a lockstep run: the common length of the stacked arguments
-    among ``(value, stacked_ndim)`` pairs, ``None`` when none is stacked."""
-    sizes = {len(value) for value, ndim in stacks if np.ndim(value) == ndim}
-    if len(sizes) > 1:
-        raise ValueError(f"stacked arguments disagree on the number of batch rows: {sorted(sizes)}")
-    return sizes.pop() if sizes else None
-
-
 def integrate_hamiltonian(
     model: HamiltonianModel,
     theta,
@@ -159,14 +152,11 @@ def integrate_hamiltonian(
     if phi0.dim != model.dim:
         raise ValueError(f"initial state dim {phi0.dim} does not match model dim {model.dim}")
     xs = _input_values(model, x, grid)
-    rows = _batch_size((th, 2), (phi0.position, 2), (None if nudge is None else nudge.beta, 1))
+    rows = lockstep_rows((th, 2), (phi0.position, 2), (None if nudge is None else nudge.beta, 1))
     nudge = _validate_nudge(nudge, grid)
 
-    d, n, dt, batch = model.dim, grid.n_steps, grid.dt, rows or 1
-    # C order: a copied broadcast is otherwise column-major, and the
-    # steppers' elementwise work on it strided.
-    s0 = np.array(np.broadcast_to(phi0.position, (batch, d)), order="C")
-    p0 = np.array(np.broadcast_to(phi0.momentum, (batch, d)), order="C")
+    n, dt, batch = grid.n_steps, grid.dt, rows or 1
+    s0, p0 = row_stack(phi0.position, batch), row_stack(phi0.momentum, batch)
     bound = model.bind(th, xs)
     # A diverging run overflows before its check; _check_rows reports it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -350,7 +340,7 @@ def integrate_lagrangian_ivp(
     position = np.asarray(position, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
     x0 = x.value(0) if x is not None and model.input_dim > 0 else None
-    rows = _batch_size((th, 2), (position, 2), (velocity, 2))
+    rows = lockstep_rows((th, 2), (position, 2), (velocity, 2))
     if rows is None:
         p0 = momentum_from_velocity(model, position, velocity, th, x0)
     else:

@@ -1,11 +1,12 @@
 """Estimator registry: a trajectory method turned into a prepared problem.
 
 CIVP, CBVP, PFVP and the echo are one variational principle under different
-boundary conditions.  ``prepare`` fixes a method's boundary data once and
-pairs its estimator with the loss it answers; the command line, ``train``
-and ``compare_estimators`` all go through it.  The estimators and
-``trajectory_loss`` are called by their module-level names, never held in a
-table, so rebinding those names (to trace or mock them) reaches every caller.
+boundary conditions.  ``prepare`` fixes a method's boundary data and
+settings once and pairs its estimator with the loss it answers; the command
+line and ``compare_estimators`` go through it, and ``train`` descends the
+problem it returns.  The estimators and ``trajectory_loss`` are called by
+their module-level names, never held in a table, so rebinding those names
+(to trace or mock them) reaches every caller.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import EstimatorMethod, HamiltonianModel, LagrangianModel, NudgeMode
+from .core import (EstimatorMethod, HamiltonianModel, LagrangianModel, NudgeMode,
+                   check_positive_finite)
 from .dynamics import integrate_lagrangian_ivp
-from .glep import CbvpRelaxConfig, CbvpSpec, CivpSpec, grad_cbvp, grad_civp, grad_pfvp
+from .glep import CbvpSpec, CivpSpec, grad_cbvp, grad_civp, grad_pfvp
 from .oracle import trajectory_loss
 from .rhel import LagrangianInitialState, grad_rhel
 from .tasks import Task
@@ -65,7 +67,7 @@ def prepare(
     theta_setup,
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
     fd_eps: float = 1e-5,
-    cbvp_config: CbvpRelaxConfig | None = None,
+    cbvp_tol: float = 1e-10,
     cbvp_coarsen: int = 16,
 ) -> Problem:
     """The :class:`Problem` of one trajectory method on ``task``.
@@ -73,10 +75,13 @@ def prepare(
     The initial-value methods (regime ``"ivp"``) answer the free-trajectory
     loss.  CBVP (regime ``"cbvp"``) runs on the task coarsened by
     ``cbvp_coarsen``, its endpoint pinned once to the free endpoint at
-    ``theta_setup``.  Raises ``ValueError`` for a non-trajectory method or a
-    model the estimator cannot run on.
+    ``theta_setup``, and solves its boundary value problems to ``cbvp_tol``.
+    Raises ``ValueError`` for a non-trajectory method, a model the estimator
+    cannot run on, or, whatever the method, a ``cbvp_tol`` that is not
+    positive and finite.
     """
     method = EstimatorMethod(method)
+    check_positive_finite(cbvp_tol, "boundary value tolerance")
     alpha, gamma = task.initial_position, task.initial_velocity
 
     if method is EstimatorMethod.CBVP:
@@ -87,11 +92,11 @@ def prepare(
 
         def estimate(theta, beta):
             return grad_cbvp(lagrangian, coarse.cost, theta, pinned, coarse.grid, coarse.x,
-                             coarse.y, beta, nudging=nudging, config=cbvp_config)
+                             coarse.y, beta, nudging=nudging, tol=cbvp_tol)
 
         def loss(theta):
             return trajectory_loss(lagrangian, coarse.cost, theta, pinned, coarse.grid,
-                                   coarse.x, coarse.y, cbvp_config=cbvp_config)
+                                   coarse.x, coarse.y, cbvp_tol=cbvp_tol)
 
         return Problem(method, "cbvp", estimate, loss)
 

@@ -52,7 +52,7 @@ from .core import (
     as_params,
     central_probes,
     central_quotient,
-    check_fd_step,
+    check_positive_finite,
     finish_estimates,
     frozen_array,
     path_cost,
@@ -65,7 +65,6 @@ __all__ = [
     "CivpSpec",
     "CbvpSpec",
     "PfvpSpec",
-    "CbvpRelaxConfig",
     "CbvpResult",
     "CIVP_THETA_LIMIT",
     "NEWTON_MAX_ITER",
@@ -118,17 +117,6 @@ class CbvpSpec:
         )
         if self.start_position.shape != self.end_position.shape:
             raise ValueError("endpoint positions must share a dimension")
-
-
-@dataclass(frozen=True)
-class CbvpRelaxConfig:
-    """Boundary value solve control: the tolerance on the worst interior defect."""
-
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -274,7 +262,7 @@ def solve_cbvp(
     cost: CostModel | None = None,
     target: Signal | None = None,
     beta: float = 0.0,
-    config: CbvpRelaxConfig | None = None,
+    tol: float = 1e-10,
     initial_guess: np.ndarray | None = None,
 ) -> CbvpResult:
     """Solve the discrete Euler-Lagrange equations with both endpoint positions pinned.
@@ -286,17 +274,18 @@ def solve_cbvp(
     block-tridiagonal defect Jacobian comes from coloured central
     differences and a block-Thomas solve, and each step is halved until the
     worst defect falls.  Converges when the worst interior defect drops to
-    ``config.tol``.  Newton does not need the horizon to lie below a
-    conjugate point; past a fold of the solution branch it stalls.
+    ``tol``.  Newton does not need the horizon to lie below a conjugate
+    point; past a fold of the solution branch it stalls.
 
-    Raises ``DivergenceError`` for a non-finite defect at the start,
+    Raises ``ValueError`` unless ``tol`` is positive and finite,
+    ``DivergenceError`` for a non-finite defect at the start,
     ``SingularHessianError`` for a singular pivot block of the Jacobian and
     ``ConvergenceError`` when no halving of a step lowers the worst defect
     (a non-finite step included) or after ``NEWTON_MAX_ITER`` steps.  No
     floating point warning escapes.
     """
     th = as_params(theta)
-    config = config or CbvpRelaxConfig()
+    check_positive_finite(tol, "boundary value tolerance")
     if beta != 0.0:
         if cost is None or target is None:
             raise ValueError("a nonzero beta requires a cost model and a target signal")
@@ -343,10 +332,10 @@ def solve_cbvp(
                                   step=0)
         residual = float(np.max(np.abs(el)))
         iterations = 0
-        while residual > config.tol:
+        while residual > tol:
             if iterations >= NEWTON_MAX_ITER:
                 raise ConvergenceError(
-                    f"boundary value Newton solve did not reach tol={config.tol} within "
+                    f"boundary value Newton solve did not reach tol={tol} within "
                     f"{NEWTON_MAX_ITER} iterations (residual {residual:.3e})"
                 )
             h = _JACOBIAN_STEP * (1.0 + float(np.max(np.abs(states))))
@@ -361,7 +350,7 @@ def solve_cbvp(
             else:
                 raise ConvergenceError(
                     f"boundary value Newton solve stalled at residual {residual:.1e} "
-                    f"(tol={config.tol}) after {iterations} iterations"
+                    f"(tol={tol}) after {iterations} iterations"
                 )
             states, el, residual = trial, trial_el, trial_residual
             iterations += 1
@@ -384,14 +373,14 @@ def grad_cbvp(
     y: Signal,
     beta,
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
-    config: CbvpRelaxConfig | None = None,
+    tol: float = 1e-10,
 ) -> GradientEstimate | tuple[GradientEstimate, ...]:
     """Constant-boundary-value estimator: the pure integral, no residuals.
 
     ``beta`` is one nudging strength or a 1-d sequence of them, as for
     :func:`grad_civp`.  The free boundary value problem is solved once per
     call; each signed beta is its own nudged solve, warm-started from the
-    free positions.
+    free positions.  Every solve runs to ``tol`` (:func:`solve_cbvp`).
     """
     started = time.perf_counter()
     th = as_params(theta)
@@ -399,8 +388,8 @@ def grad_cbvp(
     signs = signed_betas(beta, nudging)
     xs = x.values if x is not None else None
 
-    free = solve_cbvp(model, th, spec, grid, x, config=config).trajectory
-    nudged = [solve_cbvp(model, th, spec, grid, x, cost=cost, target=y, beta=b, config=config,
+    free = solve_cbvp(model, th, spec, grid, x, tol=tol).trajectory
+    nudged = [solve_cbvp(model, th, spec, grid, x, cost=cost, target=y, beta=b, tol=tol,
                          initial_guess=free.positions).trajectory for b in signs]
     contrasts = model.bind(th, xs).grad_params_contrast(
         np.stack([run.positions for run in nudged]), np.stack([run.velocities for run in nudged]),
@@ -440,7 +429,7 @@ def grad_pfvp(
     th = as_params(theta)
     nudging = NudgeMode(nudging)
     signs = signed_betas(beta, nudging)
-    check_fd_step(fd_eps)
+    check_positive_finite(fd_eps, "finite-difference step")
     if not model.reversible:
         raise ValueError("the final-value construction requires a velocity-even model")
     if not cost.position_only:

@@ -23,11 +23,12 @@ from .core import (
     Signal,
     TimeGrid,
     as_params,
+    check_positive_finite,
     path_cost,
 )
 from .dynamics import integrate_lagrangian_ivp
 from .errors import NumericalError
-from .glep import CbvpRelaxConfig, CbvpSpec, CivpSpec, solve_cbvp
+from .glep import CbvpSpec, CivpSpec, solve_cbvp
 
 __all__ = ["fd_gradient", "trajectory_loss"]
 
@@ -42,8 +43,7 @@ def fd_gradient(loss, theta: ParamVector, eps: float = DEFAULT_FD_EPS) -> Gradie
     shifted by ``+eps`` and ``-eps``.  ``loss`` must be deterministic and
     evaluate every row as it would on its own; a non-finite value aborts.
     """
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"finite-difference step must be positive and finite, got {eps!r}")
+    check_positive_finite(eps, "finite-difference step")
     th = as_params(theta)
     n = th.shape[0]
     probes = np.repeat(th[None, :], 2 * n, axis=0)
@@ -71,15 +71,15 @@ def trajectory_loss(
     grid: TimeGrid,
     x: Signal | None,
     y: Signal,
-    cbvp_config: CbvpRelaxConfig | None = None,
+    cbvp_tol: float = 1e-10,
 ) -> float:
     """Trapezoid-rule cost of the free trajectory under a boundary regime.
 
     Initial-value regimes integrate directly; the two-endpoint regime solves
-    the free boundary value problem first.  ``theta`` of shape ``(P,)``
-    gives a float; a ``(B, P)`` stack gives the ``B`` losses as an array,
-    the initial-value solves run in lockstep and the boundary value problems
-    one after another.
+    the free boundary value problem first, to ``cbvp_tol``.  ``theta`` of
+    shape ``(P,)`` gives a float; a ``(B, P)`` stack gives the ``B`` losses
+    as an array, the initial-value solves run in lockstep and the boundary
+    value problems one after another.
     """
     th = as_params(theta)
     if not cost.position_only:
@@ -89,7 +89,7 @@ def trajectory_loss(
                                              x).positions
     elif isinstance(spec, CbvpSpec):
         positions = np.array([solve_cbvp(model, row, spec, grid, x,
-                                         config=cbvp_config).trajectory.positions
+                                         tol=cbvp_tol).trajectory.positions
                               for row in np.atleast_2d(th)])
     else:
         raise TypeError(f"unsupported boundary spec {type(spec).__name__}")

@@ -44,7 +44,7 @@ from .core import (
     as_params,
     central_probes,
     central_quotient,
-    check_fd_step,
+    check_positive_finite,
     finish_estimates,
     path_cost,
     signed_betas,
@@ -227,7 +227,7 @@ def grad_rhel(
     th = as_params(theta)
     nudging = NudgeMode(nudging)
     signs = signed_betas(beta, nudging)
-    check_fd_step(fd_eps)
+    check_positive_finite(fd_eps, "finite-difference step")
     if not model.time_reversible:
         raise ValueError("echo runs require a momentum-flip invariant Hamiltonian")
 

@@ -31,6 +31,9 @@ from .core import (
     ParamVector,
     _row_nudge,
     as_params,
+    check_positive_finite,
+    lockstep_rows,
+    row_stack,
 )
 from .errors import ConvergenceError, DivergenceError
 
@@ -197,8 +200,10 @@ class RelaxConfig:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if self.step <= 0 or self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("relaxation settings must all be positive")
+        check_positive_finite(self.step, "relaxation step")
+        check_positive_finite(self.tol, "relaxation tol")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -219,15 +224,6 @@ class RelaxResult:
     row_iterations: np.ndarray
     row_residuals: np.ndarray
     energy_history: np.ndarray | None = None
-
-
-def _row_count(**stacks):
-    """The number of rows shared by the stacked arguments (1 if none is
-    stacked) and whether any is; ``ValueError`` when they disagree."""
-    sizes = {name: len(value) for name, value in stacks.items() if value is not None}
-    if len(set(sizes.values())) > 1:
-        raise ValueError(f"stacked arguments disagree on the number of rows: {sizes}")
-    return (next(iter(sizes.values())), True) if sizes else (1, False)
 
 
 def relax(
@@ -261,9 +257,8 @@ def relax(
         raise ValueError("theta, beta and initial_state take one value or one row per relaxation")
     if s0.shape[-1] != model.dim:
         raise ValueError(f"initial state must have width {model.dim}, got shape {s0.shape}")
-    rows, stacked = _row_count(theta=th if th.ndim == 2 else None,
-                               beta=betas if betas.ndim == 1 else None,
-                               initial_state=s0 if s0.ndim == 2 else None)
+    rows = lockstep_rows((th, 2), (betas, 1), (s0, 2))
+    stacked, rows = rows is not None, rows or 1
     betas = np.broadcast_to(betas, (rows,))
     nudged = np.flatnonzero(betas)
     add_nudge = None
@@ -274,7 +269,7 @@ def relax(
         targets = np.broadcast_to(target, (nudged.size,) + target.shape)
         add_nudge = _row_nudge(cost, betas, target[None, None], rows, model.dim)
     bound = model.bind(np.broadcast_to(th, (rows, th.shape[-1])), x0)
-    s = np.array(np.broadcast_to(s0, (rows, model.dim)), order="C")
+    s = row_stack(s0, rows)
     history = [] if record_energy else None
 
     def grad(states):

@@ -1,49 +1,16 @@
-"""Plain gradient-descent training driven by any of the estimators."""
+"""Plain gradient descent on a prepared problem, driven by its estimator."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    EstimatorMethod,
-    HamiltonianModel,
-    LagrangianModel,
-    NudgeMode,
-    ParamVector,
-    frozen_array,
-)
-from .estimators import prepare
-from .glep import CbvpRelaxConfig
-from .tasks import Task
+from .core import ParamVector, as_params, frozen_array
+from .estimators import Problem
 
-__all__ = ["TrainConfig", "RunRecord", "train"]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    estimator: EstimatorMethod = EstimatorMethod.RHEL
-    beta: float = 1e-3
-    nudging: NudgeMode = NudgeMode.SYMMETRIC
-    learning_rate: float = 0.5
-    epochs: int = 200
-    seed: int = 0
-    theta_scale: float = 0.4
-    fd_eps: float = 1e-5
-    cbvp: CbvpRelaxConfig = field(default_factory=CbvpRelaxConfig)
-    cbvp_coarsen: int = 16
-
-    def __post_init__(self):
-        object.__setattr__(self, "estimator", EstimatorMethod(self.estimator))
-        object.__setattr__(self, "nudging", NudgeMode(self.nudging))
-        # zero is allowed: a frozen run is the documented way to check that
-        # the loss sequence stays constant
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be a positive integer")
+__all__ = ["RunRecord", "check_train_settings", "train"]
 
 
 @dataclass(frozen=True)
@@ -54,64 +21,37 @@ class RunRecord:
     grad_norms: np.ndarray
     final_loss: float
     theta_final: ParamVector
-    wall_time: float
-    config: dict
 
     def __post_init__(self):
         object.__setattr__(self, "losses", frozen_array(self.losses, "losses", 1))
         object.__setattr__(self, "grad_norms", frozen_array(self.grad_norms, "grad_norms", 1))
 
 
-def train(
-    lagrangian: LagrangianModel,
-    hamiltonian: HamiltonianModel,
-    task: Task,
-    config: TrainConfig,
-    theta0: ParamVector | None = None,
-) -> RunRecord:
-    """Gradient descent on the loss the estimator answers; deterministic per seed.
+def check_train_settings(learning_rate: float, epochs: int) -> None:
+    """Raise ``ValueError`` unless ``learning_rate`` is finite and
+    non-negative (zero is allowed: a frozen run keeps the loss sequence
+    constant) and ``epochs`` is a positive integer."""
+    if not 0 <= learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be finite and non-negative, got {learning_rate!r}")
+    if not (isinstance(epochs, numbers.Integral) and epochs >= 1):
+        raise ValueError(f"epochs must be a positive integer, got {epochs!r}")
 
-    That loss is the prepared problem's: the free-trajectory cost for the
-    initial-value estimators, and for CBVP the cost of its pinned, coarse
-    boundary value problem.  The loss recorded at epoch ``k`` is measured
-    before the k-th update, so ``losses[0]`` is the initial loss;
-    ``final_loss`` is measured after the last update.  Every estimator
-    solves that free trajectory itself, so the epochs record the estimate's
-    ``free_loss`` and make no run of their own.
+
+def train(problem: Problem, theta0, beta: float, learning_rate: float, epochs: int) -> RunRecord:
+    """Gradient descent from ``theta0`` on ``problem.loss``; deterministic.
+
+    The loss recorded at epoch ``k`` is the estimate's ``free_loss``, which
+    is ``problem.loss`` before the k-th update, so the epochs make no run of
+    their own; ``final_loss`` is measured after the last update.  Raises
+    ``ValueError`` for settings :func:`check_train_settings` rejects.
     """
-    started = time.perf_counter()
-    if theta0 is None:
-        rng = np.random.default_rng(config.seed)
-        theta0 = ParamVector(rng.normal(scale=config.theta_scale, size=lagrangian.theta_dim))
-    theta = theta0.values.copy()
-
-    problem = prepare(
-        config.estimator, lagrangian, hamiltonian, task, theta0,
-        nudging=config.nudging, fd_eps=config.fd_eps,
-        cbvp_config=config.cbvp, cbvp_coarsen=config.cbvp_coarsen,
-    )
-    losses = np.empty(config.epochs)
-    grad_norms = np.empty(config.epochs)
-    for epoch in range(config.epochs):
-        estimate = problem.estimate(ParamVector(theta), config.beta)
+    check_train_settings(learning_rate, epochs)
+    theta = as_params(theta0).copy()
+    losses = np.empty(epochs)
+    grad_norms = np.empty(epochs)
+    for epoch in range(epochs):
+        estimate = problem.estimate(ParamVector(theta), beta)
         losses[epoch] = estimate.free_loss
         grad_norms[epoch] = float(np.linalg.norm(estimate.value))
-        theta = theta - config.learning_rate * estimate.value
-
-    snapshot = {
-        "estimator": config.estimator.value,
-        "beta": config.beta,
-        "nudging": config.nudging.value,
-        "learning_rate": config.learning_rate,
-        "epochs": config.epochs,
-        "seed": config.seed,
-        "theta_scale": config.theta_scale,
-    }
-    return RunRecord(
-        losses=losses,
-        grad_norms=grad_norms,
-        final_loss=problem.loss(theta),
-        theta_final=ParamVector(theta),
-        wall_time=time.perf_counter() - started,
-        config=snapshot,
-    )
+        theta = theta - learning_rate * estimate.value
+    return RunRecord(losses, grad_norms, problem.loss(theta), ParamVector(theta))

@@ -18,13 +18,13 @@ from echograd.dynamics import (
     integrate_lagrangian_ivp,
 )
 from echograd.glep import (
-    CbvpRelaxConfig,
     CbvpSpec,
     CivpSpec,
     grad_cbvp,
     grad_civp,
     solve_cbvp,
 )
+from echograd.estimators import prepare
 from echograd.legendre import backward_legendre, forward_legendre
 from echograd.models import (
     QuadraticTrackingCost,
@@ -34,10 +34,10 @@ from echograd.models import (
 from echograd.oracle import fd_gradient, trajectory_loss
 from echograd.static_ep import HopfieldEnergy, QuadraticEnergy, RelaxConfig, relax, static_ep_gradient
 from echograd.tasks import sine_tracking_task, step_response_task, two_sines_task
-from echograd.training import TrainConfig, train
+from echograd.training import train
 
 BETAS = (1e-2, 1e-3, 1e-4)
-CBVP_CONFIG = CbvpRelaxConfig(tol=1e-12)
+CBVP_TOL = 1e-12
 CBVP_COARSEN = 20
 
 
@@ -100,7 +100,7 @@ def sweep_tables(bundles):
             betas=BETAS,
             estimators=["civp", "cbvp", "pfvp", "rhel"],
             nudging=NudgeMode.SYMMETRIC,
-            cbvp_config=CBVP_CONFIG,
+            cbvp_tol=CBVP_TOL,
             cbvp_coarsen=CBVP_COARSEN,
         )
     return tables
@@ -254,18 +254,16 @@ def test_criterion_06_boundary_value_estimator_clean():
     spec = CbvpSpec([0.3, -0.2], [0.6, 0.1])
     y = Signal.from_function(grid, lambda t: [0.4 * np.sin(2.0 * t)])
     cost = QuadraticTrackingCost(2, indices=[0])
-    config = CbvpRelaxConfig(tol=1e-9)
 
-    solved = solve_cbvp(lag, theta, spec, grid, cost=cost, target=y, beta=1e-3, config=config)
+    solved = solve_cbvp(lag, theta, spec, grid, cost=cost, target=y, beta=1e-3, tol=1e-9)
     pinned = np.array_equal(solved.trajectory.positions[0], spec.start_position) and np.array_equal(
         solved.trajectory.positions[-1], spec.end_position
     )
 
-    tight = CbvpRelaxConfig(tol=1e-12)
     oracle = fd_gradient(
-        lambda p: trajectory_loss(lag, cost, p, spec, grid, None, y, cbvp_config=tight), theta
+        lambda p: trajectory_loss(lag, cost, p, spec, grid, None, y, cbvp_tol=1e-12), theta
     ).value
-    estimate = grad_cbvp(lag, cost, theta, spec, grid, None, y, beta=1e-4, config=tight)
+    estimate = grad_cbvp(lag, cost, theta, spec, grid, None, y, beta=1e-4, tol=1e-12)
     rel = np.linalg.norm(estimate.value - oracle) / np.linalg.norm(oracle)
 
     ok = solved.max_residual <= 1e-8 and pinned and rel <= 1e-2
@@ -380,9 +378,11 @@ def test_criterion_10_training_smoke():
     lag, ham = make_oscillator_model(2, coupling="dense", input_dim=1)
     grid = TimeGrid(dt=4.0 / 800, n_steps=800)
     task = sine_tracking_task(grid, dim=2, input_dim=1, omega=1.5, amplitude=0.8)
-    config = TrainConfig(estimator="rhel", beta=1e-3, learning_rate=0.5, epochs=200, seed=0)
-    record = train(lag, ham, task, config)
-    rerun = train(lag, ham, task, config)
+    theta0 = ParamVector(np.random.default_rng(0).normal(scale=0.4, size=lag.theta_dim))
+    epochs = 200
+    problem = prepare("rhel", lag, ham, task, theta0)
+    record = train(problem, theta0, beta=1e-3, learning_rate=0.5, epochs=epochs)
+    rerun = train(problem, theta0, beta=1e-3, learning_rate=0.5, epochs=epochs)
     deterministic = np.array_equal(record.losses, rerun.losses) and np.array_equal(
         record.theta_final.values, rerun.theta_final.values
     )
@@ -391,6 +391,6 @@ def test_criterion_10_training_smoke():
     _report(
         10,
         ok,
-        f"loss ratio after {config.epochs} epochs {ratio:.3f} (need <= 0.5), "
+        f"loss ratio after {epochs} epochs {ratio:.3f} (need <= 0.5), "
         f"bitwise deterministic={deterministic}",
     )

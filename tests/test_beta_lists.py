@@ -25,7 +25,7 @@ from echograd.models import make_oscillator_model, make_quartic_model, model_zoo
 from echograd.oracle import fd_gradient
 from echograd.rhel import LagrangianInitialState
 from echograd.tasks import sine_tracking_task
-from echograd.training import TrainConfig, train
+from echograd.training import train
 
 IVP_METHODS = ("civp", "pfvp", "rhel")
 SIGNED = (1e-2, -1e-2, 1e-3, -1e-3, 1e-4)
@@ -259,12 +259,13 @@ def test_train_records_the_free_trajectory_loss_of_each_epoch(method):
     task = _task(lag, 80, 4)
     theta0 = ParamVector(theta)
 
+    problem = prepare(method, lag, ham, task, theta0)
+
     def run(epochs):
-        config = TrainConfig(estimator=method, epochs=epochs, learning_rate=0.1)
-        return train(lag, ham, task, config, theta0=theta0)
+        return train(problem, theta0, beta=1e-3, learning_rate=0.1, epochs=epochs)
 
     record = run(3)
-    loss = prepare(method, lag, ham, task, theta0).loss
+    loss = problem.loss
     assert record.losses[0] == loss(theta)
     for k in (1, 2):
         assert record.losses[k] == loss(run(k).theta_final.values)

@@ -326,3 +326,63 @@ def test_manifest_names_every_output_with_its_hash(tmp_path, command, input_dim)
     }
     if command == "export":
         assert ("input.csv" in files) == (input_dim == 1)
+
+
+def test_gradcheck_fails_a_nan_relative_error(tmp_path):
+    # a zero-gradient task: the estimate and the oracle are both zero, so
+    # rel_err is 0/0, which no tolerance admits
+    cfg = tmp_path / "flat.yaml"
+    cfg.write_text("task:\n  input_dim: 0\n  n_steps: 200\n  params: {amplitude: 0.0}\n")
+    out = tmp_path / "r"
+    result = _run(["--config", str(cfg), "--out", str(out), "gradcheck", "--check-tol", "1e-3"],
+                  tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert "exceeds tolerance" in result.stderr, result.stderr
+    assert "Warning" not in result.stderr, result.stderr
+    report = json.loads((out / "gradcheck.json").read_text())
+    assert report["oracle"] == [0.0] * len(report["oracle"])
+    assert math.isnan(report["rel_err"])
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", ".nan", ".inf"])
+@pytest.mark.parametrize("command, estimator", [
+    ("gradcheck", "rhel"), ("gradcheck", "cbvp"), ("compare", None), ("train", None),
+])
+def test_a_bad_boundary_value_tolerance_exits_two(tmp_path, capsys, tol, command, estimator):
+    import echograd.cli
+
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(FAST_CONFIG + f"cbvp:\n  tol: {tol}\n")
+    out = tmp_path / "r"
+    argv = ["--config", str(cfg), "--out", str(out)]
+    if estimator is not None:
+        argv += ["--estimator", estimator]
+    assert echograd.cli.main(argv + [command]) == 2
+    assert "boundary value tolerance" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("learning_rate", "-0.1"), ("learning_rate", ".nan"), ("epochs", "0"),
+])
+def test_train_rejects_bad_settings_before_preparing(tmp_path, monkeypatch, capsys, setting,
+                                                      value):
+    # a pinned cbvp problem runs a free solve when prepared, whose numerical
+    # error would otherwise exit 3 for what is a configuration error
+    import echograd.cli
+
+    def no_prepare(*args, **kwargs):
+        raise AssertionError("prepared the problem before the settings were checked")
+
+    monkeypatch.setattr(echograd.cli, "prepare", no_prepare)
+    cfg = tmp_path / "bad.yaml"
+    train = {"epochs": "3", "learning_rate": "0.3", setting: value}
+    cfg.write_text(FAST_CONFIG.replace(
+        "train:\n  epochs: 3\n  learning_rate: 0.3\n",
+        f"train:\n  epochs: {train['epochs']}\n  learning_rate: {train['learning_rate']}\n", 1))
+    out = tmp_path / "r"
+    code = echograd.cli.main(["--config", str(cfg), "--out", str(out), "--estimator", "cbvp",
+                              "train"])
+    assert code == 2
+    assert setting in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

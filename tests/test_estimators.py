@@ -9,7 +9,6 @@ from echograd.core import EstimatorMethod, ParamVector, TimeGrid
 from echograd.dynamics import integrate_lagrangian_ivp
 from echograd.estimators import ivp_loss, prepare
 from echograd.glep import (
-    CbvpRelaxConfig,
     CbvpSpec,
     CivpSpec,
     PfvpSpec,
@@ -24,7 +23,7 @@ from echograd.tasks import sine_tracking_task
 
 BETA = 1e-3
 COARSEN = 8
-CBVP_CONFIG = CbvpRelaxConfig(tol=1e-9)
+CBVP_TOL = 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +40,7 @@ def bundle():
 def _prepare(bundle, method, theta_setup=None):
     lag, ham, theta, task = bundle
     return prepare(method, lag, ham, task, theta if theta_setup is None else theta_setup,
-                   cbvp_config=CBVP_CONFIG, cbvp_coarsen=COARSEN)
+                   cbvp_tol=CBVP_TOL, cbvp_coarsen=COARSEN)
 
 
 def _pinned(bundle, theta_setup):
@@ -68,9 +67,9 @@ def _direct(bundle, method, theta, theta_setup):
         return grad_rhel(ham, task.cost, theta, init, *args), loss
     coarse, pinned = _pinned(bundle, theta_setup)
     est = grad_cbvp(lag, coarse.cost, theta, pinned, coarse.grid, coarse.x, coarse.y, BETA,
-                    config=CBVP_CONFIG)
+                    tol=CBVP_TOL)
     loss = trajectory_loss(lag, coarse.cost, theta, pinned, coarse.grid, coarse.x, coarse.y,
-                           cbvp_config=CBVP_CONFIG)
+                           cbvp_tol=CBVP_TOL)
     return est, loss
 
 

@@ -11,7 +11,6 @@ from echograd import glep
 from echograd.core import LagrangianModel, NudgeMode, ParamVector, Signal, TimeGrid
 from echograd.errors import ConvergenceError, SingularHessianError
 from echograd.glep import (
-    CbvpRelaxConfig,
     CbvpSpec,
     CivpSpec,
     grad_cbvp,
@@ -115,7 +114,7 @@ def test_cbvp_relaxes_to_zero_solution():
     ripple = 0.3 * np.sin(np.linspace(0.0, np.pi, grid.n_points))[:, None]
     result = solve_cbvp(
         LAG1, TH1, spec, grid, initial_guess=ripple,
-        config=CbvpRelaxConfig(tol=1e-9),
+        tol=1e-9,
     )
     assert np.max(np.abs(result.trajectory.positions)) <= 1e-6
 
@@ -123,10 +122,10 @@ def test_cbvp_relaxes_to_zero_solution():
 def test_cbvp_converged_guess_takes_no_sweeps():
     grid = TimeGrid(dt=(np.pi / 2) / 48, n_steps=48)
     spec = CbvpSpec([0.0], [0.0])
-    result = solve_cbvp(LAG1, TH1, spec, grid, config=CbvpRelaxConfig(tol=1e-9))
+    result = solve_cbvp(LAG1, TH1, spec, grid, tol=1e-9)
     again = solve_cbvp(
         LAG1, TH1, spec, grid, initial_guess=result.trajectory.positions,
-        config=CbvpRelaxConfig(tol=1e-9),
+        tol=1e-9,
     )
     assert again.iterations == 0
 
@@ -135,7 +134,7 @@ def test_cbvp_sine_closed_form():
     # endpoints 0 and 1 over a quarter period: s(t) = sin(t)
     grid = TimeGrid(dt=(np.pi / 2) / 64, n_steps=64)
     spec = CbvpSpec([0.0], [1.0])
-    result = solve_cbvp(LAG1, TH1, spec, grid, config=CbvpRelaxConfig(tol=1e-11))
+    result = solve_cbvp(LAG1, TH1, spec, grid, tol=1e-11)
     gap = np.max(np.abs(result.trajectory.positions[:, 0] - np.sin(grid.times())))
     assert gap <= 1e-4
 
@@ -143,10 +142,17 @@ def test_cbvp_sine_closed_form():
 def test_cbvp_endpoints_pinned_exactly():
     grid = TimeGrid(dt=(np.pi / 2) / 48, n_steps=48)
     spec = CbvpSpec([0.3, -0.2], [0.6, 0.1])
-    result = solve_cbvp(LAG2, TH2, spec, grid, config=CbvpRelaxConfig(tol=1e-9))
+    result = solve_cbvp(LAG2, TH2, spec, grid, tol=1e-9)
     assert np.array_equal(result.trajectory.positions[0], spec.start_position)
     assert np.array_equal(result.trajectory.positions[-1], spec.end_position)
     assert result.max_residual <= 1e-9
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_cbvp_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    grid = TimeGrid(dt=(np.pi / 2) / 48, n_steps=48)
+    with pytest.raises(ValueError, match="boundary value tolerance"):
+        solve_cbvp(LAG1, TH1, CbvpSpec([0.0], [1.0]), grid, tol=tol)
 
 
 def test_cbvp_sweep_budget_exhaustion_is_convergence_error(monkeypatch):
@@ -155,7 +161,7 @@ def test_cbvp_sweep_budget_exhaustion_is_convergence_error(monkeypatch):
     spec = CbvpSpec([0.0], [1.0])
     monkeypatch.setattr(glep, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
-        solve_cbvp(LAG1, TH1, spec, grid, config=CbvpRelaxConfig(tol=1e-11))
+        solve_cbvp(LAG1, TH1, spec, grid, tol=1e-11)
 
 
 class _LinearPotentialOnly(LagrangianModel):
@@ -207,7 +213,10 @@ def test_cbvp_quartic_fold_case_is_typed_error(beta):
        beta=st.sampled_from([0.0, 1e-3, -1e-3]))
 def test_property_cbvp_meets_tol_with_pinned_endpoints(member, n, seed, beta):
     # Horizon 1, below the first conjugate point of every zoo member at
-    # these parameter draws, so the solution branch has no fold in reach.
+    # these parameter draws, so the solution branch has no fold in reach;
+    # except for the quartic member, which stiffens with amplitude
+    # (V'' = K + 3 q s^2): about 2 % of its draws lie past a fold, where the
+    # solve may only end in the typed ConvergenceError of the fold case.
     rng = np.random.default_rng(seed)
     lag, d = member.lagrangian, member.lagrangian.dim
     theta = member.theta.values * (1.0 + 0.1 * rng.normal(size=lag.theta_dim))
@@ -217,14 +226,19 @@ def test_property_cbvp_meets_tol_with_pinned_endpoints(member, n, seed, beta):
     if lag.input_dim:
         x = Signal.from_function(grid, lambda t: np.sin(1.3 * t + np.arange(lag.input_dim)))
     y = Signal.from_function(grid, lambda t: [0.4 * np.sin(2.0 * t)])
-    config = CbvpRelaxConfig(tol=1e-9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = solve_cbvp(lag, theta, spec, grid, x, cost=QuadraticTrackingCost(d, [0]),
-                            target=y, beta=beta, config=config)
+        try:
+            result = solve_cbvp(lag, theta, spec, grid, x, cost=QuadraticTrackingCost(d, [0]),
+                                target=y, beta=beta, tol=1e-9)
+        except ConvergenceError as error:
+            if not member.name.startswith("quartic"):
+                raise
+            assert "nan" not in str(error)
+            return
     positions = result.trajectory.positions
     assert np.all(np.isfinite(positions))
-    assert result.max_residual <= config.tol
+    assert result.max_residual <= 1e-9
     assert np.array_equal(positions[0], spec.start_position)
     assert np.array_equal(positions[-1], spec.end_position)
 
@@ -237,23 +251,23 @@ def cbvp_setup():
     grid = TimeGrid(dt=(np.pi / 2) / 48, n_steps=48)
     spec = CbvpSpec([0.3, -0.2], [0.6, 0.1])
     y = Signal.from_function(grid, lambda t: [0.4 * np.sin(2.0 * t)])
-    config = CbvpRelaxConfig(tol=1e-12)
+    tol = 1e-12
     oracle = fd_gradient(
-        lambda p: trajectory_loss(LAG2, COST2, p, spec, grid, None, y, cbvp_config=config),
+        lambda p: trajectory_loss(LAG2, COST2, p, spec, grid, None, y, cbvp_tol=tol),
         TH2,
     ).value
-    return grid, spec, y, config, oracle
+    return grid, spec, y, tol, oracle
 
 
 def test_cbvp_estimator_matches_bvp_oracle(cbvp_setup):
-    grid, spec, y, config, oracle = cbvp_setup
-    estimate = grad_cbvp(LAG2, COST2, TH2, spec, grid, None, y, beta=1e-4, config=config)
+    grid, spec, y, tol, oracle = cbvp_setup
+    estimate = grad_cbvp(LAG2, COST2, TH2, spec, grid, None, y, beta=1e-4, tol=tol)
     assert np.linalg.norm(estimate.value - oracle) / np.linalg.norm(oracle) <= 1e-2
 
 
 def test_cbvp_zero_cost_gives_zero_vector(cbvp_setup):
-    grid, spec, y, config, _ = cbvp_setup
-    estimate = grad_cbvp(LAG2, ZeroCost(2), TH2, spec, grid, None, y, beta=1e-3, config=config)
+    grid, spec, y, tol, _ = cbvp_setup
+    estimate = grad_cbvp(LAG2, ZeroCost(2), TH2, spec, grid, None, y, beta=1e-3, tol=tol)
     assert np.max(np.abs(estimate.value)) <= 1e-8
 
 
@@ -262,16 +276,14 @@ def test_cbvp_tolerance_bounds_residual(cbvp_setup):
     # steps.  The estimate's error sits at the oracle's own finite-difference
     # floor at both tolerances, so the two errors are not compared.
     grid, spec, y, _, oracle = cbvp_setup
-    loose_config, tight_config = CbvpRelaxConfig(tol=1e-6), CbvpRelaxConfig(tol=1e-12)
-    loose = solve_cbvp(LAG2, TH2, spec, grid, cost=COST2, target=y, beta=1e-4,
-                       config=loose_config)
-    tight = solve_cbvp(LAG2, TH2, spec, grid, cost=COST2, target=y, beta=1e-4,
-                       config=tight_config)
-    assert loose.max_residual <= loose_config.tol
-    assert tight.max_residual <= tight_config.tol
+    loose_tol, tight_tol = 1e-6, 1e-12
+    loose = solve_cbvp(LAG2, TH2, spec, grid, cost=COST2, target=y, beta=1e-4, tol=loose_tol)
+    tight = solve_cbvp(LAG2, TH2, spec, grid, cost=COST2, target=y, beta=1e-4, tol=tight_tol)
+    assert loose.max_residual <= loose_tol
+    assert tight.max_residual <= tight_tol
     assert loose.iterations <= tight.iterations
-    for config in (loose_config, tight_config):
-        estimate = grad_cbvp(LAG2, COST2, TH2, spec, grid, None, y, beta=1e-4, config=config)
+    for tol in (loose_tol, tight_tol):
+        estimate = grad_cbvp(LAG2, COST2, TH2, spec, grid, None, y, beta=1e-4, tol=tol)
         assert np.linalg.norm(estimate.value - oracle) / np.linalg.norm(oracle) <= 1e-2
 
 

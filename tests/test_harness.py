@@ -1,15 +1,16 @@
 """Tasks, training loop, and the estimator comparison matrix."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from echograd.compare import compare_estimators
 from echograd.core import EstimatorMethod, HamiltonianModel, ParamVector, Signal, TimeGrid
-from echograd.glep import CbvpRelaxConfig
 from echograd.models import make_oscillator_model
 from echograd.tasks import make_task, sine_tracking_task, step_response_task, two_sines_task
 from echograd.estimators import prepare
-from echograd.training import TrainConfig, train
+from echograd.training import train
 
 
 def _grid(t_end=2.0, n=400):
@@ -110,17 +111,17 @@ def small_bundle():
 
 def test_zero_learning_rate_keeps_loss_constant(small_bundle):
     lag, ham, theta, task = small_bundle
-    config = TrainConfig(estimator="pfvp", beta=1e-3, learning_rate=0.0, epochs=5)
-    record = train(lag, ham, task, config, theta0=theta)
+    problem = prepare("pfvp", lag, ham, task, theta)
+    record = train(problem, theta, beta=1e-3, learning_rate=0.0, epochs=5)
     assert np.all(record.losses == record.losses[0])
     assert record.final_loss == record.losses[0]
 
 
 def test_training_is_bitwise_deterministic(small_bundle):
     lag, ham, theta, task = small_bundle
-    config = TrainConfig(estimator="rhel", beta=1e-3, learning_rate=0.3, epochs=8, seed=11)
-    a = train(lag, ham, task, config)
-    b = train(lag, ham, task, config)
+    theta0 = ParamVector(np.random.default_rng(11).normal(scale=0.4, size=lag.theta_dim))
+    a, b = (train(prepare("rhel", lag, ham, task, theta0), theta0, beta=1e-3,
+                  learning_rate=0.3, epochs=8) for _ in range(2))
     assert np.array_equal(a.losses, b.losses)
     assert np.array_equal(a.grad_norms, b.grad_norms)
     assert np.array_equal(a.theta_final.values, b.theta_final.values)
@@ -129,8 +130,8 @@ def test_training_is_bitwise_deterministic(small_bundle):
 
 def test_training_reduces_loss(small_bundle):
     lag, ham, theta, task = small_bundle
-    config = TrainConfig(estimator="pfvp", beta=1e-3, learning_rate=0.3, epochs=25)
-    record = train(lag, ham, task, config, theta0=theta)
+    problem = prepare("pfvp", lag, ham, task, theta)
+    record = train(problem, theta, beta=1e-3, learning_rate=0.3, epochs=25)
     assert record.final_loss < record.losses[0]
     assert record.losses.shape == (25,)
     assert record.grad_norms.shape == (25,)
@@ -138,13 +139,28 @@ def test_training_reduces_loss(small_bundle):
 
 def test_cbvp_training_records_and_reduces_its_own_loss(small_bundle):
     lag, ham, theta, task = small_bundle
-    config = TrainConfig(estimator="cbvp", beta=1e-3, learning_rate=0.3, epochs=10)
-    record = train(lag, ham, task, config, theta0=theta)
-    loss = prepare("cbvp", lag, ham, task, theta).loss
+    problem = prepare("cbvp", lag, ham, task, theta)
+    record = train(problem, theta, beta=1e-3, learning_rate=0.3, epochs=10)
+    loss = problem.loss
     assert record.losses[0] == loss(theta)
     assert record.final_loss == loss(record.theta_final.values)
     assert record.losses[-1] < record.losses[0]
     assert record.final_loss < record.losses[0]
+
+
+@pytest.mark.parametrize("learning_rate, epochs", [
+    (float("nan"), 5), (-0.1, 5), (float("inf"), 5), (0.3, 0), (0.3, 2.5),
+])
+def test_train_rejects_bad_settings_before_estimating(small_bundle, learning_rate, epochs):
+    lag, ham, theta, task = small_bundle
+    problem = prepare("pfvp", lag, ham, task, theta)
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("estimated before the settings were checked")
+
+    unrunnable = dataclasses.replace(problem, estimate=no_estimate, loss=no_estimate)
+    with pytest.raises(ValueError, match="learning_rate" if epochs == 5 else "epochs"):
+        train(unrunnable, theta, beta=1e-3, learning_rate=learning_rate, epochs=epochs)
 
 
 def test_estimator_model_compatibility_checks(small_bundle):
@@ -207,7 +223,7 @@ def test_compare_includes_cbvp_on_coarse_grid(small_bundle):
     lag, ham, theta, task = small_bundle
     table = compare_estimators(
         lag, ham, theta, task, [1e-3], ["cbvp", "pfvp", "rhel"],
-        cbvp_config=CbvpRelaxConfig(tol=1e-11), cbvp_coarsen=8,
+        cbvp_tol=1e-11, cbvp_coarsen=8,
     )
     cbvp_cells = [c for c in table.cells if c.estimator == "cbvp"]
     assert len(cbvp_cells) == 1

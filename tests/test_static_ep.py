@@ -50,6 +50,18 @@ def test_relaxation_budget_exhaustion():
         relax(QE, THETA, X0, config=RelaxConfig(step=1e-6, tol=1e-12, max_iters=10))
 
 
+@pytest.mark.parametrize("field", ["step", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_relax_config_rejects_a_setting_that_is_not_positive_and_finite(field, value):
+    with pytest.raises(ValueError, match=f"relaxation {field} must be positive and finite"):
+        RelaxConfig(**{field: value})
+
+
+def test_relax_config_rejects_a_zero_iteration_budget():
+    with pytest.raises(ValueError, match="max_iters"):
+        RelaxConfig(max_iters=0)
+
+
 def test_relaxation_energy_monotone():
     config = RelaxConfig(step=0.05, tol=1e-10, max_iters=100_000)
     result = relax(QE, THETA, X0, initial_state=np.array([-2.0]),
