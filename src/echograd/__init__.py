@@ -39,7 +39,6 @@ from .models import (
     QuadraticTrackingCost,
     ZeroCost,
     make_oscillator_model,
-    make_quartic_model,
     model_zoo,
 )
 from .oracle import fd_gradient, trajectory_loss

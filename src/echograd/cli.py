@@ -26,7 +26,8 @@ import numpy as np
 
 from .compare import compare_estimators
 from .config import build_bundle, load_config
-from .core import EstimatorMethod, NudgeMode, ParamVector, PhaseState, Signal, TimeGrid
+from .core import (EstimatorMethod, NudgeMode, ParamVector, PhaseState, Signal, TimeGrid,
+                   check_positive_finite, relative_error)
 from .dynamics import echo_retrace_check
 from .errors import ConfigError, NumericalError
 from .estimators import prepare
@@ -115,8 +116,7 @@ def cmd_gradcheck(args):
         est = problem.estimate(bundle.theta, beta)
         oracle = fd_gradient(problem.loss, bundle.theta, eps=fd_eps)
     # a zero oracle gives inf or NaN, which the check below fails
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel_err = float(np.linalg.norm(est.value - oracle.value) / np.linalg.norm(oracle.value))
+    rel_err = relative_error(est.value, oracle.value)
     elapsed = time.perf_counter() - started
 
     report = {
@@ -208,6 +208,7 @@ def cmd_retrace(args):
     config, out = _load(args)
     dt = float(config["retrace"]["dt"])
     t_end = float(config["retrace"]["t_end"])
+    check_positive_finite(dt, "retrace.dt")
     grid = TimeGrid(dt=dt, n_steps=int(round(t_end / dt)))
     rng = np.random.default_rng(int(config["seed"]))
     started = time.perf_counter()

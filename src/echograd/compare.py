@@ -22,6 +22,7 @@ from .core import (
     NudgeMode,
     ParamVector,
     check_betas,
+    relative_error,
 )
 from .estimators import prepare
 from .oracle import fd_gradient
@@ -94,10 +95,6 @@ class ComparisonTable:
         write_json(path, self.to_json_payload())
 
 
-def _rel_err(value, reference):
-    return float(np.linalg.norm(value - reference) / np.linalg.norm(reference))
-
-
 def compare_estimators(
     lagrangian: LagrangianModel,
     hamiltonian: HamiltonianModel,
@@ -139,8 +136,8 @@ def compare_estimators(
     for i, beta in enumerate(betas):
         diff = None
         if EstimatorMethod.RHEL in estimates and EstimatorMethod.PFVP in estimates:
-            diff = _rel_err(estimates[EstimatorMethod.RHEL][i].value,
-                            estimates[EstimatorMethod.PFVP][i].value)
+            diff = relative_error(estimates[EstimatorMethod.RHEL][i].value,
+                                  estimates[EstimatorMethod.PFVP][i].value)
 
         for problem in problems:
             est = estimates[problem.method][i]
@@ -151,7 +148,7 @@ def compare_estimators(
                     beta=float(beta),
                     nudging=nudging.value,
                     gradient=est.value,
-                    rel_err_vs_oracle=_rel_err(est.value, oracles[problem.regime]),
+                    rel_err_vs_oracle=relative_error(est.value, oracles[problem.regime]),
                     rhel_pfvp_rel_diff=diff if problem.method is EstimatorMethod.RHEL else None,
                     wall_time=est.wall_time,
                 )

@@ -2,7 +2,10 @@
 
 The file is YAML; unknown keys are rejected rather than silently ignored.
 Numeric fields tolerate string spellings like ``1e-4`` (which YAML 1.1
-parses as a string) by coercing through ``float``.
+parses as a string) by coercing through ``float``; none may be null, and the
+integer fields (``seed``, ``task.dim``, ``task.input_dim``, ``task.n_steps``,
+``compare.cbvp_coarsen``, ``train.epochs``) must hold integral values, which
+they keep as written.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ import copy
 import numpy as np
 import yaml
 
-from .core import ParamVector, TimeGrid
+from .core import ParamVector, TimeGrid, check_positive_finite
 from .errors import ConfigError
-from .models import make_oscillator_model, make_quartic_model
+from .models import make_oscillator_model
 from .tasks import make_task
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "build_bundle", "Bundle"]
@@ -60,16 +63,24 @@ DEFAULT_CONFIG = {
 _FLOAT_KEYS = {
     "beta", "fd_eps", "t_end", "theta_scale", "learning_rate", "dt", "tol", "quartic",
 }
+_INT_KEYS = {"seed", "dim", "input_dim", "n_steps", "cbvp_coarsen", "epochs"}
+
+
+def _number(key, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"field {key!r} must be numeric, got {value!r}") from exc
 
 
 def _coerce(key, value):
+    """Float keys become floats; integer keys keep their value, which must be integral."""
     if key == "betas" and isinstance(value, list):
-        return [float(v) for v in value]
-    if key in _FLOAT_KEYS and value is not None:
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field {key!r} must be numeric, got {value!r}") from exc
+        return [_number(key, v) for v in value]
+    if key in _FLOAT_KEYS:
+        return _number(key, value)
+    if key in _INT_KEYS and not (isinstance(value, int) or _number(key, value).is_integer()):
+        raise ConfigError(f"field {key!r} must be an integer, got {value!r}")
     return value
 
 
@@ -120,16 +131,10 @@ def build_bundle(config: dict) -> Bundle:
     dim = int(section["dim"])
     input_dim = int(section["input_dim"])
     try:
-        if section["quartic"]:
-            lagrangian, hamiltonian = make_quartic_model(
-                dim, coupling=section["coupling"], input_dim=input_dim,
-                strength=section["quartic"],
-            )
-        else:
-            lagrangian, hamiltonian = make_oscillator_model(
-                dim, coupling=section["coupling"], input_dim=input_dim
-            )
+        lagrangian, hamiltonian = make_oscillator_model(
+            dim, coupling=section["coupling"], input_dim=input_dim, quartic=section["quartic"])
         n_steps = int(section["n_steps"])
+        check_positive_finite(n_steps, "task.n_steps")
         grid = TimeGrid(dt=section["t_end"] / n_steps, n_steps=n_steps)
         params = dict(section.get("params") or {})
         task = make_task(section["name"], grid, dim=dim, input_dim=input_dim, **params)

@@ -59,6 +59,7 @@ __all__ = [
     "BoundHamiltonian",
     "CostModel",
     "check_positive_finite",
+    "relative_error",
     "lockstep_rows",
     "row_stack",
     "central_probes",
@@ -85,6 +86,13 @@ def check_positive_finite(value: float, name: str) -> None:
     """Raise ``ValueError`` unless ``value`` is positive and finite (NaN is not)."""
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def relative_error(value, reference) -> float:
+    """2-norm of ``value - reference`` over that of ``reference``.  A zero
+    reference gives inf, or NaN when ``value`` is zero too, and no warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.linalg.norm(value - reference) / np.linalg.norm(reference))
 
 
 def lockstep_rows(*stacks):

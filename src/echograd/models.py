@@ -9,17 +9,17 @@ exact Legendre partners by construction.  The Lagrangian is even in the
 velocity and the Hamiltonian even in the momentum, which makes every member
 time-reversible.
 
-The stiffness parameterisation depends on the coupling descriptor:
+The leading parameters theta_k fill a table of entries, in this order, of K
+(mirrored) or of the factor A in K = A^T A + 0.1 I; the coupling picks it:
 
-- ``"direct"``: K is filled symmetrically from d(d+1)/2 parameters (upper
-  triangle, row-major).  Useful for analytically checkable instances; K is
-  not guaranteed positive definite.
-- ``"dense"``: K = A^T A + 0.1 I with A a full d x d matrix read from d^2
-  parameters.  Positive definite, so trajectories stay bounded.
-- ``"chain"``: K = A^T A + 0.1 I with A lower bidiagonal (2d - 1 parameters),
-  giving tridiagonal nearest-neighbour coupling.
-- a boolean (d, d) mask: like ``"direct"`` restricted to the masked entries;
-  the mask must be symmetric.
+- ``"direct"``: K's upper triangle, row-major (d(d+1)/2 parameters).  Useful
+  for analytically checkable instances; K need not be positive definite.
+- a symmetric boolean (d, d) mask: K's masked upper-triangle entries,
+  row-major.
+- ``"dense"``: all of A, row-major (d^2 parameters).  K is positive
+  definite, so trajectories stay bounded.
+- ``"chain"``: A's diagonal (i, i), then its sub-diagonal (i + 1, i)
+  (2d - 1 parameters): tridiagonal nearest-neighbour coupling.
 
 When ``input_dim > 0`` the remaining parameters fill the input coupling W
 (d x input_dim, row-major).
@@ -43,7 +43,6 @@ from .core import (
 
 __all__ = [
     "make_oscillator_model",
-    "make_quartic_model",
     "OscillatorLagrangian",
     "OscillatorHamiltonian",
     "QuadraticTrackingCost",
@@ -56,12 +55,12 @@ __all__ = [
 _STIFFNESS_FLOOR = 0.1
 
 
-def _triangle_indices(dim: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(dim) for j in range(i, dim)]
-
-
 class _OscillatorCore:
-    """Shared potential machinery behind the Lagrangian/Hamiltonian pair."""
+    """Shared potential machinery behind the Lagrangian/Hamiltonian pair.
+
+    Every consumer of theta_k reads one layout table: the flat indices
+    ``_at`` of the entries it fills, of A if ``_factored`` else of K.
+    """
 
     def __init__(self, dim, coupling, input_dim, quartic):
         if int(dim) != dim or dim < 1:
@@ -70,38 +69,39 @@ class _OscillatorCore:
             raise ValueError(f"input_dim must be a non-negative integer, got {input_dim}")
         if quartic < 0:
             raise ValueError("quartic strength must be non-negative")
-        self.dim = int(dim)
+        self.dim = d = int(dim)
         self.input_dim = int(input_dim)
         self.quartic = float(quartic)
-        self.coupling = coupling
 
         if isinstance(coupling, str):
             if coupling == "direct":
-                self._entries = _triangle_indices(self.dim)
-                self._n_stiffness = len(self._entries)
+                rows, cols = np.triu_indices(d)
             elif coupling == "dense":
-                self._n_stiffness = self.dim * self.dim
+                rows, cols = np.divmod(np.arange(d * d), d)
             elif coupling == "chain":
-                self._n_stiffness = 2 * self.dim - 1
+                rows, cols = np.r_[0:d, 1:d], np.r_[0:d, 0 : d - 1]
             else:
                 raise ValueError(
                     f"unknown coupling topology {coupling!r}; "
                     "expected 'direct', 'dense', 'chain', or a symmetric boolean mask"
                 )
+            self._factored = coupling != "direct"
         else:
             mask = np.asarray(coupling, dtype=bool)
-            if mask.shape != (self.dim, self.dim):
-                raise ValueError(f"coupling mask must have shape ({self.dim}, {self.dim})")
+            if mask.shape != (d, d):
+                raise ValueError(f"coupling mask must have shape ({d}, {d})")
             if not np.array_equal(mask, mask.T):
                 raise ValueError("coupling mask implies an asymmetric stiffness matrix")
-            self.coupling = "mask"
-            self._entries = [(i, j) for (i, j) in _triangle_indices(self.dim) if mask[i, j]]
-            self._n_stiffness = len(self._entries)
+            rows, cols = np.nonzero(np.triu(mask))
+            self._factored = False
 
-        self.theta_dim = self._n_stiffness + self.dim * self.input_dim
-        if self.coupling in ("direct", "mask"):
-            self._entry_rows, self._entry_cols = np.array(
-                self._entries, dtype=int).reshape(-1, 2).T
+        self._at = rows * d + cols
+        # entries of K also fill their mirror images, and the read-out
+        # halves the diagonal ones
+        self._mirror = cols * d + rows
+        self._halved = np.flatnonzero((rows == cols) & (not self._factored))
+        self._n_stiffness = len(rows)
+        self.theta_dim = self._n_stiffness + d * self.input_dim
 
     def _split(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -115,28 +115,28 @@ class _OscillatorCore:
             w = theta[self._n_stiffness :].reshape(self.dim, self.input_dim)
         return theta_k, w
 
-    def _factor(self, theta_k):
-        """The matrix A in K = A^T A + floor, for the factored topologies."""
-        d = self.dim
-        if self.coupling == "dense":
-            return theta_k.reshape(d, d)
-        a = np.zeros((d, d))
-        a[np.arange(d), np.arange(d)] = theta_k[:d]
-        if d > 1:
-            a[np.arange(1, d), np.arange(d - 1)] = theta_k[d:]
-        return a
+    def _place(self, theta_k):
+        """theta_k written into the table's entries of a d x d matrix: A, or K."""
+        m = np.zeros(self.dim * self.dim)
+        m[self._at] = theta_k
+        if not self._factored:
+            m[self._mirror] = theta_k
+        return m.reshape(self.dim, self.dim)
+
+    def _read_out(self, product):
+        """The gradient of 1/2 tr(K M) in theta_k, from ``product``: A M when
+        factored, else M itself.  It is ``product`` at the table's entries,
+        halved on K's diagonal."""
+        g_k = product.ravel()[self._at]
+        g_k[self._halved] *= 0.5
+        return g_k
 
     def stiffness(self, theta) -> np.ndarray:
         theta_k, _ = self._split(theta)
-        d = self.dim
-        if self.coupling in ("direct", "mask"):
-            k = np.zeros((d, d))
-            for m, (i, j) in enumerate(self._entries):
-                k[i, j] = theta_k[m]
-                k[j, i] = theta_k[m]
-            return k
-        a = self._factor(theta_k)
-        return a.T @ a + _STIFFNESS_FLOOR * np.eye(d)
+        m = self._place(theta_k)
+        if self._factored:
+            return m.T @ m + _STIFFNESS_FLOOR * np.eye(self.dim)
+        return m
 
     def _input_force(self, w, x):
         if w is None:
@@ -171,21 +171,9 @@ class _OscillatorCore:
     def potential_grad_theta(self, s, theta, x):
         theta_k, w = self._split(theta)
         s = np.asarray(s, dtype=float)
-        if self.coupling in ("direct", "mask"):
-            g_k = np.empty(self._n_stiffness)
-            for m, (i, j) in enumerate(self._entries):
-                g_k[m] = 0.5 * s[i] * s[i] if i == j else s[i] * s[j]
-        else:
-            a = self._factor(theta_k)
-            as_ = a @ s
-            if self.coupling == "dense":
-                g_k = np.outer(as_, s).ravel()
-            else:
-                d = self.dim
-                g_k = np.empty(self._n_stiffness)
-                g_k[:d] = as_ * s
-                if d > 1:
-                    g_k[d:] = as_[1:] * s[:-1]
+        # M = s s^T, and A M = (A s) s^T
+        left = self._place(theta_k) @ s if self._factored else s
+        g_k = self._read_out(np.outer(left, s))
         if w is None:
             return g_k
         x = np.asarray(x, dtype=float)
@@ -212,9 +200,9 @@ class _BoundPotential:
         # bitwise per row, which S @ K.T does not.
         self._stiffness = np.stack([core.stiffness(row) for row in thetas])
         self._single = theta.ndim == 1
-        self._factor = None
-        if self._single and core.coupling not in ("direct", "mask"):
-            self._factor = core._factor(splits[0][0])
+        self._a = None
+        if self._single and core._factored:
+            self._a = core._place(splits[0][0])
         self._xs = None
         self._drive = None
         if core.input_dim > 0:
@@ -307,17 +295,7 @@ class _BoundPotential:
             delta = states - ref
             weighted_delta = weights * delta
             gram = weighted_delta.T @ states + weighted_ref.T @ delta
-            g_k = row[: core._n_stiffness]
-            if core.coupling in ("direct", "mask"):
-                g_k[:] = gram[core._entry_rows, core._entry_cols]
-                g_k[core._entry_rows == core._entry_cols] *= 0.5
-            else:
-                a_gram = self._factor @ gram
-                if core.coupling == "dense":
-                    g_k[:] = a_gram.ravel()
-                else:
-                    g_k[:d] = np.diagonal(a_gram)
-                    g_k[d:] = np.diagonal(a_gram, -1)
+            row[: core._n_stiffness] = core._read_out(gram if self._a is None else self._a @ gram)
             if self._xs is not None:
                 row[core._n_stiffness :] = (weighted_delta.T @ self._xs).ravel()
         return out
@@ -444,19 +422,15 @@ class _BoundOscillatorHamiltonian(BoundHamiltonian):
         return self._potential.grad_theta_contrast(positions, ref_positions, dt)
 
 
-def make_oscillator_model(dim, coupling="dense", input_dim=0):
+def make_oscillator_model(dim, coupling="dense", input_dim=0, quartic=0.0):
     """Build a Legendre-partner (Lagrangian, Hamiltonian) oscillator pair.
 
-    Raises ValueError for a non-positive dimension or a coupling descriptor
-    that would imply an asymmetric stiffness matrix.
+    ``quartic > 0`` adds the quartic well q/4 * sum_i s_i^4, for nonlinear
+    dynamics.  Raises ValueError for a non-positive dimension, a negative
+    quartic strength or a coupling descriptor that would imply an asymmetric
+    stiffness matrix.
     """
-    core = _OscillatorCore(dim, coupling, input_dim, quartic=0.0)
-    return OscillatorLagrangian(core), OscillatorHamiltonian(core)
-
-
-def make_quartic_model(dim, coupling="chain", input_dim=0, strength=1.0):
-    """Oscillator pair with an extra quartic well, for nonlinear dynamics."""
-    core = _OscillatorCore(dim, coupling, input_dim, quartic=strength)
+    core = _OscillatorCore(dim, coupling, input_dim, quartic)
     return OscillatorLagrangian(core), OscillatorHamiltonian(core)
 
 
@@ -598,7 +572,7 @@ def model_zoo() -> list[ZooMember]:
         )
     )
 
-    lag, ham = make_quartic_model(2, coupling="chain", strength=1.0)
+    lag, ham = make_oscillator_model(2, coupling="chain", quartic=1.0)
     members.append(ZooMember("quartic2_chain", lag, ham, ParamVector([1.0, 1.2, 0.25])))
 
     return members

@@ -15,7 +15,6 @@ from echograd.models import (
     PhaseTrackingCost,
     QuadraticTrackingCost,
     make_oscillator_model,
-    make_quartic_model,
     model_zoo,
 )
 from echograd.oracle import fd_gradient, trajectory_loss
@@ -32,7 +31,7 @@ def _models():
     for input_dim in (0, 1):
         lag, ham = make_oscillator_model(3, MASK, input_dim)
         models.append((f"mask3_in{input_dim}", lag, ham, np.linspace(0.6, 1.4, lag.theta_dim)))
-    lag, ham = make_quartic_model(2, "dense", input_dim=1)
+    lag, ham = make_oscillator_model(2, "dense", input_dim=1, quartic=1.0)
     models.append(("quartic2_dense_in1", lag, ham, np.linspace(0.8, -0.3, lag.theta_dim)))
     lag = MassLagrangian(dim=2, mass=2.0)
     models.append(("mass2_default_binding", lag, forward_legendre(lag), np.array([1.3])))

@@ -21,7 +21,7 @@ from echograd.core import NudgeMode, ParamVector, TimeGrid
 from echograd.dynamics import integrate_hamiltonian, integrate_lagrangian_ivp
 from echograd.estimators import ivp_loss, prepare
 from echograd.glep import CivpSpec
-from echograd.models import make_oscillator_model, make_quartic_model, model_zoo
+from echograd.models import make_oscillator_model, model_zoo
 from echograd.oracle import fd_gradient
 from echograd.rhel import LagrangianInitialState
 from echograd.tasks import sine_tracking_task
@@ -37,9 +37,8 @@ ECHO_EQUALS_PFVP = 1e-12
 def _models():
     """Every zoo member, and the chain and quartic members with an input."""
     models = [(m.name, m.lagrangian, m.hamiltonian, m.theta.values) for m in model_zoo()]
-    for name, make in (("osc2_chain_in1", make_oscillator_model),
-                       ("quartic2_chain_in1", make_quartic_model)):
-        lag, ham = make(2, "chain", input_dim=1)
+    for name, quartic in (("osc2_chain_in1", 0.0), ("quartic2_chain_in1", 1.0)):
+        lag, ham = make_oscillator_model(2, "chain", input_dim=1, quartic=quartic)
         models.append((name, lag, ham, np.array([1.0, 1.2, 0.25, 0.6, -0.4])))
     return models
 

@@ -19,7 +19,6 @@ from echograd.models import (
     PhaseTrackingCost,
     QuadraticTrackingCost,
     make_oscillator_model,
-    make_quartic_model,
     model_zoo,
 )
 
@@ -32,7 +31,8 @@ def _pairs():
     for input_dim in (0, 1, 3):
         pairs.append((f"mask3_in{input_dim}", *make_oscillator_model(3, MASK, input_dim)))
     pairs.append(("dense3_in3", *make_oscillator_model(3, "dense", input_dim=3)))
-    pairs.append(("quartic3_dense_in1", *make_quartic_model(3, "dense", input_dim=1)))
+    pairs.append(("quartic3_dense_in1",
+                  *make_oscillator_model(3, "dense", input_dim=1, quartic=1.0)))
     return pairs
 
 
@@ -200,7 +200,7 @@ COUPLINGS = {"direct": "direct", "mask": MASK, "dense": "dense", "chain": "chain
 @pytest.mark.parametrize("input_dim", [0, 2])
 @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
 def test_parameter_contrast_matches_the_per_point_rows(coupling, input_dim):
-    lag, ham = make_quartic_model(3, COUPLINGS[coupling], input_dim, strength=0.5)
+    lag, ham = make_oscillator_model(3, COUPLINGS[coupling], input_dim, quartic=0.5)
     wrapped = forward_legendre(lag)
     rng = np.random.default_rng(input_dim)
     n_points, dt = 41, 0.05

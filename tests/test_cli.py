@@ -386,3 +386,61 @@ def test_train_rejects_bad_settings_before_preparing(tmp_path, monkeypatch, caps
     assert code == 2
     assert setting in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("gradcheck", ("n_steps: 400", "n_steps: 0")),
+    ("compare", ("n_steps: 400", "n_steps: 0")),
+    ("train", ("n_steps: 400", "n_steps: 0")),
+    ("retrace", ("dt: 0.01", "dt: 0")),
+])
+def test_a_zero_step_count_or_step_size_exits_two(tmp_path, capsys, command, edit):
+    import echograd.cli
+
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(FAST_CONFIG.replace(*edit, 1))
+    out = tmp_path / "r"
+    assert echograd.cli.main(["--config", str(cfg), "--out", str(out), command]) == 2
+    assert edit[1].split(":")[0] in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, edit, field", [
+    ("gradcheck", ("seed: 3", "seed: null"), "seed"),
+    ("train", ("epochs: 3", "epochs: null"), "epochs"),
+    ("gradcheck", ("  beta: 0.001", "  beta: null"), "beta"),
+    ("train", ("  beta: 0.001", "  beta: null"), "beta"),
+    ("compare", ("betas: [0.001]", "betas: [0.001, null]"), "betas"),
+    ("train", ("epochs: 3", "epochs: 2.5"), "epochs"),
+    ("gradcheck", ("n_steps: 400", "n_steps: 400.9"), "n_steps"),
+    ("gradcheck", ("dim: 2", "dim: 2.5"), "dim"),
+    ("gradcheck", ("input_dim: 0", "input_dim: 0.5"), "input_dim"),
+    ("compare", ("cbvp_coarsen: 8", "cbvp_coarsen: 8.5"), "cbvp_coarsen"),
+])
+def test_null_and_non_integral_values_exit_two(tmp_path, capsys, command, edit, field):
+    import echograd.cli
+
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(FAST_CONFIG.replace(*edit, 1))
+    out = tmp_path / "r"
+    assert echograd.cli.main(["--config", str(cfg), "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(field) in err, err
+    assert not (out / "manifest.json").exists()
+
+
+def test_compare_on_a_zero_gradient_task_warns_nothing(tmp_path):
+    # estimates and the oracle are all zero, so every relative error is 0/0;
+    # the test suite turns a RuntimeWarning into an error
+    import echograd.cli
+
+    cfg = tmp_path / "flat.yaml"
+    cfg.write_text("task:\n  input_dim: 0\n  n_steps: 200\n  params: {amplitude: 0.0}\n"
+                   "compare:\n  estimators: [civp, pfvp, rhel]\n")
+    out = tmp_path / "r"
+    assert echograd.cli.main(["--config", str(cfg), "--out", str(out), "compare"]) == 0
+    rows = json.loads((out / "compare.json").read_text())["rows"]
+    assert len(rows) == 9
+    for row in rows:
+        assert row["gradient"] == [0.0] * len(row["gradient"])
+        assert math.isnan(row["rel_err_vs_oracle"])

@@ -20,7 +20,7 @@ from echograd.core import (
     central_quotient,
     trapezoid,
 )
-from echograd.models import make_oscillator_model, make_quartic_model, model_zoo
+from echograd.models import make_oscillator_model, model_zoo
 
 
 def test_time_grid_basics():
@@ -137,6 +137,46 @@ def test_oscillator_rejects_bad_descriptors():
     assert lag.theta_dim == 2
 
 
+def _hand_layout(topology, mask, dim, theta):
+    """K from theta as the models docstring lays it out, entry by entry."""
+    values = iter(theta)
+    m = np.zeros((dim, dim))
+    if topology == "dense":
+        for i in range(dim):
+            for j in range(dim):
+                m[i, j] = next(values)
+    elif topology == "chain":
+        for i in range(dim):
+            m[i, i] = next(values)
+        for i in range(dim - 1):
+            m[i + 1, i] = next(values)
+    else:
+        for i in range(dim):
+            for j in range(i, dim):
+                if mask[i, j]:
+                    m[i, j] = m[j, i] = next(values)
+        return m, list(values)
+    return m.T @ m + 0.1 * np.eye(dim), list(values)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("topology", ["direct", "dense", "chain", "mask", "diagonal_mask"])
+def test_theta_fills_the_documented_entries(topology, dim):
+    rng = np.random.default_rng(dim)
+    upper = np.triu(rng.random((dim, dim)) < 0.5)
+    mask = {"mask": upper | upper.T, "diagonal_mask": np.eye(dim, dtype=bool)}.get(
+        topology, np.ones((dim, dim), dtype=bool))
+    coupling = mask if topology.endswith("mask") else topology
+    lag, ham = make_oscillator_model(dim, coupling, input_dim=2)
+    theta = rng.normal(size=lag.theta_dim)
+    expected, rest = _hand_layout(topology, mask, dim, theta)
+    assert lag._core.stiffness(theta).tobytes() == expected.tobytes()
+    # the remaining parameters are the input coupling W, row-major
+    x = rng.normal(size=2)
+    force = ham.grad_position(np.zeros(dim), np.zeros(dim), theta, x)
+    assert np.array_equal(force, np.reshape(rest, (dim, 2)) @ x)
+
+
 def test_lagrangian_reversibility_on_samples():
     rng = np.random.default_rng(1)
     for member in model_zoo():
@@ -248,7 +288,7 @@ def test_zoo_pairs_are_legendre_partners():
 
 
 def test_quartic_model_is_nonlinear():
-    lag, _ = make_quartic_model(1, coupling="direct", strength=2.0)
+    lag, _ = make_oscillator_model(1, coupling="direct", quartic=2.0)
     th = np.array([0.5])
     s = np.array([1.5])
     g1 = lag.grad_position(s, np.zeros(1), th)

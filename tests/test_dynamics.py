@@ -33,7 +33,6 @@ from echograd.legendre import backward_legendre, forward_legendre
 from echograd.models import (
     QuadraticTrackingCost,
     make_oscillator_model,
-    make_quartic_model,
     model_zoo,
 )
 
@@ -103,7 +102,7 @@ def test_dimension_mismatch_rejected():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises_with_step_index():
-    lag, ham = make_quartic_model(1, coupling="direct", strength=5.0)
+    lag, ham = make_oscillator_model(1, coupling="direct", quartic=5.0)
     grid = TimeGrid(dt=10.0, n_steps=50)
     with pytest.raises(DivergenceError) as err:
         integrate_hamiltonian(ham, np.array([1.0]), PhaseState([1.0], [0.0]), grid)
@@ -259,7 +258,7 @@ def _retrace_models():
     for input_dim in (0, 1):
         _, ham = make_oscillator_model(3, MASK, input_dim)
         models.append((ham, np.linspace(0.6, 1.4, ham.theta_dim)))
-    _, ham = make_quartic_model(2, "dense", input_dim=1)
+    _, ham = make_oscillator_model(2, "dense", input_dim=1, quartic=1.0)
     models.append((ham, np.linspace(0.8, -0.3, ham.theta_dim)))
     return models
 

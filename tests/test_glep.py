@@ -23,7 +23,6 @@ from echograd.models import (
     QuadraticTrackingCost,
     ZeroCost,
     make_oscillator_model,
-    make_quartic_model,
     model_zoo,
 )
 from echograd.oracle import fd_gradient, trajectory_loss
@@ -198,7 +197,7 @@ def test_cbvp_quartic_fold_case_is_typed_error(beta):
     # Past a fold of the solution branch: Newton from the straight line
     # stalls, and the solve must end in a ConvergenceError without a warning
     # (not a NaN trajectory, nor another numerical error).
-    lag, _ = make_quartic_model(2, "chain")
+    lag, _ = make_oscillator_model(2, coupling="chain", quartic=1.0)
     grid = TimeGrid(dt=(np.pi / 2) / 48, n_steps=48)
     spec = CbvpSpec([0.3, -0.2], [0.6, 0.1])
     y = Signal.from_function(grid, lambda t: [0.4 * np.sin(2.0 * t)])
