@@ -9,7 +9,8 @@ Subcommands:
 
 Every run writes its artifacts plus a manifest into the output directory.
 The manifest's payload (config, seed, file hashes) is byte-reproducible;
-wall-clock timings and the git description live outside the hashed payload.
+wall-clock timings and the code identity (package version and source hash)
+live outside the hashed payload.
 
 Exit codes: 0 success; 1 gradcheck mismatch beyond --check-tol;
 2 configuration error; 3 numerical failure.
@@ -18,6 +19,7 @@ Exit codes: 0 success; 1 gradcheck mismatch beyond --check-tol;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -39,7 +41,9 @@ from .static_ep import HopfieldEnergy, relax, static_ep_gradient
 from .training import check_train_settings, train
 
 
+@functools.cache
 def _parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="echograd", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", type=Path, default=None, help="YAML configuration file")
     parser.add_argument("--out", type=Path, default=None, help="output directory")

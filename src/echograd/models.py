@@ -67,8 +67,8 @@ class _OscillatorCore:
             raise ValueError(f"state dimension must be a positive integer, got {dim}")
         if int(input_dim) != input_dim or input_dim < 0:
             raise ValueError(f"input_dim must be a non-negative integer, got {input_dim}")
-        if quartic < 0:
-            raise ValueError("quartic strength must be non-negative")
+        if not 0 <= quartic < np.inf:
+            raise ValueError(f"quartic strength must be non-negative and finite, got {quartic!r}")
         self.dim = d = int(dim)
         self.input_dim = int(input_dim)
         self.quartic = float(quartic)
@@ -102,6 +102,11 @@ class _OscillatorCore:
         self._halved = np.flatnonzero((rows == cols) & (not self._factored))
         self._n_stiffness = len(rows)
         self.theta_dim = self._n_stiffness + d * self.input_dim
+        if self.theta_dim == 0:
+            raise ValueError(
+                "the model has no parameters: the coupling mask selects no entry of K "
+                "and input_dim is 0"
+            )
 
     def _split(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -135,7 +140,10 @@ class _OscillatorCore:
         theta_k, _ = self._split(theta)
         m = self._place(theta_k)
         if self._factored:
-            return m.T @ m + _STIFFNESS_FLOOR * np.eye(self.dim)
+            # a huge theta overflows to inf here; the integrator's typed
+            # divergence error reports it, not a RuntimeWarning
+            with np.errstate(over="ignore", invalid="ignore"):
+                return m.T @ m + _STIFFNESS_FLOOR * np.eye(self.dim)
         return m
 
     def _input_force(self, w, x):

@@ -2,16 +2,16 @@
 
 Floats are written with ``repr`` (shortest round-trip form), so identical
 runs produce byte-identical files.  Manifests separate a deterministic
-payload, whose canonical-JSON hash certifies reproducibility, from volatile
-fields such as timings and the git description.
+payload, whose canonical-JSON hash certifies reproducibility, from fields
+outside the hash: timings and the identity of the code that ran.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
-import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ __all__ = [
     "write_manifest",
     "write_run",
     "file_sha256",
-    "git_describe",
+    "code_identity",
 ]
 
 _CONJUGATE_PREFIX = {"hamiltonian": "p", "lagrangian": "v"}
@@ -147,32 +147,42 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def git_describe() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
+def _source_sha256(package) -> str:
+    """sha256 over the package directory's ``*.py`` files in sorted-name order,
+    each prefixed by its name and byte length."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(package).glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def code_identity() -> dict:
+    """The running echograd: its version and the hash of its own sources.
+
+    Computed on first use, once per process; it depends on the package's
+    files only, never on the working directory.
+    """
+    from . import __version__
+
+    package = Path(__file__).resolve().parent
+    return {"version": __version__, "source_sha256": _source_sha256(package)}
 
 
 def write_manifest(path, payload: dict, timings: dict | None = None) -> str:
     """Write a manifest and return the payload hash.
 
     The payload must be fully determined by config and seed; timings and the
-    git description are recorded alongside but excluded from the hash.
+    code identity (:func:`code_identity`) are recorded alongside but excluded
+    from the hash.
     """
     digest = payload_hash(payload)
     manifest = {
         "payload": payload,
         "payload_sha256": digest,
-        "git_describe": git_describe(),
+        "code": dict(code_identity()),
         "timings": timings or {},
     }
     write_json(path, manifest)

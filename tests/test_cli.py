@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -444,3 +445,39 @@ def test_compare_on_a_zero_gradient_task_warns_nothing(tmp_path):
     for row in rows:
         assert row["gradient"] == [0.0] * len(row["gradient"])
         assert math.isnan(row["rel_err_vs_oracle"])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("  coupling: chain\n", "  coupling: [[false, false], [false, false]]\n"),
+     "model has no parameters"),
+    (("  input_dim: 0\n", "  input_dim: 0\n  quartic: .nan\n"), "non-negative and finite"),
+    (("  input_dim: 0\n", "  input_dim: 0\n  quartic: .inf\n"), "non-negative and finite"),
+])
+def test_a_model_config_error_exits_two_and_names_its_cause(tmp_path, capsys, edit, message):
+    import echograd.cli
+
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(FAST_CONFIG.replace(*edit, 1))
+    out = tmp_path / "r"
+    assert echograd.cli.main(["--config", str(cfg), "--out", str(out), "gradcheck"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err, err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("estimator", ["civp", "pfvp", "rhel"])
+def test_a_huge_finite_difference_step_is_a_divergence_without_warnings(tmp_path, capsys,
+                                                                          estimator):
+    # the probes overflow K = A^T A; the smoke run turns RuntimeWarnings into errors
+    import echograd.cli
+
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(FAST_CONFIG.replace("  beta: 0.001\n", "  beta: 0.001\n  fd_eps: 1.0e+300\n", 1))
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = echograd.cli.main(["--config", str(cfg), "--out", str(out),
+                                  "--estimator", estimator, "gradcheck"])
+    assert code == 3
+    assert "integration diverged" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

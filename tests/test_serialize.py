@@ -1,9 +1,14 @@
 """CSV/JSON round trips and manifest reproducibility."""
 
 import json
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 
+import echograd
+from echograd import serialize
 from echograd.core import (
     EstimatorMethod,
     GradientEstimate,
@@ -15,6 +20,7 @@ from echograd.core import (
 from echograd.models import make_oscillator_model
 from echograd.rhel import ConstantInitialState, run_echo
 from echograd.serialize import (
+    code_identity,
     echo_run_to_csv,
     gradient_to_json,
     payload_hash,
@@ -92,4 +98,36 @@ def test_manifest_payload_hash_is_stable(tmp_path):
     assert first == second == payload_hash(payload)
     blob = json.loads((tmp_path / "m1.json").read_text())
     assert blob["payload_sha256"] == first
-    assert "git_describe" in blob
+    assert blob["code"] == code_identity()
+
+
+def test_one_changed_source_byte_changes_the_source_hash(tmp_path):
+    package = tmp_path / "echograd"
+    shutil.copytree(Path(echograd.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    before = serialize._source_sha256(package)
+    assert code_identity() == {"version": echograd.__version__, "source_sha256": before}
+    assert len(before) == 64
+    target = package / "models.py"
+    data = bytearray(target.read_bytes())
+    data[-2] ^= 1
+    target.write_bytes(bytes(data))
+    assert serialize._source_sha256(package) != before
+
+
+def test_code_identity_ignores_the_working_directory(tmp_path, monkeypatch):
+    expected = code_identity()
+    code_identity.cache_clear()
+    monkeypatch.chdir(tmp_path)
+    assert code_identity() == expected
+
+
+def test_write_manifest_spawns_no_process(tmp_path, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError("write_manifest started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    code_identity.cache_clear()  # the first write computes the identity
+    payload = {"command": "gradcheck"}
+    assert write_manifest(tmp_path / "m.json", payload) == payload_hash(payload)
+    assert json.loads((tmp_path / "m.json").read_text())["code"] == code_identity()
