@@ -19,7 +19,6 @@ from .core import (
 )
 from .dynamics import (
     Nudge,
-    echo_retrace_check,
     euler_lagrange_residual,
     integrate_hamiltonian,
     integrate_lagrangian_ivp,
@@ -48,6 +47,7 @@ from .rhel import (
     EchoRun,
     InitialStateMap,
     LagrangianInitialState,
+    echo_retrace_check,
     grad_rhel,
     retrace_deviation,
     run_echo,

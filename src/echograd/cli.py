@@ -30,13 +30,12 @@ from .compare import compare_estimators
 from .config import build_bundle, load_config
 from .core import (EstimatorMethod, NudgeMode, ParamVector, PhaseState, Signal, TimeGrid,
                    check_positive_finite, relative_error)
-from .dynamics import echo_retrace_check
 from .errors import ConfigError, NumericalError
 from .estimators import prepare
 from .models import QuadraticTrackingCost, model_zoo
 from .oracle import fd_gradient
-from .rhel import LagrangianInitialState, run_echo
-from .serialize import echo_run_to_csv, signal_to_csv, write_json, write_run
+from .rhel import LagrangianInitialState, echo_retrace_check, run_echo
+from .serialize import echo_run_to_csv, finite_or_null, signal_to_csv, write_json, write_run
 from .static_ep import HopfieldEnergy, relax, static_ep_gradient
 from .training import check_train_settings, train
 
@@ -119,7 +118,7 @@ def cmd_gradcheck(args):
         problem = _prepare(config, method, bundle)
         est = problem.estimate(bundle.theta, beta)
         oracle = fd_gradient(problem.loss, bundle.theta, eps=fd_eps)
-    # a zero oracle gives inf or NaN, which the check below fails
+    # a zero oracle gives inf or NaN: written as null, and the check below fails it
     rel_err = relative_error(est.value, oracle.value)
     elapsed = time.perf_counter() - started
 
@@ -129,7 +128,7 @@ def cmd_gradcheck(args):
         "nudging": nudging.value,
         "estimate": [float(v) for v in est.value],
         "oracle": [float(v) for v in oracle.value],
-        "rel_err": rel_err,
+        "rel_err": finite_or_null(rel_err),
     }
     write_json(out / "gradcheck.json", report)
     write_run(out, "gradcheck", config, ["gradcheck.json"], {"total_seconds": elapsed})

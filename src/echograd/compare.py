@@ -26,7 +26,7 @@ from .core import (
 )
 from .estimators import prepare
 from .oracle import fd_gradient
-from .serialize import write_json
+from .serialize import finite_or_null, write_json
 from .tasks import Task
 
 __all__ = ["CompareCell", "ComparisonTable", "compare_estimators"]
@@ -68,8 +68,8 @@ class ComparisonTable:
                     "beta": c.beta,
                     "nudging": c.nudging,
                     "gradient": [float(v) for v in c.gradient],
-                    "rel_err_vs_oracle": c.rel_err_vs_oracle,
-                    "rhel_pfvp_rel_diff": c.rhel_pfvp_rel_diff,
+                    "rel_err_vs_oracle": finite_or_null(c.rel_err_vs_oracle),
+                    "rhel_pfvp_rel_diff": finite_or_null(c.rhel_pfvp_rel_diff),
                 }
             )
         return {"rows": rows}

@@ -15,7 +15,7 @@ import copy
 import numpy as np
 import yaml
 
-from .core import ParamVector, TimeGrid, check_positive_finite
+from .core import ParamVector, TimeGrid
 from .errors import ConfigError
 from .models import make_oscillator_model
 from .tasks import make_task
@@ -134,7 +134,8 @@ def build_bundle(config: dict) -> Bundle:
         lagrangian, hamiltonian = make_oscillator_model(
             dim, coupling=section["coupling"], input_dim=input_dim, quartic=section["quartic"])
         n_steps = int(section["n_steps"])
-        check_positive_finite(n_steps, "task.n_steps")
+        if n_steps < 2:
+            raise ValueError(f"task.n_steps must be at least 2, got {n_steps}")
         grid = TimeGrid(dt=section["t_end"] / n_steps, n_steps=n_steps)
         params = dict(section.get("params") or {})
         task = make_task(section["name"], grid, dim=dim, input_dim=input_dim, **params)

@@ -195,10 +195,6 @@ class TimeGrid:
     def horizon(self) -> float:
         return self.n_steps * self.dt
 
-    @property
-    def t_end(self) -> float:
-        return self.t_start + self.horizon
-
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_points)
 
@@ -252,11 +248,6 @@ class Signal:
         return cls(grid, np.zeros((grid.n_points, dim)))
 
     @classmethod
-    def constant(cls, grid: TimeGrid, value) -> "Signal":
-        row = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls(grid, np.tile(row, (grid.n_points, 1)))
-
-    @classmethod
     def from_function(cls, grid: TimeGrid, fn) -> "Signal":
         """Sample ``fn(t) -> vector`` at every grid time."""
         rows = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in grid.times()]
@@ -281,9 +272,6 @@ class ParamVector:
         values = self.values.copy()
         values[index] += delta
         return ParamVector(values)
-
-    def shifted(self, delta: np.ndarray) -> "ParamVector":
-        return ParamVector(self.values + np.asarray(delta, dtype=float))
 
 
 @dataclass(frozen=True)

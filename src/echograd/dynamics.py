@@ -5,7 +5,7 @@ is time-symmetric step by step: running the scheme from the momentum-flipped
 final state with the input read backwards reproduces the forward states up
 to floating-point roundoff, which is exactly what the echo mechanism needs.
 A classical rk4 stepper is provided as a deliberately non-symmetric control
-and is not permitted for echo-phase runs.
+for the retrace check.
 
 Nudged flows integrate d/dt (s, p) = J dH - beta J dc.  For position-only
 costs this is a plain Hamiltonian flow with the potential shifted by
@@ -66,7 +66,6 @@ __all__ = [
     "integrate_hamiltonian",
     "integrate_lagrangian_ivp",
     "euler_lagrange_residual",
-    "echo_retrace_check",
     "hamiltonian_series",
 ]
 
@@ -397,33 +396,6 @@ def euler_lagrange_residual(
 
     interior = TimeGrid(dt=grid.dt, n_steps=n - 2, t_start=grid.t_start + grid.dt)
     return Signal(interior, residual)
-
-
-def echo_retrace_check(
-    model: HamiltonianModel,
-    theta,
-    phi0: PhaseState,
-    grid: TimeGrid,
-    x: Signal | None = None,
-    scheme: str = "leapfrog",
-) -> float:
-    """Forward-integrate, momentum-flip, re-integrate on reversed input,
-    momentum-flip again, and return the worst deviation from the forward run.
-    """
-    forward = integrate_hamiltonian(model, theta, phi0, grid, x, scheme=scheme)
-    flipped = momentum_flip(forward.state(grid.n_steps))
-    x_rev = x.time_reversed() if x is not None else None
-    back = integrate_hamiltonian(model, theta, flipped, grid, x_rev, scheme=scheme)
-    return _retrace_error(forward, back)
-
-
-def _retrace_error(forward: Trajectory, back: Trajectory) -> float:
-    """Worst deviation of ``back``, a run from the momentum-flipped endpoint
-    of ``forward``, from retracing it: max |difference| over positions and
-    flipped momenta, ``back`` read back to front."""
-    pos_err = np.abs(back.positions[::-1] - forward.positions)
-    mom_err = np.abs(-back.momenta[::-1] - forward.momenta)
-    return float(max(pos_err.max(), mom_err.max()))
 
 
 def hamiltonian_series(model: HamiltonianModel, traj: Trajectory, theta,

@@ -49,7 +49,7 @@ from .core import (
     path_cost,
     signed_betas,
 )
-from .dynamics import Nudge, _retrace_error, integrate_hamiltonian, momentum_flip
+from .dynamics import Nudge, integrate_hamiltonian, momentum_flip
 
 __all__ = [
     "InitialStateMap",
@@ -60,6 +60,7 @@ __all__ = [
     "block_swap",
     "run_echo",
     "retrace_deviation",
+    "echo_retrace_check",
     "grad_rhel",
 ]
 
@@ -151,21 +152,27 @@ class CallableInitialState(InitialStateMap):
 
 @dataclass(frozen=True)
 class EchoRun:
-    """Paired forward and echo trajectories of one echo-system execution."""
+    """Paired forward and echo trajectories of one echo-system execution.
+
+    With a 1-d array ``beta`` the echo is a stack ``(B, n_steps + 1, dim)``,
+    one row per strength, each starting at the flipped forward endpoint.
+    """
 
     forward: Trajectory
     echo: Trajectory
-    beta: float
+    beta: float | np.ndarray
 
     def __post_init__(self):
         if self.forward.grid != self.echo.grid:
             raise ValueError("forward and echo phases must share one grid")
         if self.forward.kind != "hamiltonian" or self.echo.kind != "hamiltonian":
             raise ValueError("echo runs are phase-space trajectories")
+        if self.echo.positions.shape[:-2] != np.shape(self.beta):
+            raise ValueError("the echo needs one row per nudging strength")
         start = momentum_flip(self.forward.state(self.forward.grid.n_steps))
         if not (
-            np.array_equal(self.echo.positions[0], start.position)
-            and np.array_equal(self.echo.momenta[0], start.momentum)
+            np.all(self.echo.positions[..., 0, :] == start.position)
+            and np.all(self.echo.momenta[..., 0, :] == start.momentum)
         ):
             raise ValueError("echo phase must start at the momentum-flipped forward endpoint")
 
@@ -178,27 +185,52 @@ def run_echo(
     grid: TimeGrid,
     x: Signal | None,
     y: Signal | None,
-    beta: float,
+    beta,
+    scheme: str = "leapfrog",
 ) -> EchoRun:
-    """Execute forward and echo phases; ``beta = 0`` gives a pure retrace."""
+    """Run the forward phase, flip its endpoint momentum and run the echo on
+    the reversed input and target; ``beta = 0`` gives a pure retrace.
+
+    ``beta`` is one nudging strength, or a 1-d array of them whose echoes
+    run from the one forward pass as one lockstep stack, row b bitwise the
+    echo of ``beta[b]`` alone.  A nonzero or stacked ``beta`` needs a cost
+    and a target.  ``scheme`` is the integrator of both phases.
+    """
     if not model.time_reversible:
         raise ValueError("echo runs require a momentum-flip invariant Hamiltonian")
     th = as_params(theta)
-    forward = integrate_hamiltonian(model, th, init.state(th), grid, x)
+    forward = integrate_hamiltonian(model, th, init.state(th), grid, x, scheme=scheme)
     x_rev = x.time_reversed() if x is not None else None
     nudge = None
-    if beta != 0.0:
+    if np.ndim(beta) > 0 or beta != 0.0:
         if cost is None or y is None:
             raise ValueError("a nonzero beta requires a cost model and a target signal")
         nudge = Nudge(beta, cost, y.time_reversed())
     echo_start = momentum_flip(forward.state(grid.n_steps))
-    echo = integrate_hamiltonian(model, th, echo_start, grid, x_rev, nudge=nudge)
+    echo = integrate_hamiltonian(model, th, echo_start, grid, x_rev, nudge=nudge, scheme=scheme)
     return EchoRun(forward=forward, echo=echo, beta=beta)
 
 
 def retrace_deviation(run: EchoRun) -> float:
-    """Worst deviation of the echo from a perfect momentum-flipped retrace."""
-    return _retrace_error(run.forward, run.echo)
+    """Worst deviation of the echo from retracing the forward pass: max
+    |difference| over positions and flipped momenta, the echo read back to
+    front (every row of a stacked echo)."""
+    pos_err = np.abs(run.echo.positions[..., ::-1, :] - run.forward.positions)
+    mom_err = np.abs(-run.echo.momenta[..., ::-1, :] - run.forward.momenta)
+    return float(max(pos_err.max(), mom_err.max()))
+
+
+def echo_retrace_check(
+    model: HamiltonianModel,
+    theta,
+    phi0: PhaseState,
+    grid: TimeGrid,
+    x: Signal | None = None,
+    scheme: str = "leapfrog",
+) -> float:
+    """:func:`retrace_deviation` of the unnudged echo of a forward run from ``phi0``."""
+    return retrace_deviation(run_echo(model, None, theta, ConstantInitialState(phi0), grid, x,
+                                      None, 0.0, scheme))
 
 
 def grad_rhel(
@@ -217,31 +249,24 @@ def grad_rhel(
 
     ``beta`` is one nudging strength, giving one :class:`GradientEstimate`,
     or a 1-d sequence of them, giving a tuple with one estimate per entry;
-    every entry is checked before any integration.  Every signed beta
-    reuses the one forward pass, and their echoes are one lockstep
-    integration.  The boundary correction vanishes identically for declared
-    parameter-independent initial states.  ``free_loss`` is the cost of the
-    forward pass (of its phase states for a momentum-dependent cost).
+    every entry is checked before any integration.  One :func:`run_echo`
+    call runs the forward pass and the echoes of every signed beta, as one
+    lockstep integration.  The boundary correction vanishes identically for
+    declared parameter-independent initial states.  ``free_loss`` is the
+    cost of the forward pass (of its phase states for a momentum-dependent
+    cost).
     """
     started = time.perf_counter()
     th = as_params(theta)
     nudging = NudgeMode(nudging)
     signs = signed_betas(beta, nudging)
     check_positive_finite(fd_eps, "finite-difference step")
-    if not model.time_reversible:
-        raise ValueError("echo runs require a momentum-flip invariant Hamiltonian")
 
-    forward = integrate_hamiltonian(model, th, init.state(th), grid, x)
+    run = run_echo(model, cost, th, init, grid, x, y, signs)
+    forward, echoes, n = run.forward, run.echo, grid.n_steps
     x_rev = x.time_reversed() if x is not None else None
-    y_rev = y.time_reversed()
-    n = grid.n_steps
-
     init_jac = None if init.theta_independent else init.jacobian(th, fd_eps)
     forward_start = forward.state(0).as_vector()
-    echo_start = momentum_flip(forward.state(n))
-
-    echoes = integrate_hamiltonian(model, th, echo_start, grid, x_rev,
-                                   nudge=Nudge(signs, cost, y_rev))
     # The reference is the forward pass read back to front, row k at forward
     # index n - k, in step with the echo and its reversed inputs.
     integrals = model.bind(th, None if x_rev is None else x_rev.values).grad_params_contrast(

@@ -12,6 +12,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "canonical_json",
     "payload_hash",
     "write_json",
+    "finite_or_null",
     "write_manifest",
     "write_run",
     "file_sha256",
@@ -121,10 +123,16 @@ def echo_run_to_csv(run, forward_path, echo_path) -> None:
 
 
 def write_json(path, data) -> None:
-    """Every JSON report and manifest: indent 2, sorted keys, trailing newline."""
+    """Every JSON report and manifest: indent 2, sorted keys, trailing newline.
+    Strict JSON: a NaN or infinity raises ``ValueError`` (see :func:`finite_or_null`)."""
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def finite_or_null(value: float | None) -> float | None:
+    """``value``, or ``None`` (JSON ``null``) when it is missing or not finite."""
+    return value if value is not None and math.isfinite(value) else None
 
 
 def gradient_to_json(estimate: GradientEstimate, path) -> None:

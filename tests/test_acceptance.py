@@ -11,7 +11,6 @@ from echograd.compare import compare_estimators
 from echograd.core import NudgeMode, ParamVector, PhaseState, Signal, TimeGrid
 from echograd.dynamics import (
     Nudge,
-    echo_retrace_check,
     euler_lagrange_residual,
     hamiltonian_series,
     integrate_hamiltonian,
@@ -32,6 +31,7 @@ from echograd.models import (
     model_zoo,
 )
 from echograd.oracle import fd_gradient, trajectory_loss
+from echograd.rhel import echo_retrace_check
 from echograd.static_ep import HopfieldEnergy, QuadraticEnergy, RelaxConfig, relax, static_ep_gradient
 from echograd.tasks import sine_tracking_task, step_response_task, two_sines_task
 from echograd.training import train

@@ -342,7 +342,7 @@ def test_gradcheck_fails_a_nan_relative_error(tmp_path):
     assert "Warning" not in result.stderr, result.stderr
     report = json.loads((out / "gradcheck.json").read_text())
     assert report["oracle"] == [0.0] * len(report["oracle"])
-    assert math.isnan(report["rel_err"])
+    assert report["rel_err"] is None
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", ".nan", ".inf"])
@@ -394,6 +394,7 @@ def test_train_rejects_bad_settings_before_preparing(tmp_path, monkeypatch, caps
     ("compare", ("n_steps: 400", "n_steps: 0")),
     ("train", ("n_steps: 400", "n_steps: 0")),
     ("retrace", ("dt: 0.01", "dt: 0")),
+    ("gradcheck", ("n_steps: 400", "n_steps: 1")),
 ])
 def test_a_zero_step_count_or_step_size_exits_two(tmp_path, capsys, command, edit):
     import echograd.cli
@@ -444,7 +445,31 @@ def test_compare_on_a_zero_gradient_task_warns_nothing(tmp_path):
     assert len(rows) == 9
     for row in rows:
         assert row["gradient"] == [0.0] * len(row["gradient"])
-        assert math.isnan(row["rel_err_vs_oracle"])
+        assert row["rel_err_vs_oracle"] is None
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# The second config has a zero oracle, so every relative error is non-finite.
+@pytest.mark.parametrize("config", [FAST_CONFIG, "task: {input_dim: 0, n_steps: 160}\n"],
+                         ids=["fast", "zero_oracle"])
+def test_every_written_json_is_strict(tmp_path, config):
+    import echograd.cli
+
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(config)
+    for command in ("gradcheck", "compare", "retrace", "export"):
+        out = tmp_path / command
+        assert echograd.cli.main(["--config", str(cfg), "--out", str(out), command]) == 0
+        written = sorted(out.glob("*.json"))
+        assert len(written) == (1 if command == "export" else 2)
+        for path in written:
+            _strict_json(path.read_text())
 
 
 @pytest.mark.parametrize("edit, message", [

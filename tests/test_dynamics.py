@@ -21,7 +21,6 @@ from echograd.core import (
 from echograd.dynamics import (
     SCHEMES,
     Nudge,
-    echo_retrace_check,
     euler_lagrange_residual,
     hamiltonian_series,
     integrate_hamiltonian,
@@ -35,6 +34,7 @@ from echograd.models import (
     make_oscillator_model,
     model_zoo,
 )
+from echograd.rhel import echo_retrace_check
 
 LAG1, HAM1 = make_oscillator_model(1, coupling="direct")
 THETA1 = np.array([1.0])

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from echograd.core import LagrangianModel, ParamVector, PhaseState, Signal, TimeGrid, trapezoid
-from echograd.dynamics import echo_retrace_check, integrate_hamiltonian
+from echograd.core import (LagrangianModel, ParamVector, PhaseState, Signal, TimeGrid,
+                           Trajectory, trapezoid)
+from echograd.dynamics import integrate_hamiltonian
 from echograd.models import (
     PhaseTrackingCost,
     QuadraticTrackingCost,
@@ -97,15 +98,33 @@ def test_echo_deviation_loglog_slope_one():
     assert np.all(np.abs(slopes - 1.0) <= 0.1)
 
 
-def test_echo_run_deviation_is_the_retrace_check():
+@pytest.mark.parametrize("cost, betas", [
+    (QuadraticTrackingCost(2, indices=[0]), [0.7, -0.7, 0.0, 1e-3]),
+    (PhaseTrackingCost(2), [0.5, -0.5, 1e-3]),
+])
+def test_stacked_echo_rows_are_each_strength_run_alone(cost, betas):
+    # a position-only cost runs the separable leapfrog, a phase cost the implicit one
     member = model_zoo()[2]
     grid = _grid(n=200)
     x = Signal.from_function(grid, lambda t: [np.cos(1.3 * t)])
-    phi0 = PhaseState([0.4, -0.2], [0.1, 0.3])
-    run = run_echo(member.hamiltonian, None, member.theta, ConstantInitialState(phi0), grid, x,
-                   None, beta=0.0)
-    assert retrace_deviation(run) == echo_retrace_check(member.hamiltonian, member.theta, phi0,
-                                                        grid, x)
+    y = Signal.from_function(grid, lambda t: 0.3 * np.sin(t + np.arange(cost.target_dim)))
+    init = LagrangianInitialState(member.lagrangian, [0.4, -0.2], [0.1, 0.3], x0=x.value(0))
+    stacked = run_echo(member.hamiltonian, cost, member.theta, init, grid, x, y, np.array(betas))
+    assert stacked.echo.positions.shape == (len(betas), grid.n_points, 2)
+    for row, beta in enumerate(betas):
+        alone = run_echo(member.hamiltonian, cost, member.theta, init, grid, x, y, beta)
+        assert np.array_equal(stacked.forward.positions, alone.forward.positions)
+        assert np.array_equal(stacked.forward.momenta, alone.forward.momenta)
+        assert np.array_equal(stacked.echo.positions[row], alone.echo.positions)
+        assert np.array_equal(stacked.echo.momenta[row], alone.echo.momenta)
+
+    with pytest.raises(ValueError, match="one row per nudging strength"):
+        EchoRun(forward=stacked.forward, echo=stacked.echo, beta=0.0)
+    moved = stacked.echo.positions.copy()
+    moved[-1, 0, 0] += 1e-12
+    echo = Trajectory(grid, "hamiltonian", moved, stacked.echo.momenta)
+    with pytest.raises(ValueError, match="momentum-flipped forward endpoint"):
+        EchoRun(forward=stacked.forward, echo=echo, beta=np.array(betas))
 
 
 def test_run_echo_requires_reversible_model():
