@@ -99,8 +99,7 @@ def _prepare(config, method, bundle):
     """The configured :class:`Problem` of ``method`` on the bundle's task."""
     return prepare(method, bundle.lagrangian, bundle.hamiltonian, bundle.task, bundle.theta,
                    NudgeMode(config["estimator"]["nudging"]),
-                   float(config["estimator"]["fd_eps"]), config["cbvp"]["tol"],
-                   int(config["compare"]["cbvp_coarsen"]))
+                   float(config["estimator"]["fd_eps"]), config["cbvp"]["tol"])
 
 
 def cmd_gradcheck(args):
@@ -155,7 +154,6 @@ def cmd_compare(args):
         nudging=config["estimator"]["nudging"],
         fd_eps=float(config["estimator"]["fd_eps"]),
         cbvp_tol=config["cbvp"]["tol"],
-        cbvp_coarsen=int(section["cbvp_coarsen"]),
     )
     elapsed = time.perf_counter() - started
     table.write_csv(out / "compare.csv")

@@ -3,7 +3,7 @@
 Each trajectory estimator is validated against a finite-difference gradient
 of the loss it actually answers: the initial-value estimators share the free
 trajectory loss, while the boundary-value estimator is compared on its own
-(coarsened) pinned-endpoint problem.  When both the echo and final-value
+pinned-endpoint problem.  When both the echo and final-value
 estimators are present, every beta row also reports their mutual discrepancy,
 which for Legendre-partner models should sit at roundoff for any beta.
 """
@@ -105,7 +105,6 @@ def compare_estimators(
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
     fd_eps: float = 1e-5,
     cbvp_tol: float = 1e-10,
-    cbvp_coarsen: int = 16,
 ) -> ComparisonTable:
     """Run the (estimator, beta) matrix on one task.
 
@@ -121,8 +120,8 @@ def compare_estimators(
     if np.ndim(betas) != 1:
         raise ValueError(f"betas must be a non-empty 1-d list, got {betas!r}")
     check_betas(betas)
-    problems = [prepare(m, lagrangian, hamiltonian, task, theta, nudging, fd_eps, cbvp_tol,
-                        cbvp_coarsen) for m in estimators]
+    problems = [prepare(m, lagrangian, hamiltonian, task, theta, nudging, fd_eps, cbvp_tol)
+                for m in estimators]
     if not problems:
         raise ValueError("estimators must list at least one trajectory method")
 

@@ -4,8 +4,7 @@ The file is YAML; unknown keys are rejected rather than silently ignored.
 Numeric fields tolerate string spellings like ``1e-4`` (which YAML 1.1
 parses as a string) by coercing through ``float``; none may be null, and the
 integer fields (``seed``, ``task.dim``, ``task.input_dim``, ``task.n_steps``,
-``compare.cbvp_coarsen``, ``train.epochs``) must hold integral values, which
-they keep as written.
+``train.epochs``) must hold integral values, which they keep as written.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ DEFAULT_CONFIG = {
     "compare": {
         "betas": [1e-2, 1e-3, 1e-4],
         "estimators": ["civp", "cbvp", "pfvp", "rhel"],
-        "cbvp_coarsen": 16,
     },
     "cbvp": {
         "tol": 1e-10,
@@ -63,7 +61,7 @@ DEFAULT_CONFIG = {
 _FLOAT_KEYS = {
     "beta", "fd_eps", "t_end", "theta_scale", "learning_rate", "dt", "tol", "quartic",
 }
-_INT_KEYS = {"seed", "dim", "input_dim", "n_steps", "cbvp_coarsen", "epochs"}
+_INT_KEYS = {"seed", "dim", "input_dim", "n_steps", "epochs"}
 
 
 def _number(key, value) -> float:

@@ -41,6 +41,8 @@ from functools import partial
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "TimeGrid",
     "Signal",
@@ -162,8 +164,10 @@ def trapezoid_contrast(rows: np.ndarray, reference: np.ndarray, dt: float) -> np
 
 def path_cost(cost: "CostModel", states: np.ndarray, target: "Signal", dt: float) -> float:
     """Trapezoid-rule cost of one trajectory's ``states`` (one row per grid
-    point) against the samples of ``target``."""
-    return float(trapezoid(cost.cost_rows(states, target.values), dt))
+    point) against the samples of ``target``; an overflow gives inf or NaN,
+    and no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(trapezoid(cost.cost_rows(states, target.values), dt))
 
 
 @dataclass(frozen=True)
@@ -460,8 +464,12 @@ def finish_estimates(values, beta, nudging, method, started, free_loss=None):
     """The estimates of one call from ``values``, one per row of
     :func:`signed_betas`: a :class:`GradientEstimate` for a scalar ``beta``,
     else a tuple with one per entry, in order.  Each records the call's wall
-    time since ``started`` (perf_counter) and ``free_loss``."""
+    time since ``started`` (perf_counter) and ``free_loss``.  Raises
+    ``NumericalError`` when a value or ``free_loss`` is not finite."""
     betas = check_betas(beta)
+    if not (np.all(np.isfinite(values)) and (free_loss is None or np.isfinite(free_loss))):
+        raise NumericalError(f"{EstimatorMethod(method).value} estimate is non-finite "
+                             f"(free loss {free_loss!r})")
     wall_time = time.perf_counter() - started
     estimates = []
     for i, b in enumerate(betas):

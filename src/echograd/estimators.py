@@ -68,14 +68,13 @@ def prepare(
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
     fd_eps: float = 1e-5,
     cbvp_tol: float = 1e-10,
-    cbvp_coarsen: int = 16,
 ) -> Problem:
     """The :class:`Problem` of one trajectory method on ``task``.
 
     The initial-value methods (regime ``"ivp"``) answer the free-trajectory
-    loss.  CBVP (regime ``"cbvp"``) runs on the task coarsened by
-    ``cbvp_coarsen``, its endpoint pinned once to the free endpoint at
-    ``theta_setup``, and solves its boundary value problems to ``cbvp_tol``.
+    loss.  CBVP (regime ``"cbvp"``) runs on the task's grid, its endpoint
+    pinned once to the free endpoint at ``theta_setup``, and solves its
+    boundary value problems to ``cbvp_tol``.
     Raises ``ValueError`` for a non-trajectory method, a model the estimator
     cannot run on, or, whatever the method, a ``cbvp_tol`` that is not
     positive and finite.
@@ -85,18 +84,17 @@ def prepare(
     alpha, gamma = task.initial_position, task.initial_velocity
 
     if method is EstimatorMethod.CBVP:
-        coarse = task.coarsened(cbvp_coarsen)
-        free = integrate_lagrangian_ivp(lagrangian, theta_setup, alpha, gamma,
-                                        coarse.grid, coarse.x)
+        free = integrate_lagrangian_ivp(lagrangian, theta_setup, alpha, gamma, task.grid,
+                                        task.x)
         pinned = CbvpSpec(alpha, free.positions[-1])
 
         def estimate(theta, beta):
-            return grad_cbvp(lagrangian, coarse.cost, theta, pinned, coarse.grid, coarse.x,
-                             coarse.y, beta, nudging=nudging, tol=cbvp_tol)
+            return grad_cbvp(lagrangian, task.cost, theta, pinned, task.grid, task.x, task.y,
+                             beta, nudging=nudging, tol=cbvp_tol)
 
         def loss(theta):
-            return trajectory_loss(lagrangian, coarse.cost, theta, pinned, coarse.grid,
-                                   coarse.x, coarse.y, cbvp_tol=cbvp_tol)
+            return trajectory_loss(lagrangian, task.cost, theta, pinned, task.grid, task.x,
+                                   task.y, cbvp_tol=cbvp_tol)
 
         return Problem(method, "cbvp", estimate, loss)
 

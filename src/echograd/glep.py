@@ -202,8 +202,10 @@ def grad_civp(
             gv_nudged_end = np.asarray(
                 model.grad_velocity(positions[-1], velocities[-1], th, x_end), dtype=float
             )
-            value = value + d_state.T @ (gv_nudged_end - gv_free_end)
-            value = value - d_gradv.T @ (positions[-1] - free_positions[-1])
+            # may overflow, as the contrast may: finish_estimates reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = value + d_state.T @ (gv_nudged_end - gv_free_end)
+                value = value - d_gradv.T @ (positions[-1] - free_positions[-1])
         values.append(value / b)
     return finish_estimates(values, beta, nudging, EstimatorMethod.CIVP, started,
                             path_cost(cost, free_positions, y, grid.dt))
@@ -231,25 +233,50 @@ def _defect_jacobian(defect, s, h):
     return blocks
 
 
-def _block_thomas(diag, upper, lower, rhs):
+def _solve_blocks(blocks, rhs, points):
+    """Batched ``np.linalg.solve``; a singular block raises
+    ``SingularHessianError`` naming its interior grid point in ``points``."""
+    try:
+        return np.linalg.solve(blocks, rhs)
+    except np.linalg.LinAlgError as exc:
+        point = points[np.argmin(np.abs(np.linalg.slogdet(blocks).sign))]
+        raise SingularHessianError(
+            f"singular defect Jacobian block at interior point {point}") from exc
+
+
+def _cyclic_reduction(diag, upper, lower, rhs, points):
     """Solve the block-tridiagonal system with ``(m, d, d)`` blocks for the
-    ``(m, d)`` right-hand side (``lower[0]`` and ``upper[-1]`` are unused)."""
-    m = rhs.shape[0]
-    coupling = np.empty_like(upper)
+    ``(m, d, c)`` right-hand side by block cyclic reduction (Buzbee, Golub &
+    Nielson 1970); ``lower[0]`` and ``upper[-1]`` are unused, and ``points``
+    are the rows' interior grid points.  One batched solve by the odd rows'
+    diagonal blocks eliminates those rows and leaves a block-tridiagonal
+    system of the even rows, so any ``m`` takes ceil(log2 m) + 1 levels.
+    """
+    m, d = rhs.shape[:2]
+    if m == 1:
+        return _solve_blocks(diag, rhs, points)
+    # D^-1 [L, U, r] of every odd row
+    solved = _solve_blocks(diag[1::2], np.concatenate([lower[1::2], upper[1::2], rhs[1::2]], 2),
+                           points[1::2])
+    # even row 2j has odd row j - 1 on its left (j >= 1) and odd row j on its
+    # right (2j + 1 < m); substituting both leaves the even rows coupled to
+    # their even neighbours only.  k odd rows have an even row on each side.
+    n_odd, k = m // 2, (m - 1) // 2
+    from_left, from_right = lower[2::2] @ solved[:k], upper[0:2 * n_odd:2] @ solved
+    diag_e, rhs_e = diag[0::2].copy(), rhs[0::2].copy()
+    lower_e, upper_e = np.zeros_like(diag_e), np.zeros_like(diag_e)
+    diag_e[1:] -= from_left[..., d:2 * d]
+    diag_e[:n_odd] -= from_right[..., :d]
+    rhs_e[1:] -= from_left[..., 2 * d:]
+    rhs_e[:n_odd] -= from_right[..., 2 * d:]
+    lower_e[1:] = -from_left[..., :d]
+    upper_e[:n_odd] = -from_right[..., d:2 * d]
     solution = np.empty_like(rhs)
-    for i in range(m):
-        pivot, r = diag[i], rhs[i]
-        if i:
-            pivot = pivot - lower[i] @ coupling[i - 1]
-            r = r - lower[i] @ solution[i - 1]
-        try:
-            solved = np.linalg.solve(pivot, np.column_stack([upper[i], r]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessianError(
-                f"singular defect Jacobian pivot at interior point {i + 1}") from exc
-        coupling[i], solution[i] = solved[:, :-1], solved[:, -1]
-    for i in range(m - 2, -1, -1):
-        solution[i] -= coupling[i] @ solution[i + 1]
+    solution[0::2] = _cyclic_reduction(diag_e, upper_e, lower_e, rhs_e, points[0::2])
+    # back substitution: x_j = D_j^-1 (r_j - L_j x_{j-1} - U_j x_{j+1})
+    odd = solved[..., 2 * d:] - solved[..., :d] @ solution[0:2 * n_odd:2]
+    odd[:k] -= solved[:k, :, d:2 * d] @ solution[2::2]
+    solution[1::2] = odd
     return solution
 
 
@@ -272,17 +299,21 @@ def solve_cbvp(
     positions stay pinned.  Damped Newton iteration solves it from the
     straight line between the endpoints, or from ``initial_guess``: the
     block-tridiagonal defect Jacobian comes from coloured central
-    differences and a block-Thomas solve, and each step is halved until the
-    worst defect falls.  Converges when the worst interior defect drops to
-    ``tol``.  Newton does not need the horizon to lie below a conjugate
-    point; past a fold of the solution branch it stalls.
+    differences and block cyclic reduction, and each step is halved until
+    the worst defect falls.  The first increment within ``tol (1 + max|s|)``
+    is applied in full and ends the solve (Deuflhard 2004): unlike the
+    defect, whose roundoff floor near eps max|s| / dt^2 can exceed ``tol``
+    on a fine grid, it is in position units.  ``iterations`` counts the
+    steps before it.  Newton does not need the horizon to lie below a
+    conjugate point; past a fold of the solution branch it stalls.
 
     Raises ``ValueError`` unless ``tol`` is positive and finite,
     ``DivergenceError`` for a non-finite defect at the start,
-    ``SingularHessianError`` for a singular pivot block of the Jacobian and
-    ``ConvergenceError`` when no halving of a step lowers the worst defect
-    (a non-finite step included) or after ``NEWTON_MAX_ITER`` steps.  No
-    floating point warning escapes.
+    ``SingularHessianError`` naming the interior grid point of a singular
+    Jacobian block at any level of the reduction, and ``ConvergenceError``
+    when no halving of a step lowers the worst defect (a non-finite step
+    included) or after ``NEWTON_MAX_ITER`` steps.  No floating point
+    warning escapes.
     """
     th = as_params(theta)
     check_positive_finite(tol, "boundary value tolerance")
@@ -325,6 +356,7 @@ def solve_cbvp(
             el = el + beta * cost.grad_state_rows(s[1:-1], ys_interior)
         return el - (flux[1:] - flux[:-1]) / dt
 
+    points = np.arange(1, n)
     with np.errstate(over="ignore", invalid="ignore"):
         el = defect(states)
         if not np.all(np.isfinite(el)):
@@ -332,14 +364,19 @@ def solve_cbvp(
                                   step=0)
         residual = float(np.max(np.abs(el)))
         iterations = 0
-        while residual > tol:
+        while True:
+            scale = 1.0 + float(np.max(np.abs(states)))
+            blocks = _defect_jacobian(defect, states, _JACOBIAN_STEP * scale)
+            step = _cyclic_reduction(*blocks, el[..., None], points)[..., 0]
+            if float(np.max(np.abs(step))) <= tol * scale:
+                states[1:-1] -= step
+                residual = float(np.max(np.abs(defect(states))))
+                break
             if iterations >= NEWTON_MAX_ITER:
                 raise ConvergenceError(
                     f"boundary value Newton solve did not reach tol={tol} within "
                     f"{NEWTON_MAX_ITER} iterations (residual {residual:.3e})"
                 )
-            h = _JACOBIAN_STEP * (1.0 + float(np.max(np.abs(states))))
-            step = _block_thomas(*_defect_jacobian(defect, states, h), el)
             for halving in range(_MAX_HALVINGS + 1):
                 trial = states.copy()
                 trial[1:-1] -= 0.5**halving * step
@@ -355,10 +392,8 @@ def solve_cbvp(
             states, el, residual = trial, trial_el, trial_residual
             iterations += 1
 
-    velocities = np.empty_like(states)
-    velocities[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
-    velocities[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * dt)
-    velocities[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
+    # central differences inside, second-order one-sided ones at the ends
+    velocities = np.gradient(states, dt, axis=0, edge_order=2)
     trajectory = Trajectory(grid, "lagrangian", states, velocities)
     return CbvpResult(trajectory=trajectory, iterations=iterations, max_residual=residual)
 

@@ -298,14 +298,19 @@ class _BoundPotential:
         weighted_ref = weights * ref
         stack = np.asarray(positions, dtype=float)
         out = np.empty(stack.shape[:-2] + (core.theta_dim,))
-        for row, states in zip(out.reshape(-1, core.theta_dim), stack.reshape((-1, n_rows, d))):
-            states = np.ascontiguousarray(states)
-            delta = states - ref
-            weighted_delta = weights * delta
-            gram = weighted_delta.T @ states + weighted_ref.T @ delta
-            row[: core._n_stiffness] = core._read_out(gram if self._a is None else self._a @ gram)
-            if self._xs is not None:
-                row[core._n_stiffness :] = (weighted_delta.T @ self._xs).ravel()
+        rows = zip(out.reshape(-1, core.theta_dim), stack.reshape((-1, n_rows, d)))
+        # huge finite states overflow the products: the estimate that reads
+        # the result raises its typed error, not a RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, states in rows:
+                states = np.ascontiguousarray(states)
+                delta = states - ref
+                weighted_delta = weights * delta
+                gram = weighted_delta.T @ states + weighted_ref.T @ delta
+                gram = gram if self._a is None else self._a @ gram
+                row[: core._n_stiffness] = core._read_out(gram)
+                if self._xs is not None:
+                    row[core._n_stiffness :] = (weighted_delta.T @ self._xs).ravel()
         return out
 
 

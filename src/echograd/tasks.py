@@ -10,7 +10,7 @@ differentiate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,24 +67,6 @@ class Task:
     @property
     def input_dim(self) -> int:
         return 0 if self.x is None else self.x.dim
-
-    def coarsened(self, factor: int) -> "Task":
-        """Subsample every signal by an integer factor (same horizon).
-
-        Exact by construction: samples are picked, never interpolated.  The
-        CBVP numbers of ``compare`` and ``train`` are defined on such a
-        coarsened task.
-        """
-        if factor < 1 or self.grid.n_steps % factor != 0:
-            raise ValueError(f"coarsening factor must divide n_steps={self.grid.n_steps}")
-        grid = TimeGrid(
-            dt=self.grid.dt * factor,
-            n_steps=self.grid.n_steps // factor,
-            t_start=self.grid.t_start,
-        )
-        x = None if self.x is None else Signal(grid, self.x.values[::factor])
-        y = Signal(grid, self.y.values[::factor])
-        return replace(self, grid=grid, x=x, y=y)
 
 
 def _drive_signal(grid, input_dim, amplitude, omega):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParamVector, as_params, frozen_array
+from .errors import NumericalError
 from .estimators import Problem
 
 __all__ = ["RunRecord", "check_train_settings", "train"]
@@ -43,7 +44,8 @@ def train(problem: Problem, theta0, beta: float, learning_rate: float, epochs: i
     The loss recorded at epoch ``k`` is the estimate's ``free_loss``, which
     is ``problem.loss`` before the k-th update, so the epochs make no run of
     their own; ``final_loss`` is measured after the last update.  Raises
-    ``ValueError`` for settings :func:`check_train_settings` rejects.
+    ``ValueError`` for settings :func:`check_train_settings` rejects and
+    ``NumericalError`` when the final loss is not finite.
     """
     check_train_settings(learning_rate, epochs)
     theta = as_params(theta0).copy()
@@ -54,4 +56,7 @@ def train(problem: Problem, theta0, beta: float, learning_rate: float, epochs: i
         losses[epoch] = estimate.free_loss
         grad_norms[epoch] = float(np.linalg.norm(estimate.value))
         theta = theta - learning_rate * estimate.value
-    return RunRecord(losses, grad_norms, problem.loss(theta), ParamVector(theta))
+    final_loss = problem.loss(theta)
+    if not np.isfinite(final_loss):
+        raise NumericalError(f"the loss after the last update is {final_loss!r}")
+    return RunRecord(losses, grad_norms, final_loss, ParamVector(theta))

@@ -38,7 +38,6 @@ from echograd.training import train
 
 BETAS = (1e-2, 1e-3, 1e-4)
 CBVP_TOL = 1e-12
-CBVP_COARSEN = 20
 
 
 def _report(criterion: int, ok: bool, detail: str):
@@ -101,7 +100,6 @@ def sweep_tables(bundles):
             estimators=["civp", "cbvp", "pfvp", "rhel"],
             nudging=NudgeMode.SYMMETRIC,
             cbvp_tol=CBVP_TOL,
-            cbvp_coarsen=CBVP_COARSEN,
         )
     return tables
 
@@ -273,6 +271,25 @@ def test_criterion_06_boundary_value_estimator_clean():
         f"interior defect {solved.max_residual:.2e} (tol 1e-8), endpoints exact={pinned}, "
         f"oracle rel err {rel:.2e} (tol 1e-2)",
     )
+
+
+def test_cbvp_converges_on_the_full_resolution_grid(bundles):
+    # chain2_free at n = 1000 and CBVP_TOL: the worst defect's roundoff
+    # floor, near eps max|s| / dt^2, lies above the tolerance on this grid
+    # (the solve ends near 5e-11), so only the stop on the Newton increment
+    # can be met.  Pinned at the free run's endpoint, the free boundary
+    # value solution is that run: both discretize the same action.
+    bundle = bundles[0]
+    lag, theta, task = bundle.lagrangian, bundle.theta, bundle.task
+    assert bundle.name == "chain2_free" and task.grid.n_steps == 1000
+    free = integrate_lagrangian_ivp(lag, theta, task.initial_position, task.initial_velocity,
+                                    task.grid)
+    spec = CbvpSpec(task.initial_position, free.positions[-1])
+    solved = solve_cbvp(lag, theta, spec, task.grid, tol=CBVP_TOL)
+    assert np.max(np.abs(solved.trajectory.positions - free.positions)) <= 1e-10
+    estimate = grad_cbvp(lag, task.cost, theta, spec, task.grid, None, task.y, beta=1e-4,
+                         tol=CBVP_TOL)
+    assert np.all(np.isfinite(estimate.value))
 
 
 def test_criterion_07_reversed_integration_solves_final_value_problem():

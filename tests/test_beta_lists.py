@@ -54,11 +54,10 @@ def _task(lag, n, seed, dt=0.02):
                               initial_velocity=rng.normal(scale=0.5, size=lag.dim))
 
 
-def _problems(model, n, seed, nudging, methods=IVP_METHODS, cbvp_coarsen=1):
+def _problems(model, n, seed, nudging, methods=IVP_METHODS):
     _, lag, ham, theta = model
     task = _task(lag, n, seed)
-    return theta, {m: prepare(m, lag, ham, task, theta, nudging,
-                              cbvp_coarsen=cbvp_coarsen) for m in methods}
+    return theta, {m: prepare(m, lag, ham, task, theta, nudging) for m in methods}
 
 
 def _assert_list_equals_scalar_calls(problem, theta, betas):

@@ -35,7 +35,6 @@ estimator:
 compare:
   betas: [0.001]
   estimators: [pfvp, rhel]
-  cbvp_coarsen: 8
 train:
   epochs: 3
   learning_rate: 0.3
@@ -152,7 +151,8 @@ def test_gradcheck_rejects_a_bad_finite_difference_step(tmp_path, fd_eps):
 
 
 def test_default_config_cbvp_train_completes(tmp_path):
-    # The recorded loss is the one CBVP descends: its own pinned, coarse loss.
+    # The recorded loss is the one CBVP descends: its own pinned loss, on the
+    # task's full grid.
     out = tmp_path / "cbvp"
     result = _run(["--out", str(out), "--estimator", "cbvp", "train"], tmp_path)
     assert result.returncode == 0, result.stderr
@@ -417,7 +417,6 @@ def test_a_zero_step_count_or_step_size_exits_two(tmp_path, capsys, command, edi
     ("gradcheck", ("n_steps: 400", "n_steps: 400.9"), "n_steps"),
     ("gradcheck", ("dim: 2", "dim: 2.5"), "dim"),
     ("gradcheck", ("input_dim: 0", "input_dim: 0.5"), "input_dim"),
-    ("compare", ("cbvp_coarsen: 8", "cbvp_coarsen: 8.5"), "cbvp_coarsen"),
 ])
 def test_null_and_non_integral_values_exit_two(tmp_path, capsys, command, edit, field):
     import echograd.cli
@@ -428,6 +427,42 @@ def test_null_and_non_integral_values_exit_two(tmp_path, capsys, command, edit, 
     assert echograd.cli.main(["--config", str(cfg), "--out", str(out), command]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and repr(field) in err, err
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_config_that_sets_the_removed_cbvp_coarsen_key_exits_two(tmp_path, capsys):
+    # CBVP runs on the task's own grid; the old knob is an unknown key
+    import echograd.cli
+
+    cfg = tmp_path / "old.yaml"
+    cfg.write_text(FAST_CONFIG.replace("  betas: [0.001]\n",
+                                       "  betas: [0.001]\n  cbvp_coarsen: 8\n"))
+    out = tmp_path / "r"
+    assert echograd.cli.main(["--config", str(cfg), "--out", str(out), "compare"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown configuration key 'compare.cbvp_coarsen'" in err, err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("epochs", [1, 20])
+@pytest.mark.parametrize("estimator", ["civp", "pfvp", "rhel"])
+def test_a_training_run_whose_gradient_blows_up_exits_three(tmp_path, capsys, estimator,
+                                                            epochs):
+    # lr 1000 throws theta far out in one update: the loss after it overflows
+    # while the states stay finite, and the next estimate is non-finite (CIVP,
+    # whose contrast overflows) or diverges (the others); every one is a
+    # numerical failure, with no warning
+    import echograd.cli
+
+    cfg = tmp_path / "steep.yaml"
+    cfg.write_text(f"task: {{n_steps: 100}}\ntrain: {{learning_rate: 1000, epochs: {epochs}}}\n")
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = echograd.cli.main(["--config", str(cfg), "--out", str(out),
+                                  "--estimator", estimator, "train"])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

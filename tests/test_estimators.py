@@ -22,7 +22,6 @@ from echograd.rhel import LagrangianInitialState, grad_rhel
 from echograd.tasks import sine_tracking_task
 
 BETA = 1e-3
-COARSEN = 8
 CBVP_TOL = 1e-9
 
 
@@ -40,15 +39,14 @@ def bundle():
 def _prepare(bundle, method, theta_setup=None):
     lag, ham, theta, task = bundle
     return prepare(method, lag, ham, task, theta if theta_setup is None else theta_setup,
-                   cbvp_tol=CBVP_TOL, cbvp_coarsen=COARSEN)
+                   cbvp_tol=CBVP_TOL)
 
 
 def _pinned(bundle, theta_setup):
     lag, _, _, task = bundle
-    coarse = task.coarsened(COARSEN)
     free = integrate_lagrangian_ivp(lag, theta_setup, task.initial_position,
-                                    task.initial_velocity, coarse.grid, coarse.x)
-    return coarse, CbvpSpec(task.initial_position, free.positions[-1])
+                                    task.initial_velocity, task.grid, task.x)
+    return CbvpSpec(task.initial_position, free.positions[-1])
 
 
 def _direct(bundle, method, theta, theta_setup):
@@ -65,10 +63,9 @@ def _direct(bundle, method, theta, theta_setup):
         init = LagrangianInitialState(lag, task.initial_position, task.initial_velocity,
                                       x0=task.x.value(0))
         return grad_rhel(ham, task.cost, theta, init, *args), loss
-    coarse, pinned = _pinned(bundle, theta_setup)
-    est = grad_cbvp(lag, coarse.cost, theta, pinned, coarse.grid, coarse.x, coarse.y, BETA,
-                    tol=CBVP_TOL)
-    loss = trajectory_loss(lag, coarse.cost, theta, pinned, coarse.grid, coarse.x, coarse.y,
+    pinned = _pinned(bundle, theta_setup)
+    est = grad_cbvp(lag, task.cost, theta, pinned, *args, tol=CBVP_TOL)
+    loss = trajectory_loss(lag, task.cost, theta, pinned, task.grid, task.x, task.y,
                            cbvp_tol=CBVP_TOL)
     return est, loss
 

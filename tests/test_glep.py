@@ -155,12 +155,60 @@ def test_cbvp_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
 
 
 def test_cbvp_sweep_budget_exhaustion_is_convergence_error(monkeypatch):
-    # the sine case needs two Newton steps to reach 1e-11
+    # the linear sine case takes one Newton step; with a quartic well it
+    # takes more than one
     grid = TimeGrid(dt=(np.pi / 2) / 48, n_steps=48)
     spec = CbvpSpec([0.0], [1.0])
+    lag, _ = make_oscillator_model(1, coupling="direct", quartic=0.5)
+    assert solve_cbvp(lag, TH1, spec, grid, tol=1e-11).iterations > 1
     monkeypatch.setattr(glep, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
-        solve_cbvp(LAG1, TH1, spec, grid, tol=1e-11)
+        solve_cbvp(lag, TH1, spec, grid, tol=1e-11)
+
+
+def _block_system(m, d, seed):
+    """Random block-diagonally dominant tridiagonal blocks and a right-hand
+    side; ``lower[0]`` and ``upper[-1]`` are NaN, which the solve must not
+    read."""
+    rng = np.random.default_rng(seed)
+    diag = rng.normal(size=(m, d, d)) + 4.0 * d * np.eye(d)
+    upper, lower = rng.normal(size=(2, m, d, d))
+    lower[0] = upper[-1] = np.nan
+    return diag, upper, lower, rng.normal(size=(m, d, 1))
+
+
+def _dense(diag, upper, lower):
+    m, d = diag.shape[:2]
+    dense = np.zeros((m * d, m * d))
+    for i in range(m):
+        dense[i * d:(i + 1) * d, i * d:(i + 1) * d] = diag[i]
+        if i:
+            dense[i * d:(i + 1) * d, (i - 1) * d:i * d] = lower[i]
+        if i < m - 1:
+            dense[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = upper[i]
+    return dense
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 49, 799])
+def test_cyclic_reduction_equals_a_dense_solve(m, d):
+    diag, upper, lower, rhs = _block_system(m, d, seed=m * d)
+    solution = glep._cyclic_reduction(diag, upper, lower, rhs, np.arange(1, m + 1))
+    reference = np.linalg.solve(_dense(diag, upper, lower), rhs.ravel())
+    assert solution.shape == (m, d, 1)
+    assert np.linalg.norm(solution.ravel() - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("row", [0, 1, 24, 47, 48])
+def test_cyclic_reduction_names_the_point_of_a_singular_block(row):
+    # the row is cut loose from its neighbours, so its zero block stays zero
+    # at whichever level of the reduction eliminates it
+    diag, upper, lower, rhs = _block_system(49, 2, seed=row)
+    diag[row] = 0.0
+    lower[row] = upper[row] = 0.0
+    lower[min(row + 1, 48)] = upper[max(row - 1, 0)] = 0.0
+    with pytest.raises(SingularHessianError, match=f"interior point {row + 1}$"):
+        glep._cyclic_reduction(diag, upper, lower, rhs, np.arange(1, 50))
 
 
 class _LinearPotentialOnly(LagrangianModel):
@@ -271,8 +319,9 @@ def test_cbvp_zero_cost_gives_zero_vector(cbvp_setup):
 
 
 def test_cbvp_tolerance_bounds_residual(cbvp_setup):
-    # tol bounds the worst defect, and a tighter one costs no fewer Newton
-    # steps.  The estimate's error sits at the oracle's own finite-difference
+    # tol bounds the last Newton increment, which is applied, so at this
+    # coarse step the worst defect ends within tol too; a tighter tol costs
+    # no fewer Newton steps.  The estimate's error sits at the oracle's own finite-difference
     # floor at both tolerances, so the two errors are not compared.
     grid, spec, y, _, oracle = cbvp_setup
     loose_tol, tight_tol = 1e-6, 1e-12

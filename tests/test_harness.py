@@ -39,18 +39,6 @@ def test_task_validation():
         make_task("unknown", grid)
 
 
-def test_task_coarsening_is_exact_subsampling():
-    grid = _grid(n=400)
-    task = two_sines_task(grid, dim=2, input_dim=1)
-    coarse = task.coarsened(8)
-    assert coarse.grid.n_steps == 50
-    assert coarse.grid.horizon == task.grid.horizon
-    assert np.array_equal(coarse.y.values, task.y.values[::8])
-    assert np.array_equal(coarse.x.values, task.x.values[::8])
-    with pytest.raises(ValueError):
-        task.coarsened(7)
-
-
 SIGNAL_GRIDS = [
     TimeGrid(dt=dt, n_steps=n, t_start=t0)
     for dt, n, t0 in [(0.0025, 800, 0.0), (0.005, 400, 0.0), (0.01, 200, 0.0), (0.02, 50, 0.0),
@@ -219,11 +207,10 @@ def test_compare_errors_non_increasing_in_beta(small_bundle):
         assert errs[0] >= errs[1] >= errs[2]
 
 
-def test_compare_includes_cbvp_on_coarse_grid(small_bundle):
+def test_compare_includes_cbvp_on_the_task_grid(small_bundle):
     lag, ham, theta, task = small_bundle
     table = compare_estimators(
-        lag, ham, theta, task, [1e-3], ["cbvp", "pfvp", "rhel"],
-        cbvp_tol=1e-11, cbvp_coarsen=8,
+        lag, ham, theta, task, [1e-3], ["cbvp", "pfvp", "rhel"], cbvp_tol=1e-11,
     )
     cbvp_cells = [c for c in table.cells if c.estimator == "cbvp"]
     assert len(cbvp_cells) == 1
