@@ -31,7 +31,7 @@ from .config import build_bundle, load_config
 from .core import (EstimatorMethod, NudgeMode, ParamVector, PhaseState, Signal, TimeGrid,
                    check_positive_finite, relative_error)
 from .errors import ConfigError, NumericalError
-from .estimators import prepare
+from .estimators import estimate_and_oracle, prepare
 from .models import QuadraticTrackingCost, model_zoo
 from .oracle import fd_gradient
 from .rhel import LagrangianInitialState, echo_retrace_check, run_echo
@@ -79,20 +79,29 @@ def _load(args):
 
 
 def _static_ep_check(seed, beta, nudging, fd_eps):
-    """Static EP on a seeded two-unit Hopfield energy, with its own theta."""
+    """Static EP on a seeded two-unit Hopfield energy, with its own theta.
+
+    Theta and the oracle's probes relax in one lockstep call; theta's fixed
+    point seeds the estimator, whose free relaxation then takes no sweep.
+    """
     rng = np.random.default_rng(seed)
     energy = HopfieldEnergy(2)
     theta = ParamVector(rng.normal(scale=0.3, size=energy.theta_dim))
     x0 = rng.normal(size=2)
     y0 = rng.normal(scale=0.5, size=2)
     cost = QuadraticTrackingCost(2)
-    est = static_ep_gradient(energy, cost, theta, x0, y0, beta, nudging=nudging)
+    fixed_points = []
 
     def relaxed_cost(thetas):
+        states = relax(energy, np.concatenate([theta.values[None, :], thetas]), x0).state
+        fixed_points.append(states[0])
         # cost.cost per row: cost_rows sums in another order, which would move the oracle's bits
-        return [cost.cost(state, y0) for state in relax(energy, thetas, x0).state]
+        return [cost.cost(state, y0) for state in states[1:]]
 
-    return est, fd_gradient(relaxed_cost, theta, eps=fd_eps)
+    oracle = fd_gradient(relaxed_cost, theta, eps=fd_eps)
+    est = static_ep_gradient(energy, cost, theta, x0, y0, beta, nudging=nudging,
+                             initial_state=fixed_points[0])
+    return est, oracle
 
 
 def _prepare(config, method, bundle):
@@ -114,9 +123,8 @@ def cmd_gradcheck(args):
     if method is EstimatorMethod.STATIC_EP:
         est, oracle = _static_ep_check(int(config["seed"]), beta, nudging, fd_eps)
     else:
-        problem = _prepare(config, method, bundle)
-        est = problem.estimate(bundle.theta, beta)
-        oracle = fd_gradient(problem.loss, bundle.theta, eps=fd_eps)
+        est, oracle = estimate_and_oracle(_prepare(config, method, bundle), bundle.theta, beta,
+                                          fd_eps)
     # a zero oracle gives inf or NaN: written as null, and the check below fails it
     rel_err = relative_error(est.value, oracle.value)
     elapsed = time.perf_counter() - started

@@ -69,6 +69,7 @@ __all__ = [
     "trapezoid",
     "trapezoid_contrast",
     "path_cost",
+    "free_losses",
     "frozen_array",
 ]
 
@@ -168,6 +169,20 @@ def path_cost(cost: "CostModel", states: np.ndarray, target: "Signal", dt: float
     and no warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         return float(trapezoid(cost.cost_rows(states, target.values), dt))
+
+
+def free_losses(cost: "CostModel", positions: np.ndarray, target: "Signal",
+                dt: float) -> np.ndarray:
+    """The :func:`path_cost` of every free run of a ``(B, n_points, dim)``
+    stack of positions, as a ``(B,)`` array.  Raises ``NumericalError``
+    naming the first row whose loss is not finite: a run can grow without
+    overflowing its states and still overflow its cost."""
+    losses = np.array([path_cost(cost, rows, target, dt) for rows in positions], dtype=float)
+    finite = np.isfinite(losses)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise NumericalError(f"free-run loss of row {row} is {losses[row]!r}")
+    return losses
 
 
 @dataclass(frozen=True)
@@ -639,26 +654,30 @@ class _Bound:
             out[b] = method(s[b], c[b], self.theta_row(b), x[b] if x_per_row else x)
         return out
 
-    def force(self, batch, nudge=None):
+    def force(self, batch, nudge=None, scale=1.0):
         """The force of the flow the integrators step through this binding,
         built once per integration.
 
-        Returns ``f(s, p, k)``: -dH/ds + beta dc/ds for the ``(batch, dim)``
-        state stacks ``s``, ``p`` at grid point ``k``, where H is the
-        Hamiltonian (for a Lagrangian binding, its Legendre partner's) and
-        ``nudge`` is ``None`` or a :class:`~echograd.dynamics.Nudge` with a
-        position-only cost.  The result may be a buffer that the next call
-        overwrites.  This default negates the binding's dH/ds and adds the
-        nudge of :func:`_nudge_term`.
+        Returns ``f(s, p, k)``: ``scale`` times -dH/ds + beta dc/ds for the
+        ``(batch, dim)`` state stacks ``s``, ``p`` at grid point ``k``, where
+        H is the Hamiltonian (for a Lagrangian binding, its Legendre
+        partner's) and ``nudge`` is ``None`` or a
+        :class:`~echograd.dynamics.Nudge` with a position-only cost; the
+        leapfrog passes half a step as ``scale`` and gets its half kick.  The
+        result may be a buffer that the next call overwrites.  This default
+        adds the nudge of :func:`_nudge_term`, -beta dc/ds, to a copy of the
+        binding's dH/ds and multiplies by ``-scale``, the arithmetic of the
+        zoo's force.
         """
         grad_position = getattr(self, self._flow_grad_position)
         add_nudge = _nudge_term(batch, self.model.dim, nudge)
+        factor = -float(scale)
 
         def force(s, p, k):
-            f = -grad_position(s, p, k)
+            f = np.array(grad_position(s, p, k), dtype=float)
             if add_nudge is not None:
                 add_nudge(f, s, k)
-            return f
+            return np.multiply(f, factor, out=f)
 
         return force
 
@@ -691,10 +710,11 @@ class _Bound:
 
 
 def _nudge_term(batch, dim, nudge):
-    """The nudge of a force built once per integration: ``add(f, s, k)``
-    adds beta_b dc/ds(s_b, y_k) in place to row ``b`` of the ``(batch, dim)``
-    force stack ``f``, for the state stack ``s`` at grid point ``k`` and
-    every row of nonzero strength; ``None`` when no row is nudged.
+    """The nudge of a force built once per integration: ``add(g, s, k)``
+    adds -beta_b dc/ds(s_b, y_k) in place to row ``b`` of the ``(batch, dim)``
+    stack ``g`` of dH/ds, for the state stack ``s`` at grid point ``k`` and
+    every row of nonzero strength; ``None`` when no row is nudged.  The
+    force is then ``g`` times minus the step's scale.
 
     ``nudge`` is ``None`` or a nudge with a position-only cost and one
     strength, or one per row.  The rows are nudged as :func:`_row_nudge`
@@ -702,7 +722,8 @@ def _nudge_term(batch, dim, nudge):
     """
     if nudge is None:
         return None
-    return _row_nudge(nudge.cost, nudge.beta, nudge.target.values[:, None, :], batch, dim)
+    return _row_nudge(nudge.cost, np.negative(nudge.beta), nudge.target.values[:, None, :],
+                      batch, dim)
 
 
 def _row_nudge(cost, beta, targets, batch, dim):
@@ -716,7 +737,8 @@ def _row_nudge(cost, beta, targets, batch, dim):
     gradient of every row through its ``grad_writer``, bound here to one
     zeroed buffer, and the scaled gradient joins ``f`` in one masked add:
     rows at zero strength are left untouched, so each is bitwise its free
-    run, signed zeros included.
+    run, signed zeros included.  Outputs are passed positionally, as in the
+    leapfrog step.
     """
     betas = np.broadcast_to(np.asarray(beta, dtype=float), (batch,))
     nudged = betas != 0
@@ -732,8 +754,8 @@ def _row_nudge(cost, beta, targets, batch, dim):
 
     def add(f, s, k):
         write(s, targets[k])
-        np.multiply(weights, grad, out=scaled)
-        np.add(f, scaled, out=f, where=where)
+        np.multiply(weights, grad, scaled)
+        np.add(f, scaled, f, where=where)
 
     return add
 

@@ -11,14 +11,15 @@ Nudged flows integrate d/dt (s, p) = J dH - beta J dc.  For position-only
 costs this is a plain Hamiltonian flow with the potential shifted by
 -beta*c, so the nudging force simply joins the kick; the kick at step k uses
 the input and target samples at grid point k.  Every stepper reaches that
-force only through the binding: ``bound.force(B, nudge)``, built once per
-integration, gives -dH/ds + beta dc/ds of a state stack, the cost term
-added by one masked add.  For a position-only cost a row at beta = 0 gets
-no cost term at all, so it is bitwise its free run.  The separable
-leapfrog evaluates the force once per step and shares its half kick
-between the step it ends and the step it starts.  Its step works on
-``(B, dim)`` operands in buffers made once per integration and writes its
-state into the storage rows; with the zoo's force it allocates no array.
+force only through the binding: ``bound.force(B, nudge, scale)``, built
+once per integration, gives ``scale`` times -dH/ds + beta dc/ds of a state
+stack, the cost term added by one masked add.  For a position-only cost a
+row at beta = 0 gets no cost term at all, so it is bitwise its free run.
+The separable leapfrog builds its force with half a step as ``scale``, so
+one call per step gives the half kick, which it shares between the step
+it ends and the step it starts.  Its step works on ``(B, dim)`` operands
+in buffers made once per integration and writes its state into the
+storage rows; with the zoo's force it allocates no array.
 Momentum-dependent costs (and non-separable Hamiltonians) fall back to the
 generalised Stoermer-Verlet step with fixed-point iterations for the
 implicit half-updates.  That step and rk4 evaluate one nudged vector
@@ -204,24 +205,28 @@ def _storage(s, p, n):
 def _leapfrog_separable(bound, s, p, n, dt, nudge):
     """Kick-drift-kick for H = T(p) + V(s, x), nudge folded into the kick.
 
-    One force evaluation per step: its half kick ends one step and starts
-    the next.  Each step writes its state straight into the storage rows,
-    and its intermediates into buffers made here; the step sizes are
-    ``(B, dim)`` arrays, so every operation is on same-shape operands.
+    One force call per step gives the half kick, the force built with
+    ``scale`` 0.5 dt: it ends one step and starts the next, and stays in
+    the force's buffer until the next call.  Each step writes its state
+    straight into the storage rows, and its intermediates into buffers made
+    here; the step size is a ``(B, dim)`` array, so every operation is on
+    same-shape operands.  The step's ufuncs take their output as the third
+    positional argument: on operands this small, parsing ``out=`` costs
+    about a tenth of the call.
     """
     positions, momenta = _storage(s, p, n)
-    force, velocity = bound.force(len(s), nudge), bound.grad_momentum
-    half, step = np.full(s.shape, 0.5 * dt), np.full(s.shape, dt)
-    kick, p_half, drift = np.empty_like(s), np.empty_like(s), np.empty_like(s)
-    np.multiply(half, force(s, p, 0), out=kick)
+    half_kick, velocity = bound.force(len(s), nudge, 0.5 * dt), bound.grad_momentum
+    step = np.full(s.shape, dt)
+    p_half, drift = np.empty_like(s), np.empty_like(s)
+    kick = half_kick(s, p, 0)
     for steps in _chunks(n):
         stored = slice(steps.start + 1, steps.stop + 1)
         for k, s_next, p_next in zip(steps, positions[stored], momenta[stored]):
-            np.add(p, kick, out=p_half)
-            np.multiply(step, velocity(s, p_half, k), out=drift)
-            s = np.add(s, drift, out=s_next)
-            np.multiply(half, force(s, p_half, k + 1), out=kick)
-            p = np.add(p_half, kick, out=p_next)
+            np.add(p, kick, p_half)
+            np.multiply(step, velocity(s, p_half, k), drift)
+            s = np.add(s, drift, s_next)
+            kick = half_kick(s, p_half, k + 1)
+            p = np.add(p_half, kick, p_next)
         _check_rows(positions, momenta, stored.start, stored.stop)
     return positions, momenta
 

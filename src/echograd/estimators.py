@@ -4,9 +4,12 @@ CIVP, CBVP, PFVP and the echo are one variational principle under different
 boundary conditions.  ``prepare`` fixes a method's boundary data and
 settings once and pairs its estimator with the loss it answers; the command
 line and ``compare_estimators`` go through it, and ``train`` descends the
-problem it returns.  The estimators and ``trajectory_loss`` are called by
-their module-level names, never held in a table, so rebinding those names
-(to trace or mock them) reaches every caller.
+problem it returns.  ``estimate_and_oracle`` checks a problem's estimate
+against the finite-difference oracle of its loss, the oracle's probe rows
+riding with the estimator's own runs where the method can take them.  The
+estimators and ``trajectory_loss`` are called by their module-level names,
+never held in a table, so rebinding those names (to trace or mock them)
+reaches every caller.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from typing import Callable
 from .core import (EstimatorMethod, HamiltonianModel, LagrangianModel, NudgeMode,
                    check_positive_finite)
 from .dynamics import integrate_lagrangian_ivp
-from .glep import CbvpSpec, CivpSpec, grad_cbvp, grad_civp, grad_pfvp
-from .oracle import trajectory_loss
+from .glep import (CbvpSpec, CivpSpec, grad_cbvp, grad_civp, grad_civp_and_loss, grad_pfvp,
+                   grad_pfvp_and_loss)
+from .oracle import fd_gradient, trajectory_loss
 from .rhel import LagrangianInitialState, grad_rhel
 from .tasks import Task
 
-__all__ = ["Problem", "prepare", "ivp_loss"]
+__all__ = ["Problem", "prepare", "ivp_loss", "estimate_and_oracle"]
 
 
 @dataclass(frozen=True)
@@ -40,12 +44,36 @@ class Problem:
     repeats the arithmetic of the Lagrangian run, as for the zoo's
     Legendre-partner pairs.  ``loss``
     takes one parameter vector, or a ``(B, P)`` stack and returns its ``B``
-    losses, as :func:`trajectory_loss` does."""
+    losses, as :func:`trajectory_loss` does, which raises
+    ``NumericalError`` for a loss that is not finite.
+
+    ``estimate_and_loss(theta, beta, thetas)`` returns
+    ``(estimate(theta, beta), loss(thetas))`` for a ``(B, P)`` stack
+    ``thetas``, each bitwise that of its own call.  CIVP and PFVP run the
+    loss rows inside the estimator's first lockstep run; RHEL and CBVP
+    make the two calls."""
 
     method: EstimatorMethod
     regime: str
     estimate: Callable
     loss: Callable
+    estimate_and_loss: Callable
+
+
+def estimate_and_oracle(problem: Problem, theta, beta, eps: float):
+    """``(estimate, oracle)``: ``problem.estimate(theta, beta)`` and
+    :func:`fd_gradient` of ``problem.loss`` at ``theta`` with step ``eps``,
+    the oracle's loss evaluated by one ``problem.estimate_and_loss``
+    call that also yields the estimate."""
+    estimates = []
+
+    def loss(thetas):
+        estimate, losses = problem.estimate_and_loss(theta, beta, thetas)
+        estimates.append(estimate)
+        return losses
+
+    oracle = fd_gradient(loss, theta, eps=eps)
+    return estimates[0], oracle
 
 
 def ivp_loss(lagrangian: LagrangianModel, task: Task) -> Callable:
@@ -96,13 +124,18 @@ def prepare(
             return trajectory_loss(lagrangian, task.cost, theta, pinned, task.grid, task.x,
                                    task.y, cbvp_tol=cbvp_tol)
 
-        return Problem(method, "cbvp", estimate, loss)
+        return Problem(method, "cbvp", estimate, loss, _in_turn(estimate, loss))
 
     spec = CivpSpec(alpha, gamma)
+    loss = ivp_loss(lagrangian, task)
     if method is EstimatorMethod.CIVP:
         def estimate(theta, beta):
             return grad_civp(lagrangian, task.cost, theta, spec, task.grid, task.x, task.y,
                              beta, nudging=nudging, fd_eps=fd_eps)
+
+        def estimate_and_loss(theta, beta, thetas):
+            return grad_civp_and_loss(lagrangian, task.cost, theta, spec, task.grid, task.x,
+                                      task.y, beta, thetas, nudging=nudging, fd_eps=fd_eps)
 
     elif method is EstimatorMethod.PFVP:
         if not lagrangian.reversible:
@@ -114,6 +147,10 @@ def prepare(
             return grad_pfvp(lagrangian, task.cost, theta, spec, task.grid, task.x, task.y,
                              beta, nudging=nudging, fd_eps=fd_eps)
 
+        def estimate_and_loss(theta, beta, thetas):
+            return grad_pfvp_and_loss(lagrangian, task.cost, theta, spec, task.grid, task.x,
+                                      task.y, beta, thetas, nudging=nudging, fd_eps=fd_eps)
+
     elif method is EstimatorMethod.RHEL:
         if not hamiltonian.time_reversible:
             raise ValueError("echo learning requires a momentum-flip invariant Hamiltonian")
@@ -124,6 +161,14 @@ def prepare(
             return grad_rhel(hamiltonian, task.cost, theta, init, task.grid, task.x, task.y,
                              beta, nudging=nudging, fd_eps=fd_eps)
 
+        estimate_and_loss = _in_turn(estimate, loss)
+
     else:
         raise ValueError(f"estimator {method.value} is not a trajectory estimator")
-    return Problem(method, "ivp", estimate, ivp_loss(lagrangian, task))
+    return Problem(method, "ivp", estimate, loss, estimate_and_loss)
+
+
+def _in_turn(estimate, loss):
+    """The ``estimate_and_loss`` of a method that cannot take extra rows:
+    ``estimate``, then ``loss``."""
+    return lambda theta, beta, thetas: (estimate(theta, beta), loss(thetas))

@@ -30,6 +30,11 @@ estimator takes one beta or a list of them.  A list is estimated in one
 pass: the free run is solved once and, for the initial-value estimators,
 every signed beta is a row of one lockstep nudged run (for CIVP, of the
 same lockstep run as the free run and its probes).
+
+``grad_civp_and_loss`` and ``grad_pfvp_and_loss`` also return the free-run
+losses at extra parameter rows, run as rows of the estimator's first
+lockstep (CIVP's single run, PFVP's free run): a gradient check's oracle
+probes ride there instead of running a lockstep of their own.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .core import (
     central_quotient,
     check_positive_finite,
     finish_estimates,
+    free_losses,
     frozen_array,
     path_cost,
     signed_betas,
@@ -69,12 +75,16 @@ __all__ = [
     "CIVP_THETA_LIMIT",
     "NEWTON_MAX_ITER",
     "grad_civp",
+    "grad_civp_and_loss",
     "solve_cbvp",
     "grad_cbvp",
     "grad_pfvp",
+    "grad_pfvp_and_loss",
 ]
 
 CIVP_THETA_LIMIT = 32
+# No loss rows: the plain estimators run only their own.
+_NO_ROWS = np.empty((0, 0))
 
 # The boundary value Newton solve takes at most NEWTON_MAX_ITER steps and
 # halves each step at most _MAX_HALVINGS times until the worst defect falls.
@@ -152,6 +162,29 @@ def grad_civp(
     ``include_boundary=False`` drops the residual terms; that variant is
     biased and exists only so tests can demonstrate the residuals matter.
     """
+    return grad_civp_and_loss(model, cost, theta, spec, grid, x, y, beta, _NO_ROWS, nudging,
+                              fd_eps, include_boundary)[0]
+
+
+def grad_civp_and_loss(
+    model: LagrangianModel,
+    cost: CostModel,
+    theta: ParamVector,
+    spec: CivpSpec,
+    grid: TimeGrid,
+    x: Signal | None,
+    y: Signal,
+    beta,
+    loss_thetas,
+    nudging: NudgeMode = NudgeMode.SYMMETRIC,
+    fd_eps: float = 1e-5,
+    include_boundary: bool = True,
+):
+    """``(grad_civp(...), losses)``: the estimate(s) of :func:`grad_civp` and
+    the free-run losses (:func:`~echograd.core.free_losses`) at the
+    ``(B, P)`` parameter rows ``loss_thetas``, whose free runs are rows of
+    the estimator's lockstep run, each bitwise the run it would be on its
+    own."""
     started = time.perf_counter()
     th = as_params(theta)
     if th.shape[0] > CIVP_THETA_LIMIT:
@@ -168,11 +201,14 @@ def grad_civp(
     x_end = None if xs is None else xs[-1]
     # One lockstep run.  Row 0 is the free run; with the boundary terms,
     # rows 1 to 2P are the free runs at the central-difference probes of
-    # theta.  These rows are at beta = 0, so each is bitwise its free run on
-    # its own.  The last rows are the nudged runs, one per signed beta.
+    # theta.  The loss rows follow.  These rows are at beta = 0, so each is
+    # bitwise its free run on its own.  The last rows are the nudged runs,
+    # one per signed beta.
     thetas = th[None, :]
     if include_boundary:
         thetas = np.concatenate([thetas, central_probes(th, fd_eps)])
+    n_own = thetas.shape[0]
+    thetas = np.concatenate([thetas, np.reshape(loss_thetas, (-1, th.shape[0]))])
     n_free = thetas.shape[0]
     runs = integrate_lagrangian_ivp(
         model, np.concatenate([thetas, np.broadcast_to(th, (len(signs), th.shape[0]))]),
@@ -184,11 +220,12 @@ def grad_civp(
     )
 
     if include_boundary:
-        s_ends, v_ends = runs.positions[1:n_free, -1], runs.velocities[1:n_free, -1]
+        s_ends, v_ends = runs.positions[1:n_own, -1], runs.velocities[1:n_own, -1]
         # d s_T / d theta, and d/d theta of dL/dv at the free endpoint
         d_state = central_quotient(s_ends, fd_eps)
         d_gradv = central_quotient(
-            [model.grad_velocity(s, v, t, x_end) for s, v, t in zip(s_ends, v_ends, thetas[1:])],
+            [model.grad_velocity(s, v, t, x_end)
+             for s, v, t in zip(s_ends, v_ends, thetas[1:n_own])],
             fd_eps)
 
     nudged_positions, nudged_velocities = runs.positions[n_free:], runs.velocities[n_free:]
@@ -207,8 +244,9 @@ def grad_civp(
                 value = value + d_state.T @ (gv_nudged_end - gv_free_end)
                 value = value - d_gradv.T @ (positions[-1] - free_positions[-1])
         values.append(value / b)
-    return finish_estimates(values, beta, nudging, EstimatorMethod.CIVP, started,
-                            path_cost(cost, free_positions, y, grid.dt))
+    estimates = finish_estimates(values, beta, nudging, EstimatorMethod.CIVP, started,
+                                 path_cost(cost, free_positions, y, grid.dt))
+    return estimates, free_losses(cost, runs.positions[n_own:n_free], y, grid.dt)
 
 
 def _defect_jacobian(defect, s, h):
@@ -460,6 +498,27 @@ def grad_pfvp(
     (``model.grad_velocity_params``, no re-integration); it is skipped for
     a model that declares ``theta_free_momentum``.
     """
+    return grad_pfvp_and_loss(model, cost, theta, spec, grid, x, y, beta, _NO_ROWS, nudging,
+                              fd_eps)[0]
+
+
+def grad_pfvp_and_loss(
+    model: LagrangianModel,
+    cost: CostModel,
+    theta: ParamVector,
+    spec: CivpSpec,
+    grid: TimeGrid,
+    x: Signal | None,
+    y: Signal,
+    beta,
+    loss_thetas,
+    nudging: NudgeMode = NudgeMode.SYMMETRIC,
+    fd_eps: float = 1e-5,
+):
+    """``(grad_pfvp(...), losses)``: the estimate(s) of :func:`grad_pfvp` and
+    the free-run losses (:func:`~echograd.core.free_losses`) at the
+    ``(B, P)`` parameter rows ``loss_thetas``, whose runs are rows of the
+    estimator's free run, each bitwise the run it would be on its own."""
     started = time.perf_counter()
     th = as_params(theta)
     nudging = NudgeMode(nudging)
@@ -470,13 +529,15 @@ def grad_pfvp(
     if not cost.position_only:
         raise ValueError("the final-value construction requires a position-only cost")
 
-    free = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid, x)
+    # row 0 is the free run, the loss rows follow
+    free_runs = integrate_lagrangian_ivp(
+        model, np.concatenate([th[None, :], np.reshape(loss_thetas, (-1, th.shape[0]))]),
+        spec.position, spec.velocity, grid, x)
+    free_positions, free_velocities = free_runs.positions[0], free_runs.velocities[0]
     xs = x.values if x is not None else None
 
     x_rev = x.time_reversed() if x is not None else None
     y_rev = y.time_reversed()
-    end_position = free.positions[-1]
-    end_velocity = free.velocities[-1]
 
     # d/d theta of dL/dv at the pinned initial data, zero for a model that
     # declares it so.
@@ -486,11 +547,11 @@ def grad_pfvp(
         boundary_jac = model.grad_velocity_params(spec.position, spec.velocity, th, x0,
                                                   eps=fd_eps)
 
-    back = integrate_lagrangian_ivp(model, th, end_position, -end_velocity, grid, x_rev,
-                                    nudge=Nudge(signs, cost, y_rev))
+    back = integrate_lagrangian_ivp(model, th, free_positions[-1], -free_velocities[-1], grid,
+                                    x_rev, nudge=Nudge(signs, cost, y_rev))
     # Each nudged run read back to front, with its velocities reversed.
     contrasts = model.bind(th, xs).grad_params_contrast(
-        back.positions[:, ::-1], -back.velocities[:, ::-1], free.positions, free.velocities,
+        back.positions[:, ::-1], -back.velocities[:, ::-1], free_positions, free_velocities,
         grid.dt)
     values = []
     for i, b in enumerate(signs):
@@ -498,5 +559,6 @@ def grad_pfvp(
         if boundary_jac is not None:
             value = value + boundary_jac.T @ (back.positions[i, -1] - spec.position)
         values.append(value / b)
-    return finish_estimates(values, beta, nudging, EstimatorMethod.PFVP, started,
-                            path_cost(cost, free.positions, y, grid.dt))
+    estimates = finish_estimates(values, beta, nudging, EstimatorMethod.PFVP, started,
+                                 path_cost(cost, free_positions, y, grid.dt))
+    return estimates, free_losses(cost, free_runs.positions[1:], y, grid.dt)

@@ -239,13 +239,15 @@ class _BoundPotential:
             grad = grad + self._core.quartic * s**3
         return grad
 
-    def force(self, batch, nudge=None):
-        """``f(s, p, k)``: -dV/ds of the ``(batch, dim)`` state stack ``s``
-        at grid point ``k``, nudged as :func:`~echograd.core._nudge_term`
-        says, written into one buffer allocated here.  The arithmetic is
-        that of ``-grad_s(s, k)``, on operands of the stack's shape: the
-        input force is copied to ``batch`` rows once here.  ``p`` is not
-        read.
+    def force(self, batch, nudge=None, scale=1.0):
+        """``f(s, p, k)``: ``scale`` times -dV/ds of the ``(batch, dim)``
+        state stack ``s`` at grid point ``k``, nudged as
+        :func:`~echograd.core._nudge_term` says, written into one buffer
+        allocated here.  dV/ds is that of ``grad_s``, on operands of the
+        stack's shape (the input force is copied to ``batch`` rows once
+        here); the nudge joins it as -beta dc/ds, and one multiply by
+        ``-scale`` finishes the force.  ``p`` is not read.  Outputs are
+        passed positionally, as in the leapfrog step that calls it.
         """
         d, stiffness, quartic = self._core.dim, self._stiffness, self._core.quartic
         product = np.empty((batch, d, 1))
@@ -255,19 +257,19 @@ class _BoundPotential:
             drive = np.ascontiguousarray(
                 np.broadcast_to(self._drive, (len(self._drive), batch, d)))
         cube = np.empty((batch, d)) if quartic else None
+        factor = np.full((batch, d), -float(scale))
         add_nudge = _nudge_term(batch, d, nudge)
 
         def force(s, p, k):
-            np.matmul(stiffness, s[:, :, None], out=product)
+            np.matmul(stiffness, s[:, :, None], product)
             if drive is not None:
-                np.add(f, drive[k], out=f)
+                np.add(f, drive[k], f)
             if quartic:
-                np.multiply(quartic, np.power(s, 3, out=cube), out=cube)
-                np.add(f, cube, out=f)
-            np.negative(f, out=f)
+                np.multiply(quartic, np.power(s, 3, cube), cube)
+                np.add(f, cube, f)
             if add_nudge is not None:
                 add_nudge(f, s, k)
-            return f
+            return np.multiply(f, factor, f)
 
         return force
 
@@ -406,8 +408,8 @@ class _BoundOscillatorLagrangian(BoundLagrangian):
     def partner_grad_position(self, s, p, k):
         return self._potential.grad_s(s, k)
 
-    def force(self, batch, nudge=None):
-        return self._potential.force(batch, nudge)
+    def force(self, batch, nudge=None, scale=1.0):
+        return self._potential.force(batch, nudge, scale)
 
     def velocity_rows(self, positions, momenta):
         return np.array(momenta, dtype=float)
@@ -428,8 +430,8 @@ class _BoundOscillatorHamiltonian(BoundHamiltonian):
     def grad_momentum(self, s, p, k):
         return p
 
-    def force(self, batch, nudge=None):
-        return self._potential.force(batch, nudge)
+    def force(self, batch, nudge=None, scale=1.0):
+        return self._potential.force(batch, nudge, scale)
 
     def grad_params_contrast(self, positions, momenta, ref_positions, ref_momenta, dt):
         return self._potential.grad_theta_contrast(positions, ref_positions, dt)
@@ -496,7 +498,7 @@ class QuadraticTrackingCost(CostModel):
         index = self._index
         if isinstance(index, slice):
             selected = out[:, index]
-            return lambda states, targets: np.subtract(states[:, index], targets, out=selected)
+            return lambda states, targets: np.subtract(states[:, index], targets, selected)
 
         def write(states, targets):
             out[:, index] = states[:, index] - np.asarray(targets, dtype=float)

@@ -6,7 +6,12 @@ loss itself.  It is built to be slow and trustworthy: every estimator in the
 package is validated against it.  The 2P probes are still one forward solve
 each; the loss takes them as one ``(2P, P)`` stack, so the initial-value
 solves run in lockstep along the integrators' batch axis, each row bitwise
-the solve it would be on its own.
+the solve it would be on its own.  That stack may ride with an estimator's
+own runs: a gradient check hands :func:`fd_gradient` a loss that runs the
+probe rows inside the CIVP or PFVP estimator's first lockstep
+(``estimators.estimate_and_oracle``).  Every free-run loss, here and there,
+is formed by ``core.free_losses``, which raises ``NumericalError`` for a
+non-finite one.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .core import (
     TimeGrid,
     as_params,
     check_positive_finite,
-    path_cost,
+    free_losses,
 )
 from .dynamics import integrate_lagrangian_ivp
 from .errors import NumericalError
@@ -79,7 +84,8 @@ def trajectory_loss(
     the free boundary value problem first, to ``cbvp_tol``.  ``theta`` of
     shape ``(P,)`` gives a float; a ``(B, P)`` stack gives the ``B`` losses
     as an array, the initial-value solves run in lockstep and the boundary
-    value problems one after another.
+    value problems one after another.  A loss that is not finite raises
+    ``NumericalError`` naming its row (:func:`~echograd.core.free_losses`).
     """
     th = as_params(theta)
     if not cost.position_only:
@@ -93,6 +99,5 @@ def trajectory_loss(
                               for row in np.atleast_2d(th)])
     else:
         raise TypeError(f"unsupported boundary spec {type(spec).__name__}")
-    losses = [path_cost(cost, rows, y, grid.dt)
-              for rows in positions.reshape((-1,) + positions.shape[-2:])]
-    return losses[0] if th.ndim == 1 else np.array(losses)
+    losses = free_losses(cost, positions.reshape((-1,) + positions.shape[-2:]), y, grid.dt)
+    return float(losses[0]) if th.ndim == 1 else losses

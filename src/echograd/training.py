@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParamVector, as_params, frozen_array
-from .errors import NumericalError
 from .estimators import Problem
 
 __all__ = ["RunRecord", "check_train_settings", "train"]
@@ -45,7 +44,7 @@ def train(problem: Problem, theta0, beta: float, learning_rate: float, epochs: i
     is ``problem.loss`` before the k-th update, so the epochs make no run of
     their own; ``final_loss`` is measured after the last update.  Raises
     ``ValueError`` for settings :func:`check_train_settings` rejects and
-    ``NumericalError`` when the final loss is not finite.
+    ``NumericalError`` when an estimate or the final loss is not finite.
     """
     check_train_settings(learning_rate, epochs)
     theta = as_params(theta0).copy()
@@ -57,6 +56,4 @@ def train(problem: Problem, theta0, beta: float, learning_rate: float, epochs: i
         grad_norms[epoch] = float(np.linalg.norm(estimate.value))
         theta = theta - learning_rate * estimate.value
     final_loss = problem.loss(theta)
-    if not np.isfinite(final_loss):
-        raise NumericalError(f"the loss after the last update is {final_loss!r}")
     return RunRecord(losses, grad_norms, final_loss, ParamVector(theta))
