@@ -284,6 +284,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"configuration error: the configured problem does not fit in memory ({exc})",
+              file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

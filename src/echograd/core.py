@@ -70,6 +70,7 @@ __all__ = [
     "trapezoid_contrast",
     "path_cost",
     "free_losses",
+    "loss_rows",
     "frozen_array",
 ]
 
@@ -183,6 +184,17 @@ def free_losses(cost: "CostModel", positions: np.ndarray, target: "Signal",
         row = int(np.argmin(finite))
         raise NumericalError(f"free-run loss of row {row} is {losses[row]!r}")
     return losses
+
+
+def loss_rows(loss_thetas, n_params: int) -> np.ndarray:
+    """``loss_thetas`` as a float ``(B, n_params)`` stack of parameter rows,
+    no rows for ``None``; ``ValueError`` unless it is 2-d with ``n_params``
+    columns."""
+    rows = np.empty((0, n_params)) if loss_thetas is None else np.asarray(loss_thetas, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != n_params:
+        raise ValueError(f"loss_thetas must be a (B, {n_params}) stack of parameter rows, "
+                         f"got shape {rows.shape}")
+    return rows
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ boundary conditions.  ``prepare`` fixes a method's boundary data and
 settings once and pairs its estimator with the loss it answers; the command
 line and ``compare_estimators`` go through it, and ``train`` descends the
 problem it returns.  ``estimate_and_oracle`` checks a problem's estimate
-against the finite-difference oracle of its loss, the oracle's probe rows
-riding with the estimator's own runs where the method can take them.  The
-estimators and ``trajectory_loss`` are called by their module-level names,
-never held in a table, so rebinding those names (to trace or mock them)
-reaches every caller.
+against the finite-difference oracle of its loss, handing the oracle's probe
+rows to the estimate as ``loss_thetas``, so that they ride with the
+estimator's own runs where the method can take them.  The estimators and
+``trajectory_loss`` are called by their module-level names, never held in a
+table, so rebinding those names (to trace or mock them) reaches every
+caller.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (EstimatorMethod, HamiltonianModel, LagrangianModel, NudgeMode,
-                   check_positive_finite)
+from .core import (EstimatorMethod, HamiltonianModel, LagrangianModel, NudgeMode, as_params,
+                   check_positive_finite, loss_rows)
 from .dynamics import integrate_lagrangian_ivp
-from .glep import (CbvpSpec, CivpSpec, grad_cbvp, grad_civp, grad_civp_and_loss, grad_pfvp,
-                   grad_pfvp_and_loss)
+from .glep import CbvpSpec, CivpSpec, grad_cbvp, grad_civp, grad_pfvp
 from .oracle import fd_gradient, trajectory_loss
 from .rhel import LagrangianInitialState, grad_rhel
 from .tasks import Task
@@ -31,8 +31,8 @@ __all__ = ["Problem", "prepare", "ivp_loss", "estimate_and_oracle"]
 
 @dataclass(frozen=True)
 class Problem:
-    """``estimate(theta, beta)`` and the ``loss(theta)`` it approximates the
-    gradient of; problems of one ``regime`` share that loss.
+    """``estimate(theta, beta, loss_thetas=None)`` and the ``loss(theta)`` it
+    approximates the gradient of; problems of one ``regime`` share that loss.
 
     ``estimate`` takes one nudging strength and returns a
     :class:`GradientEstimate`, or a 1-d sequence and returns a tuple with one
@@ -42,33 +42,31 @@ class Problem:
     run, which is ``loss(theta)`` bitwise: CBVP's free solve is the one its
     loss makes, and for RHEL this holds when the Hamiltonian's forward run
     repeats the arithmetic of the Lagrangian run, as for the zoo's
-    Legendre-partner pairs.  ``loss``
-    takes one parameter vector, or a ``(B, P)`` stack and returns its ``B``
-    losses, as :func:`trajectory_loss` does, which raises
-    ``NumericalError`` for a loss that is not finite.
+    Legendre-partner pairs.  ``loss`` takes one parameter vector, or a
+    ``(B, P)`` stack and returns its ``B`` losses, as :func:`trajectory_loss`
+    does, which raises ``NumericalError`` for a loss that is not finite.
 
-    ``estimate_and_loss(theta, beta, thetas)`` returns
-    ``(estimate(theta, beta), loss(thetas))`` for a ``(B, P)`` stack
-    ``thetas``, each bitwise that of its own call.  CIVP and PFVP run the
-    loss rows inside the estimator's first lockstep run; RHEL and CBVP
-    make the two calls."""
+    Given a ``(B, P)`` stack ``loss_thetas``, ``estimate`` returns
+    ``(estimates, loss(loss_thetas))``, each bitwise that of its own call,
+    and raises ``ValueError`` for any other shape before any integration.
+    CIVP and PFVP run the loss rows inside the estimator's first lockstep
+    run; RHEL and CBVP call ``loss`` after the estimate."""
 
     method: EstimatorMethod
     regime: str
     estimate: Callable
     loss: Callable
-    estimate_and_loss: Callable
 
 
 def estimate_and_oracle(problem: Problem, theta, beta, eps: float):
     """``(estimate, oracle)``: ``problem.estimate(theta, beta)`` and
     :func:`fd_gradient` of ``problem.loss`` at ``theta`` with step ``eps``,
-    the oracle's loss evaluated by one ``problem.estimate_and_loss``
-    call that also yields the estimate."""
+    the oracle's loss evaluated by the one ``problem.estimate`` call that
+    also yields the estimate."""
     estimates = []
 
     def loss(thetas):
-        estimate, losses = problem.estimate_and_loss(theta, beta, thetas)
+        estimate, losses = problem.estimate(theta, beta, thetas)
         estimates.append(estimate)
         return losses
 
@@ -124,18 +122,14 @@ def prepare(
             return trajectory_loss(lagrangian, task.cost, theta, pinned, task.grid, task.x,
                                    task.y, cbvp_tol=cbvp_tol)
 
-        return Problem(method, "cbvp", estimate, loss, _in_turn(estimate, loss))
+        return Problem(method, "cbvp", _then_loss(estimate, loss), loss)
 
     spec = CivpSpec(alpha, gamma)
     loss = ivp_loss(lagrangian, task)
     if method is EstimatorMethod.CIVP:
-        def estimate(theta, beta):
+        def estimate(theta, beta, loss_thetas=None):
             return grad_civp(lagrangian, task.cost, theta, spec, task.grid, task.x, task.y,
-                             beta, nudging=nudging, fd_eps=fd_eps)
-
-        def estimate_and_loss(theta, beta, thetas):
-            return grad_civp_and_loss(lagrangian, task.cost, theta, spec, task.grid, task.x,
-                                      task.y, beta, thetas, nudging=nudging, fd_eps=fd_eps)
+                             beta, nudging=nudging, fd_eps=fd_eps, loss_thetas=loss_thetas)
 
     elif method is EstimatorMethod.PFVP:
         if not lagrangian.reversible:
@@ -143,13 +137,9 @@ def prepare(
         if not task.cost.position_only:
             raise ValueError("the final-value estimator requires a position-only cost")
 
-        def estimate(theta, beta):
+        def estimate(theta, beta, loss_thetas=None):
             return grad_pfvp(lagrangian, task.cost, theta, spec, task.grid, task.x, task.y,
-                             beta, nudging=nudging, fd_eps=fd_eps)
-
-        def estimate_and_loss(theta, beta, thetas):
-            return grad_pfvp_and_loss(lagrangian, task.cost, theta, spec, task.grid, task.x,
-                                      task.y, beta, thetas, nudging=nudging, fd_eps=fd_eps)
+                             beta, nudging=nudging, fd_eps=fd_eps, loss_thetas=loss_thetas)
 
     elif method is EstimatorMethod.RHEL:
         if not hamiltonian.time_reversible:
@@ -157,18 +147,24 @@ def prepare(
         x0 = task.x.value(0) if task.x is not None else None
         init = LagrangianInitialState(lagrangian, alpha, gamma, x0=x0)
 
-        def estimate(theta, beta):
+        def echo(theta, beta):
             return grad_rhel(hamiltonian, task.cost, theta, init, task.grid, task.x, task.y,
                              beta, nudging=nudging, fd_eps=fd_eps)
 
-        estimate_and_loss = _in_turn(estimate, loss)
+        estimate = _then_loss(echo, loss)
 
     else:
         raise ValueError(f"estimator {method.value} is not a trajectory estimator")
-    return Problem(method, "ivp", estimate, loss, estimate_and_loss)
+    return Problem(method, "ivp", estimate, loss)
 
 
-def _in_turn(estimate, loss):
-    """The ``estimate_and_loss`` of a method that cannot take extra rows:
-    ``estimate``, then ``loss``."""
-    return lambda theta, beta, thetas: (estimate(theta, beta), loss(thetas))
+def _then_loss(estimate, loss):
+    """The ``Problem.estimate`` of a method whose runs cannot take loss
+    rows: ``estimate``, then ``loss`` of the checked ``loss_thetas``."""
+    def joint(theta, beta, loss_thetas=None):
+        if loss_thetas is None:
+            return estimate(theta, beta)
+        rows = loss_rows(loss_thetas, as_params(theta).shape[0])
+        return estimate(theta, beta), loss(rows)
+
+    return joint

@@ -31,10 +31,10 @@ pass: the free run is solved once and, for the initial-value estimators,
 every signed beta is a row of one lockstep nudged run (for CIVP, of the
 same lockstep run as the free run and its probes).
 
-``grad_civp_and_loss`` and ``grad_pfvp_and_loss`` also return the free-run
-losses at extra parameter rows, run as rows of the estimator's first
-lockstep (CIVP's single run, PFVP's free run): a gradient check's oracle
-probes ride there instead of running a lockstep of their own.
+Given a ``(B, P)`` stack ``loss_thetas``, ``grad_civp`` and ``grad_pfvp``
+also return the free-run losses at those parameter rows, run as rows of the
+estimator's first lockstep (CIVP's single run, PFVP's free run): a gradient
+check's oracle probes ride there instead of running a lockstep of their own.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .core import (
     finish_estimates,
     free_losses,
     frozen_array,
+    loss_rows,
     path_cost,
     signed_betas,
 )
@@ -75,16 +76,12 @@ __all__ = [
     "CIVP_THETA_LIMIT",
     "NEWTON_MAX_ITER",
     "grad_civp",
-    "grad_civp_and_loss",
     "solve_cbvp",
     "grad_cbvp",
     "grad_pfvp",
-    "grad_pfvp_and_loss",
 ]
 
 CIVP_THETA_LIMIT = 32
-# No loss rows: the plain estimators run only their own.
-_NO_ROWS = np.empty((0, 0))
 
 # The boundary value Newton solve takes at most NEWTON_MAX_ITER steps and
 # halves each step at most _MAX_HALVINGS times until the worst defect falls.
@@ -108,6 +105,7 @@ class CivpSpec:
             raise ValueError("position and velocity must share a dimension")
 
 
+# stays while perfbench's echo-wide workload builds it, until ROADMAP item 1 switches it
 PfvpSpec = CivpSpec
 
 
@@ -147,8 +145,8 @@ def grad_civp(
     beta,
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
     fd_eps: float = 1e-5,
-    include_boundary: bool = True,
-) -> GradientEstimate | tuple[GradientEstimate, ...]:
+    loss_thetas=None,
+):
     """Constant-initial-value estimator with its two final-time residuals.
 
     ``beta`` is one nudging strength, giving one :class:`GradientEstimate`,
@@ -159,32 +157,13 @@ def grad_civp(
     parameter count is capped by ``CIVP_THETA_LIMIT``.  The free run, the
     probes and the nudged runs of every signed beta are one lockstep
     integration per call.
-    ``include_boundary=False`` drops the residual terms; that variant is
-    biased and exists only so tests can demonstrate the residuals matter.
+
+    Given a ``(B, P)`` stack ``loss_thetas``, the call returns
+    ``(estimates, losses)``, the free-run losses
+    (:func:`~echograd.core.free_losses`) at those rows, whose free runs join
+    the lockstep after the probes, each bitwise the run it would be on its
+    own.  Any other shape raises ``ValueError`` before any integration.
     """
-    return grad_civp_and_loss(model, cost, theta, spec, grid, x, y, beta, _NO_ROWS, nudging,
-                              fd_eps, include_boundary)[0]
-
-
-def grad_civp_and_loss(
-    model: LagrangianModel,
-    cost: CostModel,
-    theta: ParamVector,
-    spec: CivpSpec,
-    grid: TimeGrid,
-    x: Signal | None,
-    y: Signal,
-    beta,
-    loss_thetas,
-    nudging: NudgeMode = NudgeMode.SYMMETRIC,
-    fd_eps: float = 1e-5,
-    include_boundary: bool = True,
-):
-    """``(grad_civp(...), losses)``: the estimate(s) of :func:`grad_civp` and
-    the free-run losses (:func:`~echograd.core.free_losses`) at the
-    ``(B, P)`` parameter rows ``loss_thetas``, whose free runs are rows of
-    the estimator's lockstep run, each bitwise the run it would be on its
-    own."""
     started = time.perf_counter()
     th = as_params(theta)
     if th.shape[0] > CIVP_THETA_LIMIT:
@@ -196,20 +175,16 @@ def grad_civp_and_loss(
         raise ValueError("trajectory estimators require a position-only cost")
     nudging = NudgeMode(nudging)
     signs = signed_betas(beta, nudging)
+    rows = loss_rows(loss_thetas, th.shape[0])
 
     xs = x.values if x is not None else None
     x_end = None if xs is None else xs[-1]
-    # One lockstep run.  Row 0 is the free run; with the boundary terms,
-    # rows 1 to 2P are the free runs at the central-difference probes of
-    # theta.  The loss rows follow.  These rows are at beta = 0, so each is
-    # bitwise its free run on its own.  The last rows are the nudged runs,
-    # one per signed beta.
-    thetas = th[None, :]
-    if include_boundary:
-        thetas = np.concatenate([thetas, central_probes(th, fd_eps)])
-    n_own = thetas.shape[0]
-    thetas = np.concatenate([thetas, np.reshape(loss_thetas, (-1, th.shape[0]))])
-    n_free = thetas.shape[0]
+    # One lockstep run.  Row 0 is the free run, rows 1 to 2P the free runs
+    # at the central-difference probes of theta, and the loss rows follow.
+    # These rows are at beta = 0, so each is bitwise its free run on its own.
+    # The last rows are the nudged runs, one per signed beta.
+    thetas = np.concatenate([th[None, :], central_probes(th, fd_eps), rows])
+    n_own, n_free = 1 + 2 * th.shape[0], thetas.shape[0]
     runs = integrate_lagrangian_ivp(
         model, np.concatenate([thetas, np.broadcast_to(th, (len(signs), th.shape[0]))]),
         spec.position, spec.velocity, grid, x,
@@ -219,14 +194,12 @@ def grad_civp_and_loss(
         model.grad_velocity(free_positions[-1], free_velocities[-1], th, x_end), dtype=float
     )
 
-    if include_boundary:
-        s_ends, v_ends = runs.positions[1:n_own, -1], runs.velocities[1:n_own, -1]
-        # d s_T / d theta, and d/d theta of dL/dv at the free endpoint
-        d_state = central_quotient(s_ends, fd_eps)
-        d_gradv = central_quotient(
-            [model.grad_velocity(s, v, t, x_end)
-             for s, v, t in zip(s_ends, v_ends, thetas[1:n_own])],
-            fd_eps)
+    s_ends, v_ends = runs.positions[1:n_own, -1], runs.velocities[1:n_own, -1]
+    # d s_T / d theta, and d/d theta of dL/dv at the free endpoint
+    d_state = central_quotient(s_ends, fd_eps)
+    d_gradv = central_quotient(
+        [model.grad_velocity(s, v, t, x_end) for s, v, t in zip(s_ends, v_ends, thetas[1:n_own])],
+        fd_eps)
 
     nudged_positions, nudged_velocities = runs.positions[n_free:], runs.velocities[n_free:]
     contrasts = model.bind(th, xs).grad_params_contrast(
@@ -234,18 +207,18 @@ def grad_civp_and_loss(
     values = []
     for i, b in enumerate(signs):
         positions, velocities = nudged_positions[i], nudged_velocities[i]
-        value = contrasts[i]
-        if include_boundary:
-            gv_nudged_end = np.asarray(
-                model.grad_velocity(positions[-1], velocities[-1], th, x_end), dtype=float
-            )
-            # may overflow, as the contrast may: finish_estimates reports it
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = value + d_state.T @ (gv_nudged_end - gv_free_end)
-                value = value - d_gradv.T @ (positions[-1] - free_positions[-1])
+        gv_nudged_end = np.asarray(
+            model.grad_velocity(positions[-1], velocities[-1], th, x_end), dtype=float
+        )
+        # may overflow, as the contrast may: finish_estimates reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = contrasts[i] + d_state.T @ (gv_nudged_end - gv_free_end)
+            value = value - d_gradv.T @ (positions[-1] - free_positions[-1])
         values.append(value / b)
     estimates = finish_estimates(values, beta, nudging, EstimatorMethod.CIVP, started,
                                  path_cost(cost, free_positions, y, grid.dt))
+    if loss_thetas is None:
+        return estimates
     return estimates, free_losses(cost, runs.positions[n_own:n_free], y, grid.dt)
 
 
@@ -483,7 +456,8 @@ def grad_pfvp(
     beta,
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
     fd_eps: float = 1e-5,
-) -> GradientEstimate | tuple[GradientEstimate, ...]:
+    loss_thetas=None,
+):
     """Parametric-final-value estimator for reversible systems.
 
     ``beta`` is one nudging strength or a 1-d sequence of them, as for
@@ -497,28 +471,9 @@ def grad_pfvp(
     velocity gradient at the fixed initial data
     (``model.grad_velocity_params``, no re-integration); it is skipped for
     a model that declares ``theta_free_momentum``.
+    ``loss_thetas`` is taken as by :func:`grad_civp`, its rows joining the
+    free run.
     """
-    return grad_pfvp_and_loss(model, cost, theta, spec, grid, x, y, beta, _NO_ROWS, nudging,
-                              fd_eps)[0]
-
-
-def grad_pfvp_and_loss(
-    model: LagrangianModel,
-    cost: CostModel,
-    theta: ParamVector,
-    spec: CivpSpec,
-    grid: TimeGrid,
-    x: Signal | None,
-    y: Signal,
-    beta,
-    loss_thetas,
-    nudging: NudgeMode = NudgeMode.SYMMETRIC,
-    fd_eps: float = 1e-5,
-):
-    """``(grad_pfvp(...), losses)``: the estimate(s) of :func:`grad_pfvp` and
-    the free-run losses (:func:`~echograd.core.free_losses`) at the
-    ``(B, P)`` parameter rows ``loss_thetas``, whose runs are rows of the
-    estimator's free run, each bitwise the run it would be on its own."""
     started = time.perf_counter()
     th = as_params(theta)
     nudging = NudgeMode(nudging)
@@ -531,7 +486,7 @@ def grad_pfvp_and_loss(
 
     # row 0 is the free run, the loss rows follow
     free_runs = integrate_lagrangian_ivp(
-        model, np.concatenate([th[None, :], np.reshape(loss_thetas, (-1, th.shape[0]))]),
+        model, np.concatenate([th[None, :], loss_rows(loss_thetas, th.shape[0])]),
         spec.position, spec.velocity, grid, x)
     free_positions, free_velocities = free_runs.positions[0], free_runs.velocities[0]
     xs = x.values if x is not None else None
@@ -561,4 +516,6 @@ def grad_pfvp_and_loss(
         values.append(value / b)
     estimates = finish_estimates(values, beta, nudging, EstimatorMethod.PFVP, started,
                                  path_cost(cost, free_positions, y, grid.dt))
+    if loss_thetas is None:
+        return estimates
     return estimates, free_losses(cost, free_runs.positions[1:], y, grid.dt)

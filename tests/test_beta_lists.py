@@ -211,14 +211,13 @@ def test_compare_runs_six_integrations_for_three_estimators_and_three_betas(monk
         assert len(times) == 1, "the cells of one estimator share its call's wall time"
 
 
-@pytest.mark.parametrize("include_boundary", [True, False])
-def test_civp_over_three_betas_is_one_integration(monkeypatch, include_boundary):
+def test_civp_over_three_betas_is_one_integration(monkeypatch):
     _, lag, _, theta = MODELS[2]
     task = _task(lag, 60, 1)
     calls = _count_integrations(monkeypatch)
     estimates = echograd.glep.grad_civp(
         lag, task.cost, ParamVector(theta), CivpSpec(task.initial_position, task.initial_velocity),
-        task.grid, task.x, task.y, [1e-2, 1e-3, 1e-4], include_boundary=include_boundary)
+        task.grid, task.x, task.y, [1e-2, 1e-3, 1e-4])
     assert len(calls) == 1
     assert len(estimates) == 3
 

@@ -541,3 +541,18 @@ def test_a_huge_finite_difference_step_is_a_divergence_without_warnings(tmp_path
     assert code == 3
     assert "integration diverged" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_a_problem_too_large_to_allocate_exits_two(tmp_path, capsys):
+    # the default dense coupling asks numpy for d^2 = 1e18 entries (6.94 EiB)
+    # first, which it refuses at once: nothing is allocated
+    import echograd.cli
+
+    cfg = tmp_path / "huge_dim.yaml"
+    cfg.write_text("task:\n  dim: 1000000000\n")
+    out = tmp_path / "r"
+    assert echograd.cli.main(["--config", str(cfg), "--out", str(out), "gradcheck"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "does not fit in memory" in err, err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()

@@ -1,5 +1,7 @@
 """The estimator registry: prepared problems equal the direct estimator calls."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import echograd.compare
 from echograd.compare import compare_estimators
 from echograd.core import EstimatorMethod, ParamVector, TimeGrid
 from echograd.dynamics import integrate_lagrangian_ivp
-from echograd.estimators import ivp_loss, prepare
+from echograd.estimators import Problem, ivp_loss, prepare
 from echograd.glep import (
     CbvpSpec,
     CivpSpec,
@@ -112,6 +114,12 @@ def test_non_trajectory_methods_are_rejected(bundle, method):
 
 def test_final_value_spec_is_the_initial_value_spec():
     assert PfvpSpec is CivpSpec
+
+
+def test_a_problem_is_its_estimate_and_its_loss():
+    # the oracle's rows reach an estimate as loss_thetas, not by a third callable
+    assert [f.name for f in dataclasses.fields(Problem)] == ["method", "regime", "estimate",
+                                                             "loss"]
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """The oracle's probe rows riding with an estimator's own runs.
 
-A gradient check evaluates the finite-difference oracle through
-``Problem.estimate_and_loss``: CIVP and PFVP run the probe rows inside their
-first lockstep, RHEL and CBVP call ``estimate`` then ``loss``.  Every result
-must be bitwise that of the separate calls, and a check must run no more
-sequential loops than the estimator needs plus what cannot ride with it.
+A gradient check evaluates the finite-difference oracle by handing its probe
+rows to ``Problem.estimate`` as ``loss_thetas``: CIVP and PFVP
+(``glep.grad_civp``/``grad_pfvp``) run them inside their first lockstep,
+RHEL and CBVP call ``estimate`` then ``loss``.  Every result must be bitwise
+that of the separate calls, and a check must run no more sequential loops
+than the estimator needs plus what cannot ride with it.
 """
 
 import sys
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import echograd.cli
+import echograd.glep
 from echograd.config import build_bundle, load_config
-from echograd.core import NudgeMode, ParamVector, central_probes
+from echograd.core import GradientEstimate, NudgeMode, ParamVector, central_probes
 from echograd.dynamics import integrate_hamiltonian
 from echograd.errors import NumericalError
 from echograd.estimators import estimate_and_oracle, prepare
@@ -56,9 +58,67 @@ def test_joint_call_equals_separate_estimate_and_loss(small_bundle, method, beta
     problem = _prepare(small_bundle, method, nudging)
     theta, beta = small_bundle.theta, BETAS[betas]
     rows = central_probes(theta.values, FD_EPS)
-    estimate, losses = problem.estimate_and_loss(theta, beta, rows)
+    estimate, losses = problem.estimate(theta, beta, rows)
     _same(estimate, problem.estimate(theta, beta))
     assert losses.tobytes() == np.asarray(problem.loss(rows)).tobytes()
+    if method in ("civp", "pfvp"):
+        # the estimator itself, called with and without loss_thetas
+        grad, args = _estimator_call(small_bundle, method, beta)
+        estimate, losses = grad(*args, nudging=nudging, fd_eps=FD_EPS, loss_thetas=rows)
+        _same(estimate, grad(*args, nudging=nudging, fd_eps=FD_EPS))
+        assert losses.tobytes() == np.asarray(problem.loss(rows)).tobytes()
+
+
+def _estimator_call(bundle, method, beta):
+    """``glep.grad_civp`` or ``grad_pfvp`` and its positional arguments on the
+    bundle's task."""
+    task = bundle.task
+    spec = echograd.glep.CivpSpec(task.initial_position, task.initial_velocity)
+    grad = echograd.glep.grad_civp if method == "civp" else echograd.glep.grad_pfvp
+    return grad, (bundle.lagrangian, task.cost, bundle.theta, spec, task.grid, task.x, task.y,
+                  beta)
+
+
+def _forbid(monkeypatch, *names):
+    """Rebind each function name in every ``echograd`` module that holds it
+    to one that fails the test when called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before checking loss_thetas")
+
+    for module in [m for n, m in sorted(sys.modules.items()) if n.startswith("echograd.")]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (12,), (2, 6, 1), (0, 5)])
+@pytest.mark.parametrize("method", ["civp", "pfvp"])
+def test_loss_rows_of_the_wrong_shape_raise_before_integrating(small_bundle, monkeypatch,
+                                                               method, shape):
+    # P is 6: a (3, 4) stack holds 12 numbers, which once reshaped silently to 2 rows
+    _forbid(monkeypatch, "integrate_lagrangian_ivp")
+    grad, args = _estimator_call(small_bundle, method, 1e-3)
+    assert small_bundle.theta.values.shape == (6,)
+    with pytest.raises(ValueError, match="loss_thetas"):
+        grad(*args, loss_thetas=np.zeros(shape))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_problem_checks_its_loss_rows_before_estimating(small_bundle, monkeypatch, method):
+    problem = _prepare(small_bundle, method)
+    _forbid(monkeypatch, "integrate_hamiltonian", "integrate_lagrangian_ivp", "solve_cbvp")
+    with pytest.raises(ValueError, match="loss_thetas"):
+        problem.estimate(small_bundle.theta, 1e-3, np.zeros((3, 4)))
+
+
+def test_pfvp_without_loss_rows_returns_a_bare_estimate(small_bundle):
+    # the call form of perfbench's echo-wide workload
+    task = small_bundle.task
+    spec = echograd.glep.PfvpSpec(task.initial_position, task.initial_velocity)
+    est = echograd.glep.grad_pfvp(small_bundle.lagrangian, task.cost, small_bundle.theta, spec,
+                                  task.grid, task.x, task.y, 1e-3)
+    assert isinstance(est, GradientEstimate)
+    assert est.value.shape == small_bundle.theta.values.shape
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -167,4 +227,4 @@ def test_a_run_that_grows_without_overflowing_raises_for_its_loss():
     # the same rows riding with an estimator's lockstep are named alike
     for method in ("civp", "pfvp"):
         with pytest.raises(NumericalError, match="free-run loss of row 1"):
-            _prepare(bundle, method).estimate_and_loss(bundle.theta, beta, stack)
+            _prepare(bundle, method).estimate(bundle.theta, beta, stack)
