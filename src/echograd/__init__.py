@@ -42,7 +42,6 @@ from .models import (
 )
 from .oracle import fd_gradient, trajectory_loss
 from .rhel import (
-    CallableInitialState,
     ConstantInitialState,
     EchoRun,
     InitialStateMap,

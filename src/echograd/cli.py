@@ -37,7 +37,7 @@ from .oracle import fd_gradient
 from .rhel import LagrangianInitialState, echo_retrace_check, run_echo
 from .serialize import echo_run_to_csv, finite_or_null, signal_to_csv, write_json, write_run
 from .static_ep import HopfieldEnergy, relax, static_ep_gradient
-from .training import check_train_settings, train
+from .training import train
 
 
 @functools.cache
@@ -180,7 +180,6 @@ def cmd_train(args):
     beta = float(config["estimator"]["beta"])
     learning_rate = float(config["train"]["learning_rate"])
     epochs = int(config["train"]["epochs"])
-    check_train_settings(learning_rate, epochs)
     bundle = build_bundle(config)
     started = time.perf_counter()
     record = train(_prepare(config, method, bundle), bundle.theta, beta, learning_rate, epochs)

@@ -2,22 +2,28 @@
 
 The file is YAML; unknown keys are rejected rather than silently ignored.
 Numeric fields tolerate string spellings like ``1e-4`` (which YAML 1.1
-parses as a string) by coercing through ``float``; none may be null, and the
-integer fields (``seed``, ``task.dim``, ``task.input_dim``, ``task.n_steps``,
-``train.epochs``) must hold integral values, which they keep as written.
+parses as a string) by coercing through ``float``; none may be null, NaN or
+infinite (nor may a number in ``task.params``), the integer fields
+(``seed``, ``task.dim``, ``task.input_dim``, ``task.n_steps``,
+``train.epochs``) must hold integral values, which they keep as written, and
+``seed`` must not be negative.  The ``compare`` and ``train`` sections are
+checked on load as those commands check them, so every command rejects the
+same files.  Each error names the dotted key.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 import yaml
 
-from .core import ParamVector, TimeGrid
+from .core import ParamVector, TimeGrid, check_betas
 from .errors import ConfigError
 from .models import make_oscillator_model
 from .tasks import make_task
+from .training import check_train_settings
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "build_bundle", "Bundle"]
 
@@ -62,24 +68,64 @@ _FLOAT_KEYS = {
     "beta", "fd_eps", "t_end", "theta_scale", "learning_rate", "dt", "tol", "quartic",
 }
 _INT_KEYS = {"seed", "dim", "input_dim", "n_steps", "epochs"}
+_TRAJECTORY_METHODS = ("civp", "cbvp", "pfvp", "rhel")
 
 
-def _number(key, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"field {key!r} must be numeric, got {value!r}") from exc
-
-
-def _coerce(key, value):
-    """Float keys become floats; integer keys keep their value, which must be integral."""
-    if key == "betas" and isinstance(value, list):
-        return [_number(key, v) for v in value]
-    if key in _FLOAT_KEYS:
-        return _number(key, value)
-    if key in _INT_KEYS and not (isinstance(value, int) or _number(key, value).is_integer()):
-        raise ConfigError(f"field {key!r} must be an integer, got {value!r}")
+def _finite(where, value):
+    """Raise unless ``value``, or every number in a list ``value``, is finite."""
+    if isinstance(value, list):
+        for entry in value:
+            _finite(where, entry)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"field {where!r} must be finite, got {value!r}")
     return value
+
+
+def _number(where, value) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"field {where!r} must be numeric, got {value!r}") from exc
+    return _finite(where, number)
+
+
+def _coerce(where, value):
+    """Float keys become finite floats; integer keys keep their value, which
+    must be integral; every number in ``task.params`` must be finite."""
+    key = where.rsplit(".", 1)[-1]
+    if key == "betas" and isinstance(value, list):
+        return [_number(where, v) for v in value]
+    if key == "params" and isinstance(value, dict):
+        for name, entry in value.items():
+            _finite(f"{where}.{name}", entry)
+    if key in _FLOAT_KEYS:
+        return _number(where, value)
+    if key in _INT_KEYS and not (isinstance(value, int) or _number(where, value).is_integer()):
+        raise ConfigError(f"field {where!r} must be an integer, got {value!r}")
+    if where == "seed" and (value if isinstance(value, int) else _number(where, value)) < 0:
+        raise ConfigError(f"field 'seed' must be non-negative, got {value!r}")
+    return value
+
+
+def _check_sections(config):
+    """The checks ``compare`` and ``train`` run on their sections."""
+    betas = config["compare"]["betas"]
+    try:
+        if not isinstance(betas, list):
+            raise ValueError(f"betas must be a non-empty 1-d list, got {betas!r}")
+        check_betas(betas)
+    except ValueError as exc:
+        raise ConfigError(f"field 'compare.betas': {exc}") from exc
+    methods = config["compare"]["estimators"]
+    if not (isinstance(methods, list) and methods
+            and all(m in _TRAJECTORY_METHODS for m in methods)):
+        raise ConfigError(f"field 'compare.estimators' must list trajectory methods "
+                          f"({', '.join(_TRAJECTORY_METHODS)}), got {methods!r}")
+    train = config["train"]
+    try:
+        check_train_settings(train["learning_rate"], int(float(train["epochs"])))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _merge(base, override, path=""):
@@ -93,12 +139,12 @@ def _merge(base, override, path=""):
                 raise ConfigError(f"section {where!r} must be a mapping")
             merged[key] = _merge(base[key], value, where)
         else:
-            merged[key] = _coerce(key, value)
+            merged[key] = _coerce(where, value)
     return merged
 
 
 def load_config(path=None) -> dict:
-    """Defaults, deep-merged with the optional YAML file."""
+    """Defaults, deep-merged with the optional YAML file and checked."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     try:
@@ -110,7 +156,9 @@ def load_config(path=None) -> dict:
         raise ConfigError(f"could not parse configuration file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("configuration file must contain a mapping")
-    return _merge(DEFAULT_CONFIG, data)
+    config = _merge(DEFAULT_CONFIG, data)
+    _check_sections(config)
+    return config
 
 
 class Bundle:

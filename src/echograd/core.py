@@ -229,18 +229,13 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_points)
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        """Same horizon with ``factor`` times more steps (for step-size studies)."""
-        return TimeGrid(dt=self.dt / factor, n_steps=self.n_steps * factor, t_start=self.t_start)
-
 
 @dataclass(frozen=True)
 class Signal:
     """Vector-valued samples on a :class:`TimeGrid`, one row per grid point.
 
-    Supports exact time-reversed read-out: ``reversed_value(k)`` returns the
-    sample at index ``n_steps - k``, and :meth:`time_reversed` materialises
-    the reversed signal on the same grid.
+    :meth:`time_reversed` gives the exactly reversed signal on the same grid:
+    its sample ``k`` is this signal's sample ``n_steps - k``.
     """
 
     grid: TimeGrid
@@ -268,9 +263,6 @@ class Signal:
     def value(self, k: int) -> np.ndarray:
         return self.values[k]
 
-    def reversed_value(self, k: int) -> np.ndarray:
-        return self.values[self.grid.n_steps - k]
-
     def time_reversed(self) -> "Signal":
         return Signal(self.grid, self.values[::-1])
 
@@ -297,12 +289,6 @@ class ParamVector:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def perturbed(self, index: int, delta: float) -> "ParamVector":
-        """Copy with entry ``index`` shifted by ``delta`` (finite-difference probes)."""
-        values = self.values.copy()
-        values[index] += delta
-        return ParamVector(values)
 
 
 @dataclass(frozen=True)
@@ -334,14 +320,6 @@ class PhaseState:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.position, self.momentum], axis=-1)
-
-    @classmethod
-    def from_vector(cls, phi: np.ndarray) -> "PhaseState":
-        phi = np.asarray(phi, dtype=float)
-        if phi.ndim != 1 or phi.shape[0] % 2 != 0:
-            raise ValueError(f"phase vector must be 1-d of even length, got shape {phi.shape}")
-        d = phi.shape[0] // 2
-        return cls(phi[:d], phi[d:])
 
 
 _TRAJECTORY_KINDS = ("hamiltonian", "lagrangian")
@@ -448,17 +426,6 @@ class GradientEstimate:
     @property
     def dim(self) -> int:
         return self.value.shape[0]
-
-    def as_dict(self) -> dict:
-        out = {
-            "method": self.method.value,
-            "beta": self.beta,
-            "nudging": self.nudging.value,
-            "value": [float(v) for v in self.value],
-        }
-        if self.wall_time is not None:
-            out["wall_time_seconds"] = self.wall_time
-        return out
 
 
 def check_betas(beta) -> np.ndarray:

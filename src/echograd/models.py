@@ -345,9 +345,6 @@ class OscillatorLagrangian(LagrangianModel):
     def velocity_hessian(self, s, v, theta, x=None):
         return np.eye(self.dim)
 
-    def grad_velocity_params(self, s, v, theta, x=None, eps=1e-5):
-        return np.zeros((self.dim, self.theta_dim))
-
     def bind(self, theta, xs=None):
         return _BoundOscillatorLagrangian(self, theta, xs)
 

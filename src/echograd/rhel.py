@@ -55,7 +55,6 @@ __all__ = [
     "InitialStateMap",
     "ConstantInitialState",
     "LagrangianInitialState",
-    "CallableInitialState",
     "EchoRun",
     "block_swap",
     "run_echo",
@@ -137,17 +136,6 @@ class LagrangianInitialState(InitialStateMap):
         jac = np.zeros((2 * d, momentum.shape[1]))
         jac[d:] = momentum
         return jac
-
-
-class CallableInitialState(InitialStateMap):
-    """Wrap an arbitrary ``theta -> PhaseState`` callable."""
-
-    def __init__(self, fn, theta_independent: bool = False):
-        self._fn = fn
-        self.theta_independent = theta_independent
-
-    def state(self, theta) -> PhaseState:
-        return self._fn(as_params(theta))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GradientEstimate, Signal, TimeGrid, Trajectory
+from .core import Signal, TimeGrid, Trajectory
 
 __all__ = [
     "signal_to_csv",
@@ -25,7 +25,6 @@ __all__ = [
     "trajectory_to_csv",
     "trajectory_from_csv",
     "echo_run_to_csv",
-    "gradient_to_json",
     "canonical_json",
     "payload_hash",
     "write_json",
@@ -124,10 +123,10 @@ def echo_run_to_csv(run, forward_path, echo_path) -> None:
 
 def write_json(path, data) -> None:
     """Every JSON report and manifest: indent 2, sorted keys, trailing newline.
-    Strict JSON: a NaN or infinity raises ``ValueError`` (see :func:`finite_or_null`)."""
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    Strict JSON: a NaN or infinity raises ``ValueError`` (see :func:`finite_or_null`)
+    before the file is opened, so a failed write leaves no file behind."""
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def finite_or_null(value: float | None) -> float | None:
@@ -135,12 +134,9 @@ def finite_or_null(value: float | None) -> float | None:
     return value if value is not None and math.isfinite(value) else None
 
 
-def gradient_to_json(estimate: GradientEstimate, path) -> None:
-    write_json(path, estimate.as_dict())
-
-
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Compact, sorted-key, strict JSON: the form :func:`payload_hash` hashes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def payload_hash(payload) -> str:

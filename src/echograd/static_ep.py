@@ -155,24 +155,14 @@ class _BoundQuadratic:
 class HopfieldEnergy(_SymmetricCoupling):
     """Hopfield-style energy with tanh activations.
 
-    E = 1/2 |s|^2 - 1/2 sigma(s)^T W(theta) sigma(s) - sigma(s)^T A x0,
-    where W is symmetric with entries read from theta (upper triangle) and A
-    is a fixed input coupling supplied at construction (identity by default).
-    Bounded below because the quadratic confinement dominates the bounded
-    activations.
+    E = 1/2 |s|^2 - 1/2 sigma(s)^T W(theta) sigma(s) - sigma(s)^T x0,
+    where W is symmetric with entries read from theta (upper triangle) and
+    the input ``x0`` drives each unit directly.  Bounded below because the
+    quadratic confinement dominates the bounded activations.
     """
 
-    def __init__(self, dim, input_matrix=None):
-        super().__init__(dim)
-        if input_matrix is None:
-            input_matrix = np.eye(self.dim)
-        self._input = np.array(input_matrix, dtype=float)
-        if self._input.shape[0] != self.dim:
-            raise ValueError(f"input matrix must have {self.dim} rows")
-        self.input_dim = self._input.shape[1]
-
     def bind(self, theta, x0):
-        return _BoundHopfield(self._matrix(theta), self._input @ np.asarray(x0, dtype=float))
+        return _BoundHopfield(self._matrix(theta), np.asarray(x0, dtype=float))
 
     def grad_params(self, state, theta, x0):
         return -self._form_gradient(np.tanh(np.asarray(state, dtype=float)))

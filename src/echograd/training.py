@@ -32,9 +32,10 @@ def check_train_settings(learning_rate: float, epochs: int) -> None:
     non-negative (zero is allowed: a frozen run keeps the loss sequence
     constant) and ``epochs`` is a positive integer."""
     if not 0 <= learning_rate < np.inf:
-        raise ValueError(f"learning_rate must be finite and non-negative, got {learning_rate!r}")
+        raise ValueError(
+            f"train.learning_rate must be finite and non-negative, got {learning_rate!r}")
     if not (isinstance(epochs, numbers.Integral) and epochs >= 1):
-        raise ValueError(f"epochs must be a positive integer, got {epochs!r}")
+        raise ValueError(f"train.epochs must be a positive integer, got {epochs!r}")
 
 
 def train(problem: Problem, theta0, beta: float, learning_rate: float, epochs: int) -> RunRecord:

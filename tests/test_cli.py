@@ -145,7 +145,9 @@ def test_gradcheck_rejects_a_bad_finite_difference_step(tmp_path, fd_eps):
     result = _run(["--config", str(cfg), "--out", str(out), "--estimator", "civp", "gradcheck"],
                   tmp_path)
     assert result.returncode == 2, result.stderr
-    assert "finite-difference step" in result.stderr, result.stderr
+    # a NaN is refused on load, naming its key; the others by the estimator
+    expected = "'estimator.fd_eps' must be finite" if fd_eps == ".nan" else "finite-difference step"
+    assert expected in result.stderr, result.stderr
     assert "Warning" not in result.stderr, result.stderr
     assert not (out / "gradcheck.json").exists()
 
@@ -359,7 +361,9 @@ def test_a_bad_boundary_value_tolerance_exits_two(tmp_path, capsys, tol, command
     if estimator is not None:
         argv += ["--estimator", estimator]
     assert echograd.cli.main(argv + [command]) == 2
-    assert "boundary value tolerance" in capsys.readouterr().err
+    # NaN and infinity are refused on load, naming their key
+    expected = "boundary value tolerance" if tol in ("-1", "0") else "'cbvp.tol' must be finite"
+    assert expected in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
@@ -426,7 +430,8 @@ def test_null_and_non_integral_values_exit_two(tmp_path, capsys, command, edit, 
     out = tmp_path / "r"
     assert echograd.cli.main(["--config", str(cfg), "--out", str(out), command]) == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err and repr(field) in err, err
+    # the message names the dotted key, which ends in the field's own name
+    assert "configuration error" in err and f"{field}' must be" in err, err
     assert not (out / "manifest.json").exists()
 
 
@@ -510,8 +515,7 @@ def test_every_written_json_is_strict(tmp_path, config):
 @pytest.mark.parametrize("edit, message", [
     (("  coupling: chain\n", "  coupling: [[false, false], [false, false]]\n"),
      "model has no parameters"),
-    (("  input_dim: 0\n", "  input_dim: 0\n  quartic: .nan\n"), "non-negative and finite"),
-    (("  input_dim: 0\n", "  input_dim: 0\n  quartic: .inf\n"), "non-negative and finite"),
+    (("  input_dim: 0\n", "  input_dim: 0\n  quartic: -1.0\n"), "non-negative and finite"),
 ])
 def test_a_model_config_error_exits_two_and_names_its_cause(tmp_path, capsys, edit, message):
     import echograd.cli
@@ -523,6 +527,35 @@ def test_a_model_config_error_exits_two_and_names_its_cause(tmp_path, capsys, ed
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err, err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, edit, key", [
+    ("retrace", ("  t_end: 2.0\n", "  t_end: 2.0\n  theta_scale: .inf\n"), "task.theta_scale"),
+    ("gradcheck", ("  dt: 0.01", "  dt: .nan"), "retrace.dt"),
+    ("gradcheck", ("  input_dim: 0\n", "  input_dim: 0\n  quartic: .nan\n"), "task.quartic"),
+    ("gradcheck", ("  input_dim: 0\n", "  input_dim: 0\n  quartic: .inf\n"), "task.quartic"),
+    ("compare", ("betas: [0.001]", "betas: [0.001, -.inf]"), "compare.betas"),
+    ("export", ("omega: 2.1", "omega: .nan"), "task.params.omega"),
+    ("gradcheck", ("seed: 3", "seed: -1"), "seed"),
+    ("gradcheck", ("betas: [0.001]", "betas: []"), "compare.betas"),
+    ("gradcheck", ("estimators: [pfvp, rhel]", "estimators: [bogus]"), "compare.estimators"),
+    ("retrace", ("estimators: [pfvp, rhel]", "estimators: [static_ep]"), "compare.estimators"),
+    ("export", ("epochs: 3", "epochs: 0"), "train.epochs"),
+], ids=["theta_scale_inf", "retrace_dt_nan", "quartic_nan", "quartic_inf", "betas_inf",
+        "params_nan", "negative_seed", "empty_betas", "bogus_estimators",
+        "static_estimators", "zero_epochs"])
+def test_a_bad_value_in_any_section_exits_two_on_load(tmp_path, capsys, command, edit, key):
+    # every command checks every section before any work, so no file is written
+    import echograd.cli
+
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(FAST_CONFIG.replace(*edit, 1))
+    out = tmp_path / "r"
+    assert echograd.cli.main(["--config", str(cfg), "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("estimator", ["civp", "pfvp", "rhel"])

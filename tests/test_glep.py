@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echograd import glep
-from echograd.core import LagrangianModel, NudgeMode, ParamVector, Signal, TimeGrid
+from echograd.core import (
+    LagrangianModel,
+    NudgeMode,
+    ParamVector,
+    Signal,
+    TimeGrid,
+    central_probes,
+)
 from echograd.errors import ConvergenceError, SingularHessianError
 from echograd.glep import (
     CbvpSpec,
@@ -396,10 +403,8 @@ def test_pfvp_zero_cost_gives_zero_vector():
 def test_pfvp_boundary_term_vanishes_for_parameter_free_kinetic():
     # the zoo's velocity gradient carries no parameters, so the central
     # difference behind the boundary term is the zero vector exactly
-    eps = 1e-5
-    for j in range(TH2.dim):
-        plus = TH2.perturbed(j, eps).values
-        minus = TH2.perturbed(j, -eps).values
+    probes = central_probes(TH2.values, 1e-5)
+    for plus, minus in zip(probes[0::2], probes[1::2]):
         diff = LAG2.grad_velocity([0.8, -0.3], [0.2, 0.5], plus) - LAG2.grad_velocity(
             [0.8, -0.3], [0.2, 0.5], minus
         )

@@ -15,9 +15,9 @@ from echograd.models import (
 )
 from echograd.oracle import fd_gradient
 from echograd.rhel import (
-    CallableInitialState,
     ConstantInitialState,
     EchoRun,
+    InitialStateMap,
     LagrangianInitialState,
     block_swap,
     grad_rhel,
@@ -34,6 +34,17 @@ COST2 = QuadraticTrackingCost(2, indices=[0])
 
 def _grid(t_end=2.0, n=1000):
     return TimeGrid(dt=t_end / n, n_steps=n)
+
+
+class _MapOf(InitialStateMap):
+    """A ``theta -> PhaseState`` callable as an initial-state map that declares
+    nothing, so the estimator measures its Jacobian by central differences."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def state(self, theta) -> PhaseState:
+        return self._fn(theta)
 
 
 def _sin_target(grid):
@@ -149,7 +160,7 @@ def test_declared_zero_initial_state_drops_boundary_term():
     y = _sin_target(grid)
     state = PhaseState([0.8, -0.3], [0.2, 0.5])
     declared = ConstantInitialState(state)
-    generic = CallableInitialState(lambda th: state)  # same map, no declaration
+    generic = _MapOf(lambda th: state)  # same map, no declaration
     a = grad_rhel(HAM2, COST2, TH2, declared, grid, None, y, beta=1e-3)
     b = grad_rhel(HAM2, COST2, TH2, generic, grid, None, y, beta=1e-3)
     # the generic path measures a zero Jacobian by finite differences, so the
@@ -281,7 +292,7 @@ def test_grad_rhel_parameter_dependent_initial_state():
     def lam(th):
         return PhaseState(base_pos, base_mom + mix @ th)
 
-    init = CallableInitialState(lam)
+    init = _MapOf(lam)
 
     def loss(p):
         traj = integrate_hamiltonian(HAM2, p, lam(p), grid)

@@ -1,17 +1,17 @@
 """CSV/JSON round trips and manifest reproducibility."""
 
+import hashlib
 import json
 import shutil
 import subprocess
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import echograd
 from echograd import serialize
 from echograd.core import (
-    EstimatorMethod,
-    GradientEstimate,
     ParamVector,
     PhaseState,
     Signal,
@@ -22,12 +22,12 @@ from echograd.rhel import ConstantInitialState, run_echo
 from echograd.serialize import (
     code_identity,
     echo_run_to_csv,
-    gradient_to_json,
     payload_hash,
     signal_from_csv,
     signal_to_csv,
     trajectory_from_csv,
     trajectory_to_csv,
+    write_json,
     write_manifest,
 )
 from echograd.dynamics import integrate_hamiltonian, integrate_lagrangian_ivp
@@ -78,17 +78,16 @@ def test_echo_run_export(tmp_path):
     assert np.array_equal(back.positions, run.forward.positions)
 
 
-def test_gradient_json(tmp_path):
-    est = GradientEstimate(np.array([1.5, -2.0]), EstimatorMethod.PFVP, beta=1e-3,
-                           wall_time=0.25)
-    path = tmp_path / "grad.json"
-    gradient_to_json(est, path)
-    data = json.loads(path.read_text())
-    assert data["method"] == "pfvp"
-    assert data["beta"] == 1e-3
-    assert data["nudging"] == "symmetric"
-    assert data["value"] == [1.5, -2.0]
-    assert "wall_time_seconds" in data
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_write_json_with_a_non_finite_value_leaves_no_file(tmp_path, bad):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"config": {"task": {"theta_scale": bad}}})
+    assert not path.exists()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        payload_hash({"dt": bad})
+    # a finite payload hashes as before the check
+    assert payload_hash({"dt": 0.5}) == hashlib.sha256(b'{"dt":0.5}').hexdigest()
 
 
 def test_manifest_payload_hash_is_stable(tmp_path):
