@@ -66,13 +66,11 @@ def _parser():
 
 
 def _load(args):
-    config = load_config(args.config)
+    estimator = {"method": args.estimator, "beta": args.beta}
+    overrides = {"estimator": {k: v for k, v in estimator.items() if v is not None}}
     if args.seed is not None:
-        config["seed"] = args.seed
-    if args.estimator is not None:
-        config["estimator"]["method"] = args.estimator
-    if args.beta is not None:
-        config["estimator"]["beta"] = args.beta
+        overrides["seed"] = args.seed
+    config = load_config(args.config, overrides)
     out = Path(args.out) if args.out is not None else Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     return config, out

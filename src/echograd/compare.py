@@ -3,9 +3,10 @@
 Each trajectory estimator is validated against a finite-difference gradient
 of the loss it actually answers: the initial-value estimators share the free
 trajectory loss, while the boundary-value estimator is compared on its own
-pinned-endpoint problem.  When both the echo and final-value
-estimators are present, every beta row also reports their mutual discrepancy,
-which for Legendre-partner models should sit at roundoff for any beta.
+pinned-endpoint problem; each oracle rides the first estimator of its regime
+(``estimators.estimate_and_oracle``, as in ``gradcheck``).  When both the
+echo and final-value estimators are present, every beta row also reports
+their mutual discrepancy, at roundoff for Legendre partners at any beta.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .core import (
     check_betas,
     relative_error,
 )
-from .estimators import prepare
-from .oracle import fd_gradient
+from .estimators import estimate_and_oracle, prepare
 from .serialize import finite_or_null, write_json
 from .tasks import Task
 
@@ -109,12 +109,13 @@ def compare_estimators(
     """Run the (estimator, beta) matrix on one task.
 
     Emits one cell per combination, in the given order: estimators vary
-    fastest so each beta block stays together.  One oracle per loss regime,
-    and one ``estimate(theta, betas)`` call per estimator, which integrates
-    its free run once and every signed beta as one nudged run.  A cell's
-    ``wall_time`` is the time of that call, so the cells of one estimator
-    share one number.  Both lists are checked before any oracle or estimate
-    runs.
+    fastest so each beta block stays together.  One ``estimate(theta,
+    betas)`` call per estimator integrates its free run once and every signed
+    beta as one nudged run; the first of each loss regime is made by
+    :func:`estimate_and_oracle`, which evaluates the regime's oracle with it.
+    Every cell of an estimator has that call's ``wall_time``, which counts the
+    oracle's rows where they ride a CIVP or PFVP lockstep.  Both lists are
+    checked before any oracle or estimate runs.
     """
     nudging = NudgeMode(nudging)
     if np.ndim(betas) != 1:
@@ -125,12 +126,14 @@ def compare_estimators(
     if not problems:
         raise ValueError("estimators must list at least one trajectory method")
 
-    oracles = {}
+    oracles, estimates = {}, {}
     for problem in problems:
-        if problem.regime not in oracles:
-            oracles[problem.regime] = fd_gradient(problem.loss, theta, eps=fd_eps).value
+        if problem.regime in oracles:
+            estimates[problem.method] = problem.estimate(theta, betas)
+        else:
+            estimates[problem.method], oracle = estimate_and_oracle(problem, theta, betas, fd_eps)
+            oracles[problem.regime] = oracle.value
 
-    estimates = {problem.method: problem.estimate(theta, betas) for problem in problems}
     cells = []
     for i, beta in enumerate(betas):
         diff = None

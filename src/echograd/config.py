@@ -6,9 +6,11 @@ parses as a string) by coercing through ``float``; none may be null, NaN or
 infinite (nor may a number in ``task.params``), the integer fields
 (``seed``, ``task.dim``, ``task.input_dim``, ``task.n_steps``,
 ``train.epochs``) must hold integral values, which they keep as written, and
-``seed`` must not be negative.  The ``compare`` and ``train`` sections are
-checked on load as those commands check them, so every command rejects the
-same files.  Each error names the dotted key.
+``seed`` must not be negative.  ``estimator.method`` and ``nudging`` must be
+named choices, and the ``compare`` and ``train`` sections are checked on
+load as those commands check them, so every command rejects the same files,
+and the command line's flags are checked as file values.  Each error names
+the dotted key.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import numpy as np
 import yaml
 
-from .core import ParamVector, TimeGrid, check_betas
+from .core import NudgeMode, ParamVector, TimeGrid, check_betas
 from .errors import ConfigError
 from .models import make_oscillator_model
 from .tasks import make_task
@@ -69,6 +71,7 @@ _FLOAT_KEYS = {
 }
 _INT_KEYS = {"seed", "dim", "input_dim", "n_steps", "epochs"}
 _TRAJECTORY_METHODS = ("civp", "cbvp", "pfvp", "rhel")
+_METHODS = ("static_ep",) + _TRAJECTORY_METHODS
 
 
 def _finite(where, value):
@@ -107,8 +110,15 @@ def _coerce(where, value):
     return value
 
 
+def _one_of(where, value, choices):
+    if value not in choices:
+        raise ConfigError(f"field {where!r} must be one of {', '.join(choices)}, got {value!r}")
+
+
 def _check_sections(config):
-    """The checks ``compare`` and ``train`` run on their sections."""
+    """The estimator's names, and the checks ``compare`` and ``train`` run."""
+    _one_of("estimator.method", config["estimator"]["method"], _METHODS)
+    _one_of("estimator.nudging", config["estimator"]["nudging"], [m.value for m in NudgeMode])
     betas = config["compare"]["betas"]
     try:
         if not isinstance(betas, list):
@@ -143,20 +153,20 @@ def _merge(base, override, path=""):
     return merged
 
 
-def load_config(path=None) -> dict:
-    """Defaults, deep-merged with the optional YAML file and checked."""
-    if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
-    try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
-    except FileNotFoundError as exc:
-        raise ConfigError(f"configuration file not found: {path}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"could not parse configuration file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("configuration file must contain a mapping")
-    config = _merge(DEFAULT_CONFIG, data)
+def load_config(path=None, overrides=None) -> dict:
+    """Defaults, deep-merged with the optional YAML file, then ``overrides``; checked."""
+    data = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                data = yaml.safe_load(fh) or {}
+        except FileNotFoundError as exc:
+            raise ConfigError(f"configuration file not found: {path}") from exc
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"could not parse configuration file: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("configuration file must contain a mapping")
+    config = _merge(_merge(DEFAULT_CONFIG, data), overrides or {})
     _check_sections(config)
     return config
 

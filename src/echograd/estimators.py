@@ -7,7 +7,8 @@ line and ``compare_estimators`` go through it, and ``train`` descends the
 problem it returns.  ``estimate_and_oracle`` checks a problem's estimate
 against the finite-difference oracle of its loss, handing the oracle's probe
 rows to the estimate as ``loss_thetas``, so that they ride with the
-estimator's own runs where the method can take them.  The estimators and
+estimator's own runs where the method can take them; ``gradcheck`` and
+``compare_estimators`` both check through it.  The estimators and
 ``trajectory_loss`` are called by their module-level names, never held in a
 table, so rebinding those names (to trace or mock them) reaches every
 caller.

@@ -101,10 +101,6 @@ class ConstantInitialState(InitialStateMap):
     def state(self, theta) -> PhaseState:
         return self._state
 
-    def jacobian(self, theta, eps: float = 1e-5) -> np.ndarray:
-        th = as_params(theta)
-        return np.zeros((2 * self._state.dim, th.shape[0]))
-
 
 class LagrangianInitialState(InitialStateMap):
     """Initial state matched to a Lagrangian boundary condition.

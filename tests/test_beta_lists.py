@@ -196,15 +196,16 @@ def _count_integrations(monkeypatch):
     return calls
 
 
-def test_compare_runs_six_integrations_for_three_estimators_and_three_betas(monkeypatch):
+def test_compare_runs_five_integrations_for_three_estimators_and_three_betas(monkeypatch):
     _, lag, ham, theta = MODELS[2]
     task = _task(lag, 60, 1)
     calls = _count_integrations(monkeypatch)
     table = compare_estimators(lag, ham, ParamVector(theta), task, [1e-2, 1e-3, 1e-4],
                                list(IVP_METHODS))
-    # one oracle stack, one lockstep run for CIVP (free run, probes and
-    # nudged runs), then a free run and a nudged run each for PFVP and RHEL
-    assert len(calls) == 6
+    # one lockstep run for CIVP (free run, its probes, the oracle's probe
+    # stack and the nudged runs), then a free run and a nudged run each for
+    # PFVP and RHEL
+    assert len(calls) == 5
     assert len(table.cells) == 9
     for method in IVP_METHODS:
         times = {c.wall_time for c in table.cells if c.estimator == method}

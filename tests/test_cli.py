@@ -541,9 +541,12 @@ def test_a_model_config_error_exits_two_and_names_its_cause(tmp_path, capsys, ed
     ("gradcheck", ("estimators: [pfvp, rhel]", "estimators: [bogus]"), "compare.estimators"),
     ("retrace", ("estimators: [pfvp, rhel]", "estimators: [static_ep]"), "compare.estimators"),
     ("export", ("epochs: 3", "epochs: 0"), "train.epochs"),
+    ("retrace", ("method: pfvp", "method: bogus"), "estimator.method"),
+    ("compare", ("method: pfvp", "method: fd_oracle"), "estimator.method"),
+    ("export", ("  beta: 0.001\n", "  beta: 0.001\n  nudging: both\n"), "estimator.nudging"),
 ], ids=["theta_scale_inf", "retrace_dt_nan", "quartic_nan", "quartic_inf", "betas_inf",
         "params_nan", "negative_seed", "empty_betas", "bogus_estimators",
-        "static_estimators", "zero_epochs"])
+        "static_estimators", "zero_epochs", "bogus_method", "oracle_method", "bogus_nudging"])
 def test_a_bad_value_in_any_section_exits_two_on_load(tmp_path, capsys, command, edit, key):
     # every command checks every section before any work, so no file is written
     import echograd.cli
@@ -552,6 +555,24 @@ def test_a_bad_value_in_any_section_exits_two_on_load(tmp_path, capsys, command,
     cfg.write_text(FAST_CONFIG.replace(*edit, 1))
     out = tmp_path / "r"
     assert echograd.cli.main(["--config", str(cfg), "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, command, key", [
+    (["--beta", "nan"], "compare", "estimator.beta"),
+    (["--estimator", "bogus"], "compare", "estimator.method"),
+    (["--seed", "-1"], "gradcheck", "seed"),
+], ids=["beta_nan", "bogus_estimator", "negative_seed"])
+def test_a_bad_flag_exits_two_on_load(tmp_path, capsys, fast_config, flags, command, key):
+    # the flags are merged and checked as the file's values are, before any work
+    import echograd.cli
+
+    out = tmp_path / "r"
+    assert echograd.cli.main(["--config", str(fast_config), "--out", str(out), *flags,
+                              command]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err, err
     assert "Traceback" not in err

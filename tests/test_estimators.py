@@ -138,7 +138,7 @@ def test_compare_rejects_bad_lists_before_any_oracle(bundle, monkeypatch, betas,
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle ran before the arguments were checked")
 
-    monkeypatch.setattr(echograd.compare, "fd_gradient", no_oracle)
+    monkeypatch.setattr(echograd.compare, "estimate_and_oracle", no_oracle)
     lag, ham, theta, task = bundle
     with pytest.raises(ValueError, match=field):
         compare_estimators(lag, ham, theta, task, betas, estimators)

@@ -15,8 +15,10 @@ import pytest
 
 import echograd.cli
 import echograd.glep
+from echograd.compare import compare_estimators
 from echograd.config import build_bundle, load_config
-from echograd.core import GradientEstimate, NudgeMode, ParamVector, central_probes
+from echograd.core import (GradientEstimate, NudgeMode, ParamVector, central_probes,
+                           relative_error)
 from echograd.dynamics import integrate_hamiltonian
 from echograd.errors import NumericalError
 from echograd.estimators import estimate_and_oracle, prepare
@@ -128,6 +130,37 @@ def test_estimate_and_oracle_equals_the_separate_oracle(small_bundle, method):
     estimate, oracle = estimate_and_oracle(problem, theta, 1e-3, FD_EPS)
     _same(estimate, problem.estimate(theta, 1e-3))
     assert oracle.value.tobytes() == fd_gradient(problem.loss, theta, FD_EPS).value.tobytes()
+
+
+@pytest.mark.parametrize("methods", [["civp", "pfvp", "rhel"], ["pfvp", "rhel"],
+                                     ["rhel", "cbvp", "civp"]], ids="-".join)
+def test_compare_cells_equal_a_table_with_separate_oracles(methods):
+    # the table compare_estimators built before its oracle rode an estimate
+    config = load_config()
+    config["task"]["n_steps"] = 40
+    bundle = build_bundle(config)
+    theta, betas = bundle.theta, [1e-2, -1e-3]
+    problems = {m: _prepare(bundle, m) for m in methods}
+    oracles = {}
+    for problem in problems.values():
+        if problem.regime not in oracles:
+            oracles[problem.regime] = fd_gradient(problem.loss, theta, FD_EPS).value
+    estimates = {m: problem.estimate(theta, betas) for m, problem in problems.items()}
+
+    table = compare_estimators(bundle.lagrangian, bundle.hamiltonian, theta, bundle.task, betas,
+                               methods, fd_eps=FD_EPS)
+    assert [(c.estimator, c.beta) for c in table.cells] == [(m, b) for b in betas
+                                                            for m in methods]
+    for cell in table.cells:
+        i = betas.index(cell.beta)
+        estimate = estimates[cell.estimator][i]
+        oracle = oracles[problems[cell.estimator].regime]
+        assert cell.gradient.tobytes() == estimate.value.tobytes()
+        assert cell.rel_err_vs_oracle == relative_error(estimate.value, oracle)
+        diff = None
+        if cell.estimator == "rhel" and "pfvp" in estimates:
+            diff = relative_error(estimate.value, estimates["pfvp"][i].value)
+        assert cell.rhel_pfvp_rel_diff == diff
 
 
 def test_seeded_static_ep_relaxes_no_free_sweep_and_keeps_its_estimate():

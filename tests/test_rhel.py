@@ -166,6 +166,7 @@ def test_declared_zero_initial_state_drops_boundary_term():
     # the generic path measures a zero Jacobian by finite differences, so the
     # two estimates agree exactly; the declared path just skips the probes
     assert np.array_equal(a.value, b.value)
+    # the inherited central difference of a constant state is exactly zero
     assert np.array_equal(declared.jacobian(TH2), np.zeros((4, 3)))
 
 
