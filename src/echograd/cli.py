@@ -33,10 +33,9 @@ from .core import (EstimatorMethod, NudgeMode, ParamVector, PhaseState, Signal, 
 from .errors import ConfigError, NumericalError
 from .estimators import estimate_and_oracle, prepare
 from .models import QuadraticTrackingCost, model_zoo
-from .oracle import fd_gradient
 from .rhel import LagrangianInitialState, echo_retrace_check, run_echo
 from .serialize import echo_run_to_csv, finite_or_null, signal_to_csv, write_json, write_run
-from .static_ep import HopfieldEnergy, relax, static_ep_gradient
+from .static_ep import HopfieldEnergy, static_ep_gradient
 from .training import train
 
 
@@ -76,30 +75,21 @@ def _load(args):
     return config, out
 
 
-def _static_ep_check(seed, beta, nudging, fd_eps):
-    """Static EP on a seeded two-unit Hopfield energy, with its own theta.
-
-    Theta and the oracle's probes relax in one lockstep call; theta's fixed
-    point seeds the estimator, whose free relaxation then takes no sweep.
-    """
+def _static_ep_check(seed, nudging):
+    """``(estimate, theta)``: static EP's estimate on a seeded two-unit
+    Hopfield energy, as a ``Problem.estimate``, and its own seeded theta."""
     rng = np.random.default_rng(seed)
     energy = HopfieldEnergy(2)
     theta = ParamVector(rng.normal(scale=0.3, size=energy.theta_dim))
     x0 = rng.normal(size=2)
     y0 = rng.normal(scale=0.5, size=2)
     cost = QuadraticTrackingCost(2)
-    fixed_points = []
 
-    def relaxed_cost(thetas):
-        states = relax(energy, np.concatenate([theta.values[None, :], thetas]), x0).state
-        fixed_points.append(states[0])
-        # cost.cost per row: cost_rows sums in another order, which would move the oracle's bits
-        return [cost.cost(state, y0) for state in states[1:]]
+    def estimate(theta, beta, loss_thetas=None):
+        return static_ep_gradient(energy, cost, theta, x0, y0, beta, nudging=nudging,
+                                  loss_thetas=loss_thetas)
 
-    oracle = fd_gradient(relaxed_cost, theta, eps=fd_eps)
-    est = static_ep_gradient(energy, cost, theta, x0, y0, beta, nudging=nudging,
-                             initial_state=fixed_points[0])
-    return est, oracle
+    return estimate, theta
 
 
 def _prepare(config, method, bundle):
@@ -119,10 +109,10 @@ def cmd_gradcheck(args):
 
     started = time.perf_counter()
     if method is EstimatorMethod.STATIC_EP:
-        est, oracle = _static_ep_check(int(config["seed"]), beta, nudging, fd_eps)
+        estimate, theta = _static_ep_check(int(config["seed"]), nudging)
     else:
-        est, oracle = estimate_and_oracle(_prepare(config, method, bundle), bundle.theta, beta,
-                                          fd_eps)
+        estimate, theta = _prepare(config, method, bundle).estimate, bundle.theta
+    est, oracle = estimate_and_oracle(estimate, theta, beta, fd_eps)
     # a zero oracle gives inf or NaN: written as null, and the check below fails it
     rel_err = relative_error(est.value, oracle.value)
     elapsed = time.perf_counter() - started

@@ -131,8 +131,8 @@ def compare_estimators(
         if problem.regime in oracles:
             estimates[problem.method] = problem.estimate(theta, betas)
         else:
-            estimates[problem.method], oracle = estimate_and_oracle(problem, theta, betas, fd_eps)
-            oracles[problem.regime] = oracle.value
+            estimate, oracle = estimate_and_oracle(problem.estimate, theta, betas, fd_eps)
+            estimates[problem.method], oracles[problem.regime] = estimate, oracle.value
 
     cells = []
     for i, beta in enumerate(betas):

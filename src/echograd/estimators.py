@@ -4,11 +4,12 @@ CIVP, CBVP, PFVP and the echo are one variational principle under different
 boundary conditions.  ``prepare`` fixes a method's boundary data and
 settings once and pairs its estimator with the loss it answers; the command
 line and ``compare_estimators`` go through it, and ``train`` descends the
-problem it returns.  ``estimate_and_oracle`` checks a problem's estimate
-against the finite-difference oracle of its loss, handing the oracle's probe
-rows to the estimate as ``loss_thetas``, so that they ride with the
-estimator's own runs where the method can take them; ``gradcheck`` and
-``compare_estimators`` both check through it.  The estimators and
+problem it returns.  ``estimate_and_oracle`` takes an estimate callable, a
+problem's or static EP's, and checks its estimate against the
+finite-difference oracle of its loss, handing the oracle's probe rows to
+the estimate as ``loss_thetas``, so that they ride with the estimator's own
+runs where the method can take them; every ``gradcheck`` and
+``compare_estimators`` check through it.  The estimators and
 ``trajectory_loss`` are called by their module-level names, never held in a
 table, so rebinding those names (to trace or mock them) reaches every
 caller.
@@ -59,16 +60,18 @@ class Problem:
     loss: Callable
 
 
-def estimate_and_oracle(problem: Problem, theta, beta, eps: float):
-    """``(estimate, oracle)``: ``problem.estimate(theta, beta)`` and
-    :func:`fd_gradient` of ``problem.loss`` at ``theta`` with step ``eps``,
-    the oracle's loss evaluated by the one ``problem.estimate`` call that
-    also yields the estimate."""
+def estimate_and_oracle(estimate: Callable, theta, beta, eps: float):
+    """``(estimate(theta, beta), oracle)``, the oracle being
+    :func:`fd_gradient` with step ``eps`` of the loss that ``estimate``
+    returns for ``loss_thetas``; one ``estimate`` call, given the oracle's
+    probe rows, yields both.  ``estimate`` is a :attr:`Problem.estimate`
+    or a callable that takes ``loss_thetas`` as it does, such as static
+    EP's estimator."""
     estimates = []
 
     def loss(thetas):
-        estimate, losses = problem.estimate(theta, beta, thetas)
-        estimates.append(estimate)
+        result, losses = estimate(theta, beta, thetas)
+        estimates.append(result)
         return losses
 
     oracle = fd_gradient(loss, theta, eps=eps)

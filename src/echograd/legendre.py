@@ -20,6 +20,8 @@ exact negatives, so no derivative of the implicit map is ever needed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import (
@@ -62,14 +64,8 @@ def velocity_from_momentum(model: LagrangianModel, s, p, theta, x=None) -> np.nd
         hess = np.asarray(model.velocity_hessian(s, zero, theta, x), dtype=float)
         offset = np.asarray(model.grad_velocity(s, zero, theta, x), dtype=float)
         return _solve(hess, p - offset, "velocity")
-    v = p.copy()
-    for _ in range(NEWTON_MAX_ITER):
-        residual = np.asarray(model.grad_velocity(s, v, theta, x), dtype=float) - p
-        if np.max(np.abs(residual)) <= NEWTON_TOL * (1.0 + np.max(np.abs(p))):
-            return v
-        hess = np.asarray(model.velocity_hessian(s, v, theta, x), dtype=float)
-        v = v - _solve(hess, residual, "velocity")
-    raise ConvergenceError("momentum inversion did not converge")
+    return _newton(model.grad_velocity, model.velocity_hessian, s, p, theta, x, "velocity",
+                   "momentum inversion did not converge")
 
 
 def _hessian_fd(grad, s, c, theta, x):
@@ -80,15 +76,23 @@ def _hessian_fd(grad, s, c, theta, x):
 
 def _momentum_from_hamiltonian(model: HamiltonianModel, s, v, theta, x=None) -> np.ndarray:
     """Solve dH/dp(s, p) = v for p (Newton, FD momentum Hessian)."""
-    v = np.asarray(v, dtype=float)
-    p = v.copy()
+    return _newton(model.grad_momentum, functools.partial(_hessian_fd, model.grad_momentum), s,
+                   v, theta, x, "momentum", "velocity inversion did not converge")
+
+
+def _newton(grad, hessian, s, target, theta, x, what, failure):
+    """Solve ``grad(s, c, theta, x) = target`` for ``c`` by Newton from
+    ``c = target``, to ``NEWTON_TOL`` relative to ``target`` within
+    ``NEWTON_MAX_ITER`` steps, else ``ConvergenceError(failure)``; ``what``
+    names the Hessian in a singular-solve error."""
+    target = np.asarray(target, dtype=float)
+    c = target.copy()
     for _ in range(NEWTON_MAX_ITER):
-        residual = np.asarray(model.grad_momentum(s, p, theta, x), dtype=float) - v
-        if np.max(np.abs(residual)) <= NEWTON_TOL * (1.0 + np.max(np.abs(v))):
-            return p
-        hess = _hessian_fd(model.grad_momentum, s, p, theta, x)
-        p = p - _solve(hess, residual, "momentum")
-    raise ConvergenceError("velocity inversion did not converge")
+        residual = np.asarray(grad(s, c, theta, x), dtype=float) - target
+        if np.max(np.abs(residual)) <= NEWTON_TOL * (1.0 + np.max(np.abs(target))):
+            return c
+        c = c - _solve(np.asarray(hessian(s, c, theta, x), dtype=float), residual, what)
+    raise ConvergenceError(failure)
 
 
 class LegendreHamiltonian(HamiltonianModel):

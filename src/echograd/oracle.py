@@ -7,12 +7,13 @@ package is validated against it.  The 2P probes are still one forward solve
 each; the loss takes them as one ``(2P, P)`` stack, so the initial-value
 solves run in lockstep along the integrators' batch axis, each row bitwise
 the solve it would be on its own.  That stack may ride with an estimator's
-own runs: a gradient check, and a comparison for the first estimator of
-each loss regime, hand :func:`fd_gradient` a loss that passes the probe rows
-to the estimate as ``loss_thetas``, which the CIVP and PFVP estimators run
-inside their first lockstep (``estimators.estimate_and_oracle``).  Every
-free-run loss, here and there, is formed by ``core.free_losses``, which
-raises ``NumericalError`` for a non-finite one.
+own runs: every gradient check, and a comparison for the first estimator
+of each loss regime, hand :func:`fd_gradient` a loss that passes the probe
+rows to the estimate as ``loss_thetas`` (``estimators.estimate_and_oracle``),
+which the CIVP and PFVP estimators run inside their first lockstep and
+static EP inside its free relaxation.  Every free-run loss of a trajectory,
+here and there, is formed by ``core.free_losses``, which raises
+``NumericalError`` for a non-finite one.
 """
 
 from __future__ import annotations

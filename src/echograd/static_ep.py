@@ -10,8 +10,9 @@ estimates the gradient of the relaxed cost.
 nudging strength and the initial state shared or given per row.  The rows
 descend in lockstep, the energy bound to their parameters once per call,
 and each row stops at its own tolerance, so it is bitwise the relaxation it
-would be on its own.  The estimator's +beta/-beta pair is one such call, and
-the static ``gradcheck`` relaxes all 2P finite-difference probes in another.
+would be on its own.  The estimator's free relaxation is one such call, with
+any loss rows it is given (a gradient check's 2P finite-difference probes)
+after ``theta``, and its +beta/-beta pair is another.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .core import (
     as_params,
     check_positive_finite,
     lockstep_rows,
+    loss_rows,
     row_stack,
+    signed_betas,
 )
 from .errors import ConvergenceError, DivergenceError
 
@@ -321,37 +324,50 @@ def static_ep_gradient(
     target,
     beta: float,
     nudging: NudgeMode = NudgeMode.SYMMETRIC,
-    initial_state=None,
     config: RelaxConfig | None = None,
-) -> GradientEstimate:
+    loss_thetas=None,
+):
     """Two-point (or three-point symmetric) static estimator.
 
-    The nudged relaxations (the +beta/-beta pair, or +beta alone) are the
-    rows of one :func:`relax` call, each seeded from the free fixed point.
+    ``beta`` is one finite, nonzero nudging strength; anything else raises
+    ``ValueError`` before any relaxation.  The nudged relaxations (the
+    +beta/-beta pair, or +beta alone) are the rows of one :func:`relax`
+    call, each seeded from the free fixed point.
+
+    Given a ``(B, P)`` stack ``loss_thetas``, the call returns
+    ``(estimate, losses)``: the rows relax in the free relaxation's lockstep
+    call, after ``theta``, and each loss is ``cost.cost`` at its row's fixed
+    point, bitwise that of a relaxation of the row on its own.  Any other
+    shape raises ``ValueError`` before any relaxation.
     """
     started = time.perf_counter()
-    if beta == 0.0:
-        raise ValueError("nudging strength beta must be nonzero")
+    if np.ndim(beta) != 0:
+        raise ValueError(f"static EP takes one nudging strength beta, got {beta!r}")
     th = as_params(theta)
     nudging = NudgeMode(nudging)
+    signs = signed_betas(beta, nudging)
+    rows = loss_rows(loss_thetas, th.shape[0])
 
-    free = relax(model, th, x0, initial_state=initial_state, config=config)
-    signs = [beta, -beta] if nudging is NudgeMode.SYMMETRIC else [beta]
-    nudged = relax(model, th, x0, target=target, beta=np.array(signs), cost=cost,
-                   initial_state=free.state, config=config).state
+    free = relax(model, np.concatenate([th[None, :], rows]), x0, config=config).state
+    nudged = relax(model, th, x0, target=target, beta=signs, cost=cost,
+                   initial_state=free[0], config=config).state
     g_plus = np.asarray(model.grad_params(nudged[0], th, x0), dtype=float)
 
     if nudging is NudgeMode.SYMMETRIC:
         g_minus = np.asarray(model.grad_params(nudged[1], th, x0), dtype=float)
         value = (g_plus - g_minus) / (2.0 * beta)
     else:
-        g_free = np.asarray(model.grad_params(free.state, th, x0), dtype=float)
+        g_free = np.asarray(model.grad_params(free[0], th, x0), dtype=float)
         value = (g_plus - g_free) / beta
 
-    return GradientEstimate(
+    estimate = GradientEstimate(
         value=value,
         method=EstimatorMethod.STATIC_EP,
         beta=beta,
         nudging=nudging,
         wall_time=time.perf_counter() - started,
     )
+    if loss_thetas is None:
+        return estimate
+    # cost.cost per row: cost_rows sums in another order, which would move the oracle's bits
+    return estimate, np.array([cost.cost(state, target) for state in free[1:]])

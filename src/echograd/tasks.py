@@ -78,10 +78,15 @@ def _drive_signal(grid, input_dim, amplitude, omega):
     return Signal(grid, amplitude * np.sin(omega * grid.times()[:, None] + phases))
 
 
-def _initial_data(dim, position, velocity):
-    alpha = np.zeros(dim) if position is None else np.asarray(position, dtype=float)
-    gamma = np.zeros(dim) if velocity is None else np.asarray(velocity, dtype=float)
-    return alpha, gamma
+def _tracking_task(name, grid, x, y, dim, output_index, position, velocity):
+    """The :class:`Task` tracking ``y`` on coordinate ``output_index`` of a
+    ``dim``-dimensional state, at rest at the origin unless given initial
+    data."""
+    return Task(name=name, grid=grid, x=x, y=y,
+                cost=QuadraticTrackingCost(dim, indices=[output_index]),
+                output_indices=(output_index,),
+                initial_position=np.zeros(dim) if position is None else position,
+                initial_velocity=np.zeros(dim) if velocity is None else velocity)
 
 
 def sine_tracking_task(
@@ -96,18 +101,10 @@ def sine_tracking_task(
     initial_velocity=None,
 ) -> Task:
     """Track a single sinusoid on one selected coordinate."""
-    alpha, gamma = _initial_data(dim, initial_position, initial_velocity)
     y = Signal(grid, amplitude * np.sin(omega * grid.times()))
-    return Task(
-        name="sine_tracking",
-        grid=grid,
-        x=_drive_signal(grid, input_dim, drive_amplitude, omega),
-        y=y,
-        cost=QuadraticTrackingCost(dim, indices=[output_index]),
-        output_indices=(output_index,),
-        initial_position=alpha,
-        initial_velocity=gamma,
-    )
+    return _tracking_task("sine_tracking", grid,
+                          _drive_signal(grid, input_dim, drive_amplitude, omega), y, dim,
+                          output_index, initial_position, initial_velocity)
 
 
 def two_sines_task(
@@ -124,19 +121,11 @@ def two_sines_task(
     initial_velocity=None,
 ) -> Task:
     """Track a sum of two incommensurate sinusoids."""
-    alpha, gamma = _initial_data(dim, initial_position, initial_velocity)
     t = grid.times()
     y = Signal(grid, amplitude * np.sin(omega * t) + amplitude2 * np.sin(omega2 * t))
-    return Task(
-        name="two_sines",
-        grid=grid,
-        x=_drive_signal(grid, input_dim, drive_amplitude, omega),
-        y=y,
-        cost=QuadraticTrackingCost(dim, indices=[output_index]),
-        output_indices=(output_index,),
-        initial_position=alpha,
-        initial_velocity=gamma,
-    )
+    return _tracking_task("two_sines", grid,
+                          _drive_signal(grid, input_dim, drive_amplitude, omega), y, dim,
+                          output_index, initial_position, initial_velocity)
 
 
 def step_response_task(
@@ -150,20 +139,10 @@ def step_response_task(
     initial_velocity=None,
 ) -> Task:
     """Drive the system with a step input and hold a constant target after it."""
-    alpha, gamma = _initial_data(dim, initial_position, initial_velocity)
     held = np.where(grid.times() >= step_time, level, 0.0)
     x = Signal(grid, np.repeat(held[:, None], input_dim, axis=1)) if input_dim > 0 else None
-    y = Signal(grid, held)
-    return Task(
-        name="step_response",
-        grid=grid,
-        x=x,
-        y=y,
-        cost=QuadraticTrackingCost(dim, indices=[output_index]),
-        output_indices=(output_index,),
-        initial_position=alpha,
-        initial_velocity=gamma,
-    )
+    return _tracking_task("step_response", grid, x, Signal(grid, held), dim, output_index,
+                          initial_position, initial_velocity)
 
 
 TASK_GENERATORS = {

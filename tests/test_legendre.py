@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import echograd.legendre
 from echograd.core import HamiltonianModel, LagrangianModel, PhaseState, TimeGrid
 from echograd.dynamics import integrate_hamiltonian, integrate_lagrangian_ivp
-from echograd.errors import SingularHessianError
-from echograd.legendre import backward_legendre, forward_legendre
+from echograd.errors import ConvergenceError, SingularHessianError
+from echograd.legendre import backward_legendre, forward_legendre, velocity_from_momentum
 from echograd.models import model_zoo
 
 
@@ -198,3 +199,41 @@ def test_reversibility_transport():
                 ),
             )
         assert worst <= 1e-12
+
+
+class QuarticKineticLagrangian(MassLagrangian):
+    """L = |v|^2/2 + sum v^4/4 - k/2 |s|^2: the velocity solve runs Newton."""
+
+    quadratic_kinetic = False
+
+    def grad_velocity(self, s, v, theta, x=None):
+        v = np.asarray(v, dtype=float)
+        return v + v**3
+
+    def velocity_hessian(self, s, v, theta, x=None):
+        return np.diag(1.0 + 3.0 * np.asarray(v, dtype=float) ** 2)
+
+
+class QuarticKineticHamiltonian(MomentumFreeHamiltonian):
+    """H = |p|^2/2 + sum p^4/4 + k/2 |s|^2: the momentum solve runs Newton."""
+
+    dim = 2
+
+    def grad_momentum(self, s, p, theta, x=None):
+        p = np.asarray(p, dtype=float)
+        return p + p**3
+
+
+def test_newton_inversions_converge_and_name_their_failure(monkeypatch):
+    th, s, c = np.array([1.0]), np.zeros(2), np.array([0.7, -1.3])
+    lag, ham = QuarticKineticLagrangian(dim=2), QuarticKineticHamiltonian()
+    p = lag.grad_velocity(s, c, th)
+    assert np.max(np.abs(velocity_from_momentum(lag, s, p, th) - c)) <= 1e-12
+    # the Lagrangian partner's dL/dv solves dH/dp = v for the momentum
+    v = ham.grad_momentum(s, c, th)
+    assert np.max(np.abs(backward_legendre(ham).grad_velocity(s, v, th) - c)) <= 1e-10
+    monkeypatch.setattr(echograd.legendre, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="momentum inversion did not converge"):
+        velocity_from_momentum(lag, s, p, th)
+    with pytest.raises(ConvergenceError, match="velocity inversion did not converge"):
+        backward_legendre(ham).grad_velocity(s, v, th)

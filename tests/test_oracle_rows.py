@@ -3,11 +3,13 @@
 A gradient check evaluates the finite-difference oracle by handing its probe
 rows to ``Problem.estimate`` as ``loss_thetas``: CIVP and PFVP
 (``glep.grad_civp``/``grad_pfvp``) run them inside their first lockstep,
-RHEL and CBVP call ``estimate`` then ``loss``.  Every result must be bitwise
+RHEL and CBVP call ``estimate`` then ``loss``, and static EP
+(``static_ep_gradient``) relaxes them with its free phase.  Every result must be bitwise
 that of the separate calls, and a check must run no more sequential loops
 than the estimator needs plus what cannot ride with it.
 """
 
+import inspect
 import sys
 
 import numpy as np
@@ -127,7 +129,7 @@ def test_pfvp_without_loss_rows_returns_a_bare_estimate(small_bundle):
 def test_estimate_and_oracle_equals_the_separate_oracle(small_bundle, method):
     problem = _prepare(small_bundle, method)
     theta = small_bundle.theta
-    estimate, oracle = estimate_and_oracle(problem, theta, 1e-3, FD_EPS)
+    estimate, oracle = estimate_and_oracle(problem.estimate, theta, 1e-3, FD_EPS)
     _same(estimate, problem.estimate(theta, 1e-3))
     assert oracle.value.tobytes() == fd_gradient(problem.loss, theta, FD_EPS).value.tobytes()
 
@@ -163,11 +165,16 @@ def test_compare_cells_equal_a_table_with_separate_oracles(methods):
         assert cell.rhel_pfvp_rel_diff == diff
 
 
-def test_seeded_static_ep_relaxes_no_free_sweep_and_keeps_its_estimate():
-    rng = np.random.default_rng(4)
+def _static_problem(seed=4):
+    """A seeded two-unit Hopfield energy, its cost, theta, input and target."""
+    rng = np.random.default_rng(seed)
     energy, cost = HopfieldEnergy(2), QuadraticTrackingCost(2)
     theta = ParamVector(rng.normal(scale=0.3, size=energy.theta_dim))
-    x0, y0 = rng.normal(size=2), rng.normal(scale=0.5, size=2)
+    return energy, cost, theta, rng.normal(size=2), rng.normal(scale=0.5, size=2)
+
+
+def test_seeded_static_ep_relaxes_no_free_sweep_and_keeps_its_estimate():
+    energy, cost, theta, x0, y0 = _static_problem()
     stack = np.concatenate([theta.values[None, :], central_probes(theta.values, FD_EPS)])
     lockstep = relax(energy, stack, x0)
     alone = relax(energy, theta, x0)
@@ -175,27 +182,48 @@ def test_seeded_static_ep_relaxes_no_free_sweep_and_keeps_its_estimate():
     seeded = relax(energy, theta, x0, initial_state=lockstep.state[0])
     assert seeded.iterations == 0
     assert seeded.state.tobytes() == alone.state.tobytes()
-    for nudging in NudgeMode:
-        plain = static_ep_gradient(energy, cost, theta, x0, y0, 1e-3, nudging=nudging)
-        warm = static_ep_gradient(energy, cost, theta, x0, y0, 1e-3, nudging=nudging,
-                                  initial_state=lockstep.state[0])
-        assert warm.value.tobytes() == plain.value.tobytes()
+
+
+@pytest.mark.parametrize("nudging", list(NudgeMode))
+def test_static_ep_with_loss_rows_equals_the_plain_estimate_and_the_relaxed_costs(nudging):
+    energy, cost, theta, x0, y0 = _static_problem()
+    rows = central_probes(theta.values, FD_EPS)
+    estimate, losses = static_ep_gradient(energy, cost, theta, x0, y0, 1e-3, nudging=nudging,
+                                          loss_thetas=rows)
+    plain = static_ep_gradient(energy, cost, theta, x0, y0, 1e-3, nudging=nudging)
+    assert estimate.value.tobytes() == plain.value.tobytes()
+    assert (estimate.beta, estimate.nudging) == (plain.beta, plain.nudging)
+    expected = [cost.cost(s, y0) for s in relax(energy, rows, x0).state]
+    assert losses.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("beta, loss_thetas", [
+    (1e-3, np.zeros((3, 2))), (1e-3, np.zeros(3)), (float("nan"), None), (float("inf"), None),
+    (-float("inf"), None), (0.0, None), ([1e-3], None),
+], ids=["rows_3x2", "rows_flat", "nan", "inf", "-inf", "zero", "list"])
+def test_static_ep_checks_beta_and_loss_rows_before_relaxing(monkeypatch, beta, loss_thetas):
+    # P is 3: a (3, 2) stack is rows of the wrong width
+    energy, cost, theta, x0, y0 = _static_problem()
+    _forbid(monkeypatch, "relax")
+    with pytest.raises(ValueError, match="loss_thetas" if loss_thetas is not None else "beta"):
+        static_ep_gradient(energy, cost, theta, x0, y0, beta, loss_thetas=loss_thetas)
 
 
 def test_static_ep_check_equals_the_separate_estimate_and_oracle():
     seed, beta = 7, 1e-3
-    est, oracle = echograd.cli._static_ep_check(seed, beta, NudgeMode.SYMMETRIC, FD_EPS)
-    # the check without a shared relaxation: the estimate from a cold start
-    # and the oracle relaxing the probes alone
-    rng = np.random.default_rng(seed)
-    energy, cost = HopfieldEnergy(2), QuadraticTrackingCost(2)
-    theta = ParamVector(rng.normal(scale=0.3, size=energy.theta_dim))
-    x0, y0 = rng.normal(size=2), rng.normal(scale=0.5, size=2)
+    estimate, theta = echograd.cli._static_ep_check(seed, NudgeMode.SYMMETRIC)
+    est, oracle = estimate_and_oracle(estimate, theta, beta, FD_EPS)
+    # the check without a shared relaxation: the estimate alone and the
+    # oracle relaxing the probes on their own
+    energy, cost, theta, x0, y0 = _static_problem(seed)
     plain = static_ep_gradient(energy, cost, theta, x0, y0, beta)
     reference = fd_gradient(
         lambda rows: [cost.cost(s, y0) for s in relax(energy, rows, x0).state], theta, FD_EPS)
     assert est.value.tobytes() == plain.value.tobytes()
     assert oracle.value.tobytes() == reference.value.tobytes()
+    # the command line reaches every oracle through estimate_and_oracle
+    assert not hasattr(echograd.cli, "fd_gradient") and not hasattr(echograd.cli, "relax")
+    assert "initial_state" not in inspect.signature(static_ep_gradient).parameters
 
 
 def _count_loops(monkeypatch):
@@ -231,16 +259,16 @@ def _count_loops(monkeypatch):
 def test_gradcheck_runs_the_fewest_sequential_loops(tmp_path, monkeypatch, capsys, method,
                                                     integrations, relaxations):
     # CIVP's oracle probes join its single lockstep run and PFVP's its free
-    # run; static EP relaxes theta with the probes and seeds its free phase
-    # with theta's fixed point.  RHEL runs its oracle after its two phases.
+    # run; static EP's join its free relaxation.  RHEL runs its oracle after
+    # its two phases.
     counts = _count_loops(monkeypatch)
     code = echograd.cli.main(["--out", str(tmp_path / "r"), "--estimator", method,
                               "gradcheck", "--check-tol", "1e-3"])
     assert code == 0, capsys.readouterr().err
     assert counts["integrations"] == integrations
     assert counts["relaxations"] == relaxations
-    # static EP's third relax call is the seeded free phase, which sweeps nothing
-    assert counts["relax_calls"] == (3 if method == "static_ep" else 0)
+    # static EP's two relax calls are its free relaxation and its nudged pair
+    assert counts["relax_calls"] == (2 if method == "static_ep" else 0)
 
 
 def test_a_run_that_grows_without_overflowing_raises_for_its_loss():
