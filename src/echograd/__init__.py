@@ -34,7 +34,6 @@ from .glep import (
 )
 from .legendre import backward_legendre, forward_legendre
 from .models import (
-    PhaseTrackingCost,
     QuadraticTrackingCost,
     ZeroCost,
     make_oscillator_model,

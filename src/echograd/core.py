@@ -68,6 +68,7 @@ __all__ = [
     "central_quotient",
     "trapezoid",
     "trapezoid_contrast",
+    "check_target",
     "path_cost",
     "free_losses",
     "loss_rows",
@@ -164,10 +165,19 @@ def trapezoid_contrast(rows: np.ndarray, reference: np.ndarray, dt: float) -> np
     return trapezoid(rows, dt)
 
 
+def check_target(cost: "CostModel", target: "Signal") -> None:
+    """Raise ``ValueError`` unless ``target`` has the cost's ``target_dim``
+    columns: numpy would broadcast a target of another width silently."""
+    if target.dim != cost.target_dim:
+        raise ValueError(f"target signal dim {target.dim} does not match the cost's "
+                         f"target_dim {cost.target_dim}")
+
+
 def path_cost(cost: "CostModel", states: np.ndarray, target: "Signal", dt: float) -> float:
     """Trapezoid-rule cost of one trajectory's ``states`` (one row per grid
     point) against the samples of ``target``; an overflow gives inf or NaN,
     and no warning."""
+    check_target(cost, target)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(trapezoid(cost.cost_rows(states, target.values), dt))
 
@@ -498,7 +508,8 @@ class LagrangianModel(ABC):
         input_dim: external input dimension (0 for autonomous models).
         reversible: the function is even in the velocity argument.
         quadratic_kinetic: the velocity Hessian is constant, so momentum
-            conversion has a closed form.
+            conversion has a closed form and the Legendre partner is
+            separable, as the integrators require.
         theta_free_momentum: dL/dv does not depend on the parameters, so
             ``grad_velocity_params`` is exactly zero (default ``False``).
     """
@@ -558,8 +569,7 @@ class HamiltonianModel(ABC):
         theta_dim, input_dim: as for :class:`LagrangianModel`.
         time_reversible: invariant under momentum flip, which is what the
             echo mechanism requires.
-        separable: ``H = T(p) + V(s, x)``; enables the explicit
-            kick-drift-kick integrator path.
+        separable: ``H = T(p) + V(s, x)``; required by the integrators.
     """
 
     dim: int
@@ -641,12 +651,11 @@ class _Bound:
         ``(batch, dim)`` state stacks ``s``, ``p`` at grid point ``k``, where
         H is the Hamiltonian (for a Lagrangian binding, its Legendre
         partner's) and ``nudge`` is ``None`` or a
-        :class:`~echograd.dynamics.Nudge` with a position-only cost; the
-        leapfrog passes half a step as ``scale`` and gets its half kick.  The
-        result may be a buffer that the next call overwrites.  This default
-        adds the nudge of :func:`_nudge_term`, -beta dc/ds, to a copy of the
-        binding's dH/ds and multiplies by ``-scale``, the arithmetic of the
-        zoo's force.
+        :class:`~echograd.dynamics.Nudge`; the leapfrog passes half a step
+        as ``scale`` and gets its half kick.  The result may be a buffer
+        that the next call overwrites.  This default adds the nudge of
+        :func:`_nudge_term`, -beta dc/ds, to a copy of the binding's dH/ds
+        and multiplies by ``-scale``, the arithmetic of the zoo's force.
         """
         grad_position = getattr(self, self._flow_grad_position)
         add_nudge = _nudge_term(batch, self.model.dim, nudge)
@@ -695,9 +704,8 @@ def _nudge_term(batch, dim, nudge):
     every row of nonzero strength; ``None`` when no row is nudged.  The
     force is then ``g`` times minus the step's scale.
 
-    ``nudge`` is ``None`` or a nudge with a position-only cost and one
-    strength, or one per row.  The rows are nudged as :func:`_row_nudge`
-    says.
+    ``nudge`` is ``None`` or a nudge with one strength, or one per row.
+    The rows are nudged as :func:`_row_nudge` says.
     """
     if nudge is None:
         return None
@@ -817,8 +825,8 @@ class BoundHamiltonian(_Bound):
 class CostModel(ABC):
     """Instantaneous prediction-error term.
 
-    ``state`` is the position vector when ``position_only`` is set, otherwise
-    the full phase vector ``(s, p)``; ``grad_state`` is shaped accordingly.
+    ``state`` is the position vector, and ``target`` a sample of
+    ``target_dim`` values; ``grad_state`` has the shape of ``state``.
     ``cost_rows`` and ``grad_state_rows`` evaluate a stack of states, one
     row each (a trajectory, or the states of a batch at one grid point);
     their defaults call ``cost`` / ``grad_state`` once per row.  The nudged
@@ -826,7 +834,7 @@ class CostModel(ABC):
     integration to its buffer.
     """
 
-    position_only: bool
+    target_dim: int
 
     @abstractmethod
     def cost(self, state, target) -> float:

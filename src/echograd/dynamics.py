@@ -7,24 +7,20 @@ to floating-point roundoff, which is exactly what the echo mechanism needs.
 A classical rk4 stepper is provided as a deliberately non-symmetric control
 for the retrace check.
 
-Nudged flows integrate d/dt (s, p) = J dH - beta J dc.  For position-only
-costs this is a plain Hamiltonian flow with the potential shifted by
--beta*c, so the nudging force simply joins the kick; the kick at step k uses
-the input and target samples at grid point k.  Every stepper reaches that
-force only through the binding: ``bound.force(B, nudge, scale)``, built
-once per integration, gives ``scale`` times -dH/ds + beta dc/ds of a state
-stack, the cost term added by one masked add.  For a position-only cost a
-row at beta = 0 gets no cost term at all, so it is bitwise its free run.
-The separable leapfrog builds its force with half a step as ``scale``, so
-one call per step gives the half kick, which it shares between the step
-it ends and the step it starts.  Its step works on ``(B, dim)`` operands
-in buffers made once per integration and writes its state into the
-storage rows; with the zoo's force it allocates no array.
-Momentum-dependent costs (and non-separable Hamiltonians) fall back to the
-generalised Stoermer-Verlet step with fixed-point iterations for the
-implicit half-updates.  That step and rk4 evaluate one nudged vector
-field: the same force for a position-only cost, the phase-state cost
-gradient added to the free force otherwise.
+The integrators take separable Hamiltonians H = T(p) + V(s, x) and raise
+``ValueError`` for any other.  Costs are position-only, so a nudged flow
+d/dt (s, p) = J dH - beta J dc is a plain Hamiltonian flow with the
+potential shifted by -beta*c: the nudging force simply joins the kick, and
+the kick at step k uses the input and target samples at grid point k.
+Every stepper reaches that force only through the binding:
+``bound.force(B, nudge, scale)``, built once per integration, gives
+``scale`` times -dH/ds + beta dc/ds of a state stack, the cost term added
+by one masked add.  A row at beta = 0 gets no cost term at all, so it is
+bitwise its free run.  The leapfrog builds its force with half a step as
+``scale``, so one call per step gives the half kick, which it shares
+between the step it ends and the step it starts.  Its step works on
+``(B, dim)`` operands in buffers made once per integration and writes its
+state into the storage rows; with the zoo's force it allocates no array.
 
 Lagrangian initial value problems are integrated by converting to the
 Legendre-partner Hamiltonian flow and mapping momenta back to velocities, so
@@ -54,10 +50,11 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_params,
+    check_target,
     lockstep_rows,
     row_stack,
 )
-from .errors import ConvergenceError, DivergenceError
+from .errors import DivergenceError
 from .legendre import _BindingPartner, momentum_from_velocity
 
 __all__ = [
@@ -72,9 +69,7 @@ __all__ = [
 
 SCHEMES = ("leapfrog", "rk4")
 
-_FIXED_POINT_TOL = 1e-13
-_FIXED_POINT_MAX_ITER = 50
-# Rows the explicit steppers write between finiteness checks.  A diverged
+# Rows the steppers write between finiteness checks.  A diverged
 # run is cut at most this many steps after its first non-finite state.
 _CHECK_EVERY = 64
 
@@ -84,7 +79,8 @@ class Nudge:
     """Cost admixture for the integrators: strength, cost model, target signal.
 
     ``beta`` is one strength, or a 1-d array with one strength per batch row
-    of a lockstep run.
+    of a lockstep run.  ``target`` must have the cost's ``target_dim``
+    columns.
     """
 
     beta: float | np.ndarray
@@ -96,6 +92,7 @@ class Nudge:
             raise ValueError("nudging strength must be a scalar or one value per batch row")
         if not np.all(np.isfinite(self.beta)):
             raise ValueError("nudging strength must be finite")
+        check_target(self.cost, self.target)
 
 
 def momentum_flip(state: PhaseState) -> PhaseState:
@@ -144,10 +141,13 @@ def integrate_hamiltonian(
     parameters, initial state and strength (unstacked arguments are shared),
     and returns a trajectory stack ``(B, n_steps + 1, dim)``.  Every row is
     bitwise the run it would be on its own; the rows share the input and
-    target signals.
+    target signals.  Raises ``ValueError`` for a model that is not
+    ``separable``, under either scheme, before any step.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if not model.separable:
+        raise ValueError("the integrators take separable Hamiltonians H = T(p) + V(s, x)")
     th = as_params(theta)
     if phi0.dim != model.dim:
         raise ValueError(f"initial state dim {phi0.dim} does not match model dim {model.dim}")
@@ -160,12 +160,8 @@ def integrate_hamiltonian(
     bound = model.bind(th, xs)
     # A diverging run overflows before its check; _check_rows reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        if scheme == "rk4":
-            positions, momenta = _rk4(bound, s0, p0, n, dt, nudge)
-        elif model.separable and (nudge is None or nudge.cost.position_only):
-            positions, momenta = _leapfrog_separable(bound, s0, p0, n, dt, nudge)
-        else:
-            positions, momenta = _leapfrog_implicit(bound, s0, p0, n, dt, nudge)
+        stepper = _rk4 if scheme == "rk4" else _leapfrog_separable
+        positions, momenta = stepper(bound, s0, p0, n, dt, nudge)
     if rows is None:
         positions, momenta = positions[:, 0], momenta[:, 0]
     else:
@@ -191,7 +187,7 @@ def _check_rows(positions, momenta, lo, hi):
 
 
 def _chunks(n):
-    """Step ranges after each of which the explicit steppers check finiteness."""
+    """Step ranges after each of which the steppers check finiteness."""
     return (range(lo, min(lo + _CHECK_EVERY, n)) for lo in range(0, n, _CHECK_EVERY))
 
 
@@ -231,80 +227,17 @@ def _leapfrog_separable(bound, s, p, n, dt, nudge):
     return positions, momenta
 
 
-def _vector_field(bound, batch, nudge):
-    """``field(s, p, k)``: (ds/dt, dp/dt) of the nudged flow for the
-    ``(batch, dim)`` state stacks ``s``, ``p`` at sample ``k``.
-
-    dp/dt is the binding's force, which takes a position-only nudge; a
-    momentum-dependent cost is the one nudge added here, from the phase
-    states.
-    """
-    phase = nudge is not None and not nudge.cost.position_only
-    force, velocity = bound.force(batch, None if phase else nudge), bound.grad_momentum
-    if not phase:
-        # a copy: rk4 holds several stages, and the force reuses its buffer
-        return lambda s, p, k: (velocity(s, p, k), force(s, p, k).copy())
-
-    betas = np.broadcast_to(np.asarray(nudge.beta, dtype=float), (batch,))[:, None]
-    cost, ys = nudge.cost, nudge.target.values
-    targets = np.broadcast_to(ys[:, None, :], (ys.shape[0], batch, ys.shape[1]))
-
-    def field(s, p, k):
-        d = s.shape[1]
-        g = cost.grad_state_rows(np.concatenate([s, p], axis=1), targets[k])
-        ds = velocity(s, p, k) - betas * g[:, d:]
-        dp = force(s, p, k) + betas * g[:, :d]
-        return ds, dp
-
-    return field
-
-
-def _leapfrog_implicit(bound, s, p, n, dt, nudge):
-    """Generalised Stoermer-Verlet; implicit half-updates by fixed point.
-
-    The rows iterate together, but each row stops at its own fixed-point
-    tolerance, so it takes the iterates of its own run.  Finiteness is
-    checked after every step: a non-finite state would make the next
-    fixed-point solve fail to converge instead of reporting the divergence.
-    """
-    field = _vector_field(bound, len(s), nudge)
-
-    def fixed_point(update, start, what):
-        value = start
-        done = np.zeros(value.shape[0], dtype=bool)
-        for _ in range(_FIXED_POINT_MAX_ITER):
-            new = update(value)
-            close = (np.max(np.abs(new - value), axis=1)
-                     <= _FIXED_POINT_TOL * (1.0 + np.max(np.abs(new), axis=1)))
-            value = np.where(done[:, None], value, new)
-            done |= close
-            if done.all():
-                return value
-        raise ConvergenceError(f"implicit leapfrog {what} update did not converge "
-                               f"in batch row {int(np.argmin(done))}")
-
-    positions, momenta = _storage(s, p, n)
-    for k in range(n):
-        s_k = s
-        p_half = fixed_point(lambda q: p + 0.5 * dt * field(s_k, q, k)[1], p, "momentum")
-        ds0 = field(s_k, p_half, k)[0]
-        s = fixed_point(
-            lambda q: s_k + 0.5 * dt * (ds0 + field(q, p_half, k + 1)[0]),
-            s_k + dt * ds0,
-            "position",
-        )
-        p = p_half + 0.5 * dt * field(s, p_half, k + 1)[1]
-        positions[k + 1], momenta[k + 1] = s, p
-        _check_rows(positions, momenta, k + 1, k + 2)
-    return positions, momenta
-
-
 def _rk4(bound, s, p, n, dt, nudge):
     """Classical rk4 with zero-order-hold inputs over each step.
 
     Not time-symmetric; exists as the negative control for retrace tests.
     """
-    field = _vector_field(bound, len(s), nudge)
+    force, velocity = bound.force(len(s), nudge), bound.grad_momentum
+
+    def field(s, p, k):
+        # a copy: the stages are held together, and the force reuses its buffer
+        return velocity(s, p, k), force(s, p, k).copy()
+
     positions, momenta = _storage(s, p, n)
     for steps in _chunks(n):
         for k in steps:
@@ -337,9 +270,9 @@ def integrate_lagrangian_ivp(
     then maps the momenta back.
     A parameter stack, ``(B, dim)`` initial data or one nudging strength per
     row runs B integrations in lockstep, as for :func:`integrate_hamiltonian`.
+    A model without ``quadratic_kinetic`` has a non-separable partner, which
+    :func:`integrate_hamiltonian` refuses.
     """
-    if nudge is not None and np.any(nudge.beta) and not nudge.cost.position_only:
-        raise ValueError("Lagrangian nudging requires a position-only cost")
     th = as_params(theta)
     position = np.asarray(position, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
@@ -382,8 +315,8 @@ def euler_lagrange_residual(
         raise ValueError("trajectory is too short for an interior residual (need >= 4 points)")
     if beta != 0.0 and (cost is None or target is None):
         raise ValueError("a nonzero beta requires a cost model and a target signal")
-    if beta != 0.0 and not cost.position_only:
-        raise ValueError("Lagrangian nudging requires a position-only cost")
+    if beta != 0.0:
+        check_target(cost, target)
     th = as_params(theta)
     grid = traj.grid
     xs = _input_values(model, x, grid)

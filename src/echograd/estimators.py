@@ -138,8 +138,6 @@ def prepare(
     elif method is EstimatorMethod.PFVP:
         if not lagrangian.reversible:
             raise ValueError("the final-value estimator requires a velocity-even model")
-        if not task.cost.position_only:
-            raise ValueError("the final-value estimator requires a position-only cost")
 
         def estimate(theta, beta, loss_thetas=None):
             return grad_pfvp(lagrangian, task.cost, theta, spec, task.grid, task.x, task.y,

@@ -19,11 +19,11 @@ terms survive:
   action with pinned endpoints, by damped Newton iteration on their
   block-tridiagonal system.
 - Final state pinned to the free trajectory's endpoint ("PFVP"): requires a
-  velocity-even Lagrangian and a position-only cost.  The nudged solution is
-  produced by forward integration from the velocity-reversed free endpoint
-  with time-reversed inputs; a single residual term survives at the initial
-  time and needs only parameter derivatives of the velocity gradient at the
-  fixed initial condition, no re-integration.
+  velocity-even Lagrangian.  The nudged solution is produced by forward
+  integration from the velocity-reversed free endpoint with time-reversed
+  inputs; a single residual term survives at the initial time and needs
+  only parameter derivatives of the velocity gradient at the fixed initial
+  condition, no re-integration.
 
 Symmetric nudging averages the estimator at +beta and -beta.  Each
 estimator takes one beta or a list of them.  A list is estimated in one
@@ -58,6 +58,7 @@ from .core import (
     central_probes,
     central_quotient,
     check_positive_finite,
+    check_target,
     finish_estimates,
     free_losses,
     frozen_array,
@@ -171,8 +172,6 @@ def grad_civp(
             f"CIVP probes re-integrate per parameter; {th.shape[0]} parameters exceed "
             f"the guard of {CIVP_THETA_LIMIT}"
         )
-    if not cost.position_only:
-        raise ValueError("trajectory estimators require a position-only cost")
     nudging = NudgeMode(nudging)
     signs = signed_betas(beta, nudging)
     rows = loss_rows(loss_thetas, th.shape[0])
@@ -318,21 +317,20 @@ def solve_cbvp(
     steps before it.  Newton does not need the horizon to lie below a
     conjugate point; past a fold of the solution branch it stalls.
 
-    Raises ``ValueError`` unless ``tol`` is positive and finite,
-    ``DivergenceError`` for a non-finite defect at the start,
-    ``SingularHessianError`` naming the interior grid point of a singular
-    Jacobian block at any level of the reduction, and ``ConvergenceError``
-    when no halving of a step lowers the worst defect (a non-finite step
-    included) or after ``NEWTON_MAX_ITER`` steps.  No floating point
-    warning escapes.
+    Raises ``ValueError`` unless ``tol`` is positive and finite and a
+    nudge's target has the cost's width, ``DivergenceError`` for a
+    non-finite defect at the start, ``SingularHessianError`` naming the
+    interior grid point of a singular Jacobian block at any level of the
+    reduction, and ``ConvergenceError`` when no halving of a step lowers
+    the worst defect (a non-finite step included) or after
+    ``NEWTON_MAX_ITER`` steps.  No floating point warning escapes.
     """
     th = as_params(theta)
     check_positive_finite(tol, "boundary value tolerance")
     if beta != 0.0:
         if cost is None or target is None:
             raise ValueError("a nonzero beta requires a cost model and a target signal")
-        if not cost.position_only:
-            raise ValueError("trajectory estimators require a position-only cost")
+        check_target(cost, target)
         if target.grid != grid:
             raise ValueError("target signal is not aligned to the grid")
     if x is not None and x.grid != grid:
@@ -481,8 +479,6 @@ def grad_pfvp(
     check_positive_finite(fd_eps, "finite-difference step")
     if not model.reversible:
         raise ValueError("the final-value construction requires a velocity-even model")
-    if not cost.position_only:
-        raise ValueError("the final-value construction requires a position-only cost")
 
     # row 0 is the free run, the loss rows follow
     free_runs = integrate_lagrangian_ivp(

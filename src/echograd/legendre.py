@@ -170,7 +170,10 @@ class _BindingPartner(LegendreHamiltonian):
 
 
 class LegendreLagrangian(LagrangianModel):
-    """Lagrangian view of a Hamiltonian model: L = p(s,v).v - H(s, p(s,v))."""
+    """Lagrangian view of a Hamiltonian model: L = p(s,v).v - H(s, p(s,v)).
+
+    It backs the Legendre round-trip checks.  It does not declare
+    ``quadratic_kinetic``, so the integrators refuse it."""
 
     quadratic_kinetic = False
 

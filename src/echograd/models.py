@@ -46,7 +46,6 @@ __all__ = [
     "OscillatorLagrangian",
     "OscillatorHamiltonian",
     "QuadraticTrackingCost",
-    "PhaseTrackingCost",
     "ZeroCost",
     "ZooMember",
     "model_zoo",
@@ -446,30 +445,22 @@ def make_oscillator_model(dim, coupling="dense", input_dim=0, quartic=0.0):
     return OscillatorLagrangian(core), OscillatorHamiltonian(core)
 
 
-def _selector(dim, indices):
-    """The coordinates a tracking cost reads, as a tuple and as an index array."""
-    if indices is None:
-        indices = range(dim)
-    indices = tuple(int(i) for i in indices)
-    if any(i < 0 or i >= dim for i in indices):
-        raise ValueError(f"selector indices must lie in [0, {dim}), got {indices}")
-    return indices, np.array(indices, dtype=int)
-
-
 class QuadraticTrackingCost(CostModel):
     """l2 tracking error on a selected subset of position coordinates."""
 
-    position_only = True
-
     def __init__(self, dim, indices=None):
         self.dim = int(dim)
-        self.indices, self._index = _selector(self.dim, indices)
+        self.indices = tuple(int(i) for i in (range(self.dim) if indices is None else indices))
+        if any(i < 0 or i >= self.dim for i in self.indices):
+            raise ValueError(f"selector indices must lie in [0, {self.dim}), got {self.indices}")
         self.target_dim = len(self.indices)
         # An increasing run of coordinates is read and written as a slice,
         # a view, where an index array would copy.
         first = self.indices[0] if self.indices else 0
         if self.indices == tuple(range(first, first + self.target_dim)):
             self._index = slice(first, first + self.target_dim)
+        else:
+            self._index = np.array(self.indices, dtype=int)
 
     def cost(self, state, target):
         err = np.asarray(state, dtype=float)[self._index] - np.asarray(target, dtype=float)
@@ -503,42 +494,10 @@ class QuadraticTrackingCost(CostModel):
         return write
 
 
-class PhaseTrackingCost(CostModel):
-    """Tracking error on positions plus a momentum penalty on the same subset.
-
-    Exercises the momentum-dependent cost path of the echo phase; not usable
-    with the purely configuration-space estimators.
-    """
-
-    position_only = False
-
-    def __init__(self, dim, indices=None, momentum_weight=0.1):
-        self.dim = int(dim)
-        self.indices, self._index = _selector(self.dim, indices)
-        self.momentum_weight = float(momentum_weight)
-        self.target_dim = len(self.indices)
-
-    def cost(self, state, target):
-        state = np.asarray(state, dtype=float)
-        s, p = state[: self.dim], state[self.dim :]
-        idx = self._index
-        err = s[idx] - np.asarray(target, dtype=float)
-        return 0.5 * float(err @ err) + 0.5 * self.momentum_weight * float(p[idx] @ p[idx])
-
-    def grad_state(self, state, target):
-        state = np.asarray(state, dtype=float)
-        s, p = state[: self.dim], state[self.dim :]
-        idx = self._index
-        grad = np.zeros(2 * self.dim)
-        grad[idx] = s[idx] - np.asarray(target, dtype=float)
-        grad[self.dim + idx] = self.momentum_weight * p[idx]
-        return grad
-
-
 class ZeroCost(CostModel):
     """Identically zero cost; the nudged dynamics coincide with the free ones."""
 
-    position_only = True
+    target_dim = 1
 
     def __init__(self, dim):
         self.dim = int(dim)

@@ -90,8 +90,6 @@ def trajectory_loss(
     ``NumericalError`` naming its row (:func:`~echograd.core.free_losses`).
     """
     th = as_params(theta)
-    if not cost.position_only:
-        raise ValueError("trajectory losses are defined on position-only costs")
     if isinstance(spec, CivpSpec):
         positions = integrate_lagrangian_ivp(model, th, spec.position, spec.velocity, grid,
                                              x).positions

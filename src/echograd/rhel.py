@@ -237,8 +237,7 @@ def grad_rhel(
     call runs the forward pass and the echoes of every signed beta, as one
     lockstep integration.  The boundary correction vanishes identically for
     declared parameter-independent initial states.  ``free_loss`` is the
-    cost of the forward pass (of its phase states for a momentum-dependent
-    cost).
+    cost of the forward pass's positions.
     """
     started = time.perf_counter()
     th = as_params(theta)
@@ -264,8 +263,5 @@ def grad_rhel(
             end = np.concatenate([echoes.positions[i, n], echoes.momenta[i, n]])
             boundary = init_jac.T @ block_swap(end - forward_start)
         values.append(-(integrals[i] - boundary) / b)
-    states = forward.positions
-    if not cost.position_only:
-        states = np.concatenate([forward.positions, forward.momenta], axis=1)
     return finish_estimates(values, beta, nudging, EstimatorMethod.RHEL, started,
-                            path_cost(cost, states, y, grid.dt))
+                            path_cost(cost, forward.positions, y, grid.dt))

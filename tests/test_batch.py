@@ -11,12 +11,7 @@ from echograd.dynamics import Nudge, integrate_hamiltonian, integrate_lagrangian
 from echograd.errors import DivergenceError
 from echograd.glep import CivpSpec
 from echograd.legendre import forward_legendre
-from echograd.models import (
-    PhaseTrackingCost,
-    QuadraticTrackingCost,
-    make_oscillator_model,
-    model_zoo,
-)
+from echograd.models import QuadraticTrackingCost, make_oscillator_model, model_zoo
 from echograd.oracle import fd_gradient, trajectory_loss
 
 MASK = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=bool)
@@ -89,15 +84,6 @@ def test_batched_rows_equal_single_runs(name, lag, ham, theta, scheme):
     cost = QuadraticTrackingCost(lag.dim, indices=[0])
     _check_hamiltonian(ham, grid, thetas, s0, c0, betas, x, cost, y, scheme)
     _check_lagrangian(lag, grid, thetas, s0, c0, betas, x, cost, y, scheme)
-
-
-@pytest.mark.parametrize("scheme", ["leapfrog", "rk4"])
-@pytest.mark.parametrize("name,lag,ham,theta", MODELS, ids=[m[0] for m in MODELS])
-def test_momentum_cost_rows_equal_single_runs(name, lag, ham, theta, scheme):
-    # a momentum-dependent cost sends leapfrog through the implicit stepper
-    grid, thetas, s0, c0, betas, x, y = _draw(lag, theta, ROWS, 40, seed=len(name) + 1)
-    cost = PhaseTrackingCost(lag.dim, indices=[0], momentum_weight=0.2)
-    _check_hamiltonian(ham, grid, thetas, s0, c0, betas, x, cost, y, scheme)
 
 
 def test_shared_arguments_broadcast_over_rows():

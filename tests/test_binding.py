@@ -7,6 +7,7 @@ from test_legendre import MassLagrangian
 from echograd.core import (
     BoundHamiltonian,
     BoundLagrangian,
+    CostModel,
     Signal,
     TimeGrid,
     trapezoid,
@@ -14,12 +15,7 @@ from echograd.core import (
 )
 from echograd.dynamics import integrate_lagrangian_ivp
 from echograd.legendre import forward_legendre, velocity_from_momentum
-from echograd.models import (
-    PhaseTrackingCost,
-    QuadraticTrackingCost,
-    make_oscillator_model,
-    model_zoo,
-)
+from echograd.models import QuadraticTrackingCost, make_oscillator_model, model_zoo
 
 N_POINTS = 9
 MASK = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=bool)
@@ -251,6 +247,28 @@ def test_bound_input_model_requires_samples():
         lag.bind(theta, np.zeros((N_POINTS, 2)))
 
 
+class _PositionShapedCost(CostModel):
+    """Tracking of coordinate 0 on the default ``cost_rows``; it rejects any
+    state but one position vector."""
+
+    target_dim = 1
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def _error(self, state, target):
+        assert np.shape(state) == (self.dim,), f"got state of shape {np.shape(state)}"
+        return state[0] - target[0]
+
+    def cost(self, state, target):
+        return 0.5 * self._error(state, target) ** 2
+
+    def grad_state(self, state, target):
+        grad = np.zeros(self.dim)
+        grad[0] = self._error(state, target)
+        return grad
+
+
 def test_cost_rows_match_per_point_costs():
     rng = np.random.default_rng(5)
     states = rng.normal(size=(N_POINTS, 3))
@@ -259,11 +277,11 @@ def test_cost_rows_match_per_point_costs():
         targets = rng.normal(size=(N_POINTS, len(indices)))
         reference = [cost.cost(s, y) for s, y in zip(states, targets)]
         _assert_close(cost.cost_rows(states, targets), reference)
-    phase = PhaseTrackingCost(3, indices=[0])
-    phase_states = rng.normal(size=(N_POINTS, 6))
+    # the default cost_rows hands cost one position vector per row
+    shaped = _PositionShapedCost(3)
     targets = rng.normal(size=(N_POINTS, 1))
-    assert np.array_equal(phase.cost_rows(phase_states, targets),
-                          [phase.cost(s, y) for s, y in zip(phase_states, targets)])
+    assert np.array_equal(shaped.cost_rows(states, targets),
+                          [shaped.cost(s, y) for s, y in zip(states, targets)])
 
 
 @pytest.mark.parametrize("indices", [None, [1], [1, 2], [0, 2], [2, 1], []],

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_batch import MODELS as BATCH_MODELS
+from test_legendre import QuarticKineticLagrangian
+
+import echograd.dynamics
 
 from echograd.core import (
     BoundHamiltonian,
@@ -278,41 +281,24 @@ def test_property_zero_nudge_echo_retraces(model, n, seed):
     assert echo_retrace_check(ham, theta, phi0, grid, x) <= 1e-8
 
 
-class _PositionShapedCost(CostModel):
-    """Position-only tracking of coordinate 0 that rejects any other state shape."""
-
-    position_only = True
-
-    def __init__(self, dim):
-        self.dim = dim
-
-    def _error(self, state, target):
-        assert np.shape(state) == (self.dim,), f"got state of shape {np.shape(state)}"
-        return state[0] - target[0]
-
-    def cost(self, state, target):
-        return 0.5 * self._error(state, target) ** 2
-
-    def grad_state(self, state, target):
-        grad = np.zeros(self.dim)
-        grad[0] = self._error(state, target)
-        return grad
-
-
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_position_only_cost_is_handed_positions_on_a_non_separable_flow(scheme):
+def test_a_non_separable_model_is_refused_before_any_step(monkeypatch, scheme):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stepped a non-separable model")
+
+    monkeypatch.setattr(echograd.dynamics, "_leapfrog_separable", forbidden)
+    monkeypatch.setattr(echograd.dynamics, "_rk4", forbidden)
     member = [m for m in model_zoo() if m.name == "osc2_chain"][0]
     ham = forward_legendre(backward_legendre(member.hamiltonian))
     assert not ham.separable
     grid = TimeGrid(dt=0.05, n_steps=20)
-    y = Signal.from_function(grid, lambda t: [0.3 * np.sin(t)])
-    phi0 = PhaseState([0.4, -0.2], [0.1, 0.3])
-    runs = [integrate_hamiltonian(ham, member.theta, phi0, grid, nudge=nudge, scheme=scheme)
-            for nudge in (Nudge(0.1, _PositionShapedCost(2), y),
-                          Nudge(0.1, QuadraticTrackingCost(2, indices=[0]), y), None)]
-    assert np.array_equal(runs[0].positions, runs[1].positions)
-    assert np.array_equal(runs[0].momenta, runs[1].momenta)
-    assert not np.array_equal(runs[0].momenta, runs[2].momenta)
+    with pytest.raises(ValueError, match="separable"):
+        integrate_hamiltonian(ham, member.theta, PhaseState([0.4, -0.2], [0.1, 0.3]), grid,
+                              scheme=scheme)
+    # a Lagrangian whose kinetic term is not quadratic, through its partner
+    with pytest.raises(ValueError, match="separable"):
+        integrate_lagrangian_ivp(QuarticKineticLagrangian(dim=2), [1.0], [0.4, -0.2],
+                                 [0.1, 0.3], grid, scheme=scheme)
 
 
 def test_rk4_is_not_time_symmetric():
@@ -514,7 +500,7 @@ class _RowsOnlyTracking(CostModel):
     """Tracking of one coordinate that overrides ``grad_state_rows`` and
     leaves ``grad_writer`` to the base class."""
 
-    position_only = True
+    target_dim = 1
 
     def __init__(self, dim, index):
         self.dim, self.index = dim, index

@@ -33,6 +33,7 @@ from echograd.models import (
     model_zoo,
 )
 from echograd.oracle import fd_gradient, trajectory_loss
+from echograd.rhel import LagrangianInitialState, grad_rhel
 
 LAG1, HAM1 = make_oscillator_model(1, coupling="direct")
 TH1 = ParamVector([1.0])
@@ -434,7 +435,7 @@ def test_pfvp_skips_the_boundary_term_of_a_theta_free_momentum(monkeypatch):
         assert np.array_equal(skipped.value, full.value)
 
 
-def test_pfvp_requires_reversible_model_and_position_cost():
+def test_pfvp_requires_reversible_model():
     grid = _grid(n=100)
     spec = CivpSpec([0.0], [0.0])
     y = Signal.zeros(grid, 1)
@@ -444,10 +445,32 @@ def test_pfvp_requires_reversible_model_and_position_cost():
     with pytest.raises(ValueError):
         grad_pfvp(irreversible, COST1, TH1, spec, grid, None, y, beta=1e-3)
 
-    from echograd.models import PhaseTrackingCost
 
-    with pytest.raises(ValueError):
-        grad_pfvp(LAG1, PhaseTrackingCost(1), TH1, spec, grid, None, y, beta=1e-3)
+@pytest.mark.parametrize("cost, width", [(QuadraticTrackingCost(2), 1),
+                                         (QuadraticTrackingCost(2, indices=[0]), 2)],
+                         ids=["narrow_target", "wide_target"])
+@pytest.mark.parametrize("run", ["trajectory_loss", "grad_civp", "grad_cbvp", "grad_pfvp",
+                                 "grad_rhel"])
+def test_a_target_of_another_width_than_the_cost_raises(run, cost, width):
+    # numpy broadcasts a one-column target over both tracked coordinates, and
+    # a wide target over the one, or fails on it only after the free run
+    grid = _grid(n=40)
+    y = Signal.from_function(grid, lambda t: 0.3 * np.sin(t + np.arange(width)))
+    start, velocity = [0.8, -0.3], [0.2, 0.5]
+    spec = CivpSpec(start, velocity)
+    calls = {
+        "trajectory_loss": lambda: trajectory_loss(LAG2, cost, TH2, spec, grid, None, y),
+        "grad_civp": lambda: grad_civp(LAG2, cost, TH2, spec, grid, None, y, beta=1e-3),
+        "grad_cbvp": lambda: grad_cbvp(LAG2, cost, TH2, CbvpSpec(start, [0.1, 0.2]), grid,
+                                       None, y, beta=1e-3),
+        "grad_pfvp": lambda: grad_pfvp(LAG2, cost, TH2, spec, grid, None, y, beta=1e-3),
+        "grad_rhel": lambda: grad_rhel(HAM2, cost, TH2,
+                                       LagrangianInitialState(LAG2, start, velocity), grid,
+                                       None, y, beta=1e-3),
+    }
+    with pytest.raises(ValueError, match=f"target signal dim {width} does not match the "
+                                         f"cost's target_dim {cost.target_dim}"):
+        calls[run]()
 
 
 def test_estimator_errors_shrink_with_beta():

@@ -82,12 +82,8 @@ def test_trajectory_loss_harmonic_closed_form():
     assert abs(value - np.pi / 2) <= 1e-4
 
 
-def test_trajectory_loss_rejects_phase_costs():
-    from echograd.models import PhaseTrackingCost
-
+def test_trajectory_loss_rejects_unknown_specs():
     grid = TimeGrid(dt=0.01, n_steps=10)
     y = Signal.zeros(grid, 1)
-    with pytest.raises(ValueError):
-        trajectory_loss(LAG1, PhaseTrackingCost(1), TH1, CivpSpec([0.0], [0.0]), grid, None, y)
     with pytest.raises(TypeError):
         trajectory_loss(LAG1, QuadraticTrackingCost(1), TH1, "civp", grid, None, y)

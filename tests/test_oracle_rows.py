@@ -253,17 +253,27 @@ def _count_loops(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("method, integrations, relaxations", [
-    ("static_ep", 0, 2), ("civp", 1, 0), ("pfvp", 2, 0), ("rhel", 3, 0),
+# The counts at task.dim 2 and 8 are the same: passes do not grow with the
+# model.  CIVP runs at d=2 only, since d=8 gives P=72, over its P <= 32
+# guard, and static EP's Hopfield problem does not take task.dim.
+@pytest.mark.parametrize("method, integrations, relaxations, dim", [
+    pytest.param("static_ep", 0, 2, 2, id="static_ep-0-2"),
+    pytest.param("civp", 1, 0, 2, id="civp-1-0"),
+    pytest.param("pfvp", 2, 0, 2, id="pfvp-2-0"),
+    pytest.param("rhel", 3, 0, 2, id="rhel-3-0"),
+    pytest.param("pfvp", 2, 0, 8, id="pfvp-2-0-d8"),
+    pytest.param("rhel", 3, 0, 8, id="rhel-3-0-d8"),
 ])
 def test_gradcheck_runs_the_fewest_sequential_loops(tmp_path, monkeypatch, capsys, method,
-                                                    integrations, relaxations):
+                                                    integrations, relaxations, dim):
     # CIVP's oracle probes join its single lockstep run and PFVP's its free
     # run; static EP's join its free relaxation.  RHEL runs its oracle after
     # its two phases.
+    config = tmp_path / "config.yaml"
+    config.write_text(f"task:\n  dim: {dim}\n  n_steps: 32\n")
     counts = _count_loops(monkeypatch)
-    code = echograd.cli.main(["--out", str(tmp_path / "r"), "--estimator", method,
-                              "gradcheck", "--check-tol", "1e-3"])
+    code = echograd.cli.main(["--config", str(config), "--out", str(tmp_path / "r"),
+                              "--estimator", method, "gradcheck", "--check-tol", "1e-3"])
     assert code == 0, capsys.readouterr().err
     assert counts["integrations"] == integrations
     assert counts["relaxations"] == relaxations

@@ -7,7 +7,6 @@ from echograd.core import (LagrangianModel, ParamVector, PhaseState, Signal, Tim
                            Trajectory, trapezoid)
 from echograd.dynamics import integrate_hamiltonian
 from echograd.models import (
-    PhaseTrackingCost,
     QuadraticTrackingCost,
     ZeroCost,
     make_oscillator_model,
@@ -111,10 +110,8 @@ def test_echo_deviation_loglog_slope_one():
 
 @pytest.mark.parametrize("cost, betas", [
     (QuadraticTrackingCost(2, indices=[0]), [0.7, -0.7, 0.0, 1e-3]),
-    (PhaseTrackingCost(2), [0.5, -0.5, 1e-3]),
 ])
 def test_stacked_echo_rows_are_each_strength_run_alone(cost, betas):
-    # a position-only cost runs the separable leapfrog, a phase cost the implicit one
     member = model_zoo()[2]
     grid = _grid(n=200)
     x = Signal.from_function(grid, lambda t: [np.cos(1.3 * t)])
@@ -193,27 +190,6 @@ def test_grad_rhel_matches_oracle_three_parameters():
     oracle = fd_gradient(lambda thetas: [loss(p) for p in thetas], TH2).value
     estimate = grad_rhel(HAM2, COST2, TH2, init, grid, None, y, beta=1e-4)
     assert np.linalg.norm(estimate.value - oracle) / np.linalg.norm(oracle) <= 1e-3
-
-
-def test_grad_rhel_momentum_dependent_cost():
-    grid = _grid()
-    y = _sin_target(grid)
-    cost = PhaseTrackingCost(2, indices=[0], momentum_weight=0.2)
-    init = LagrangianInitialState(LAG2, [0.8, -0.3], [0.2, 0.5])
-
-    def loss(p):
-        traj = integrate_hamiltonian(HAM2, p, init.state(p), grid)
-        samples = np.array(
-            [
-                cost.cost(np.concatenate([traj.positions[k], traj.momenta[k]]), y.value(k))
-                for k in range(grid.n_points)
-            ]
-        )
-        return trapezoid(samples, grid.dt)
-
-    oracle = fd_gradient(lambda thetas: [loss(p) for p in thetas], TH2).value
-    estimate = grad_rhel(HAM2, cost, TH2, init, grid, None, y, beta=1e-4)
-    assert np.linalg.norm(estimate.value - oracle) / np.linalg.norm(oracle) <= 1e-4
 
 
 class _MassParameterLagrangian(LagrangianModel):
